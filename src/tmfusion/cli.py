@@ -5,8 +5,9 @@ subcommand behavior, and the only value-overriding flags (--seed, --out) are
 echoed into every manifest they affect. Outputs carry no timestamps, so a
 rerun with the same config and seed is byte-identical.
 
-Subcommands hold an exclusive lockfile inside the output directory while
-they run; concurrent writers to one directory are refused.
+Subcommands hold an exclusive ``flock`` on a lock file inside the output
+directory while they run; concurrent writers to one directory are refused,
+and a run killed mid-stage leaves no lock behind.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import fcntl
 import json
 import logging
 import os
@@ -174,22 +176,21 @@ def load_run_config(path: str, seed_override: int | None = None,
 
 @contextlib.contextmanager
 def output_lock(out_dir: Path):
-    """Exclusive advisory lock; refuses concurrent writers to one directory."""
+    """Exclusive advisory lock; refuses concurrent writers to one directory.
+
+    The lock is an ``flock`` held on an open descriptor of ``.tmfusion.lock``,
+    so it ends with the process that holds it, however that process ends. The
+    file itself stays in place: a file left by a dead run blocks nothing, and
+    unlinking it on release would let two runs lock two different inodes.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".tmfusion.lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise TmfusionError(
-            f"output directory {out_dir} is locked by another run (remove {lock} if stale)"
-        )
-    try:
-        os.write(fd, str(os.getpid()).encode("ascii"))
-        os.close(fd)
+    with open(lock, "ab") as fh:
+        try:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise TmfusionError(f"output directory {out_dir} is locked by another run") from None
         yield
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(lock)
 
 
 def _write_json(path: Path, obj: dict) -> None:

@@ -7,6 +7,17 @@ through an elementwise recurrent vector; the simple cell uses a full
 recurrent matrix; the gated cells follow their standard gate algebra with
 a sigmoid-gated forget/input/output (and tanh candidates).
 
+The gated cells store one block per gate (``W_f``, ``U_f``, ``b_f``, ...)
+and compute on stacked gates: at call time the blocks are concatenated in
+gate order (f,i,g,o for the LSTM, z,r,h for the GRU) into ``W`` (G·N × M),
+``U`` (G·N × N) and ``b`` (G·N). The GRU applies ``U_z|U_r`` to h and
+``U_h`` apart, to ``r * h``. Each step writes one input GEMM and one
+recurrent GEMM into row t of a (T, B, G·N) gate buffer and applies the
+activations in place; that buffer is the backward cache, and the previous
+states are the cached sequences shifted by one step. Backward forms one
+(B, G·N) gate gradient per step; per-gate weight gradients are views of
+the stacked sums.
+
 ``literal_forms`` switches two alternate formulations: the independently
 recurrent cell adds its bias outside the activation instead of inside,
 and the gated-update candidate uses a sigmoid instead of tanh.
@@ -27,17 +38,22 @@ from ..errors import InvalidArgumentError
 
 CELL_KINDS = ("simple", "indrnn", "lstm", "gru")
 
-_LSTM_GATES = ("f", "i", "g", "o")
-_GRU_GATES = ("z", "r", "h")
+#: Gate order of the stacked blocks of the gated cells.
+_GATES = {"lstm": "figo", "gru": "zrh"}
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as 0.5 * (1 + tanh(x / 2)); cannot overflow.
+
+    Returns float64. ``out`` is a float64 array of ``x``'s shape that
+    receives the result; it may be ``x`` itself.
+    """
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -48,24 +64,12 @@ def block_shapes(kind: str, input_dim: int, hidden_dim: int) -> dict[str, tuple[
         return {"W": (n, m), "U": (n, n), "b": (n,)}
     if kind == "indrnn":
         return {"W": (n, m), "u": (n,), "b": (n,)}
-    if kind == "lstm":
-        shapes: dict[str, tuple[int, ...]] = {}
-        for g in _LSTM_GATES:
-            shapes[f"W_{g}"] = (n, m)
-        for g in _LSTM_GATES:
-            shapes[f"U_{g}"] = (n, n)
-        for g in _LSTM_GATES:
-            shapes[f"b_{g}"] = (n,)
-        return shapes
-    if kind == "gru":
-        shapes = {}
-        for g in _GRU_GATES:
-            shapes[f"W_{g}"] = (n, m)
-        for g in _GRU_GATES:
-            shapes[f"U_{g}"] = (n, n)
-        for g in _GRU_GATES:
-            shapes[f"b_{g}"] = (n,)
-        return shapes
+    if kind in _GATES:
+        return {
+            f"{prefix}_{g}": shape
+            for prefix, shape in (("W", (n, m)), ("U", (n, n)), ("b", (n,)))
+            for g in _GATES[kind]
+        }
     raise InvalidArgumentError(f"unknown cell kind {kind!r}")
 
 
@@ -136,6 +140,27 @@ def _init_hidden(p: CellParams, xs: np.ndarray, h0: np.ndarray | None) -> np.nda
     return h0
 
 
+def _stacked(p: CellParams) -> list[np.ndarray]:
+    """``W``, ``U`` and ``b`` of a gated cell: per-gate blocks concatenated in gate order."""
+    gates = _GATES[p.kind]
+    return [np.concatenate([p.blocks[f"{prefix}_{g}"] for g in gates]) for prefix in "WUb"]
+
+
+def _split(p: CellParams, **stacked: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-gate views of a gated cell's stacked gradients, keyed by block name."""
+    n = p.hidden_dim
+    return {
+        f"{prefix}_{g}": arr[k * n : (k + 1) * n]
+        for prefix, arr in stacked.items()
+        for k, g in enumerate(_GATES[p.kind])
+    }
+
+
+def _gate_views(a: np.ndarray, n: int) -> list[np.ndarray]:
+    """Per-gate (B, N) views of a (B, G·N) stacked row."""
+    return [a[:, k * n : (k + 1) * n] for k in range(a.shape[1] // n)]
+
+
 # ---------------------------------------------------------------------------
 # Forward passes
 # ---------------------------------------------------------------------------
@@ -172,7 +197,7 @@ def _simple_forward(p, xs, h0, rec_mask):
     for t in range(t_len):
         hd = h_prev if rec_mask is None else h_prev * rec_mask
         hds[t] = hd
-        hs[t] = sigmoid(xs[t] @ W.T + hd @ U.T + b)
+        sigmoid(xs[t] @ W.T + hd @ U.T + b, out=hs[t])
         h_prev = hs[t]
     cache = {"xs": xs, "hs": hs, "hds": hds, "rec_mask": rec_mask}
     return hs, cache
@@ -190,82 +215,71 @@ def _indrnn_forward(p, xs, h0, rec_mask):
         hds[t] = hd
         pre = xs[t] @ W.T + hd * u
         if p.literal_forms:
-            s = sigmoid(pre)
-            hs[t] = s + b
+            sigmoid(pre, out=ss[t])
+            np.add(ss[t], b, out=hs[t])
         else:
-            s = sigmoid(pre + b)
-            hs[t] = s
-        ss[t] = s
+            pre += b
+            sigmoid(pre, out=ss[t])
+            hs[t] = ss[t]
         h_prev = hs[t]
     cache = {"xs": xs, "hs": hs, "ss": ss, "hds": hds, "rec_mask": rec_mask}
     return hs, cache
 
 
 def _lstm_forward(p, xs, h0, q0, rec_mask):
-    blk = p.blocks
+    W, U, b = _stacked(p)
     t_len, batch, _ = xs.shape
     n = p.hidden_dim
-    hs = np.zeros((t_len, batch, n))
-    gates = {g: np.zeros((t_len, batch, n)) for g in _LSTM_GATES}
-    qs = np.zeros((t_len, batch, n))
-    tqs = np.zeros((t_len, batch, n))
-    hds = np.zeros((t_len, batch, n))
-    q_prevs = np.zeros((t_len, batch, n))
-
-    h_prev = _init_hidden(p, xs, h0)
-    q_prev = np.zeros((batch, n)) if q0 is None else np.asarray(q0, dtype=np.float64)
+    acts = np.empty((t_len, batch, 4 * n))  # gate activations f|i|g|o
+    hs, qs, tqs, hds = (np.empty((t_len, batch, n)) for _ in range(4))
+    h0 = _init_hidden(p, xs, h0)
+    q0 = np.zeros((batch, n)) if q0 is None else np.asarray(q0, dtype=np.float64)
     for t in range(t_len):
-        hd = h_prev if rec_mask is None else h_prev * rec_mask
-        hds[t] = hd
-        q_prevs[t] = q_prev
-        f = sigmoid(xs[t] @ blk["W_f"].T + hd @ blk["U_f"].T + blk["b_f"])
-        i = sigmoid(xs[t] @ blk["W_i"].T + hd @ blk["U_i"].T + blk["b_i"])
-        g = np.tanh(xs[t] @ blk["W_g"].T + hd @ blk["U_g"].T + blk["b_g"])
-        o = sigmoid(xs[t] @ blk["W_o"].T + hd @ blk["U_o"].T + blk["b_o"])
-        q = f * q_prev + i * g
-        tq = np.tanh(q)
-        hs[t] = o * tq
-        gates["f"][t], gates["i"][t], gates["g"][t], gates["o"][t] = f, i, g, o
-        qs[t], tqs[t] = q, tq
-        h_prev, q_prev = hs[t], q
-    cache = {
-        "xs": xs, "hs": hs, "hds": hds, "gates": gates,
-        "qs": qs, "tqs": tqs, "q_prevs": q_prevs, "rec_mask": rec_mask,
+        h_prev = hs[t - 1] if t else h0
+        hds[t] = h_prev if rec_mask is None else h_prev * rec_mask
+        a = np.matmul(xs[t], W.T, out=acts[t])
+        a += hds[t] @ U.T
+        a += b
+        f, i, g, o = _gate_views(a, n)
+        np.tanh(g, out=g)
+        for gate in (f, i, o):
+            sigmoid(gate, out=gate)
+        q = np.multiply(f, qs[t - 1] if t else q0, out=qs[t])
+        q += i * g
+        np.tanh(q, out=tqs[t])
+        np.multiply(o, tqs[t], out=hs[t])
+    return hs, {
+        "xs": xs, "hs": hs, "hds": hds, "acts": acts,
+        "qs": qs, "tqs": tqs, "q0": q0, "rec_mask": rec_mask,
     }
-    return hs, cache
 
 
 def _gru_forward(p, xs, h0, rec_mask):
-    blk = p.blocks
+    W, U, b = _stacked(p)
     t_len, batch, _ = xs.shape
     n = p.hidden_dim
-    hs = np.zeros((t_len, batch, n))
-    zs = np.zeros((t_len, batch, n))
-    rs = np.zeros((t_len, batch, n))
-    cs = np.zeros((t_len, batch, n))
-    hds = np.zeros((t_len, batch, n))
-    rhds = np.zeros((t_len, batch, n))
-    h_prevs = np.zeros((t_len, batch, n))
-
-    h_prev = _init_hidden(p, xs, h0)
+    U_zr, U_h = U[: 2 * n], U[2 * n :]
+    acts = np.empty((t_len, batch, 3 * n))  # z|r gates, then the candidate
+    hs, hds, rhds = (np.empty((t_len, batch, n)) for _ in range(3))
+    h0 = _init_hidden(p, xs, h0)
     for t in range(t_len):
-        hd = h_prev if rec_mask is None else h_prev * rec_mask
-        hds[t] = hd
-        h_prevs[t] = h_prev
-        z = sigmoid(xs[t] @ blk["W_z"].T + hd @ blk["U_z"].T + blk["b_z"])
-        r = sigmoid(xs[t] @ blk["W_r"].T + hd @ blk["U_r"].T + blk["b_r"])
-        rhd = r * hd
-        ac = xs[t] @ blk["W_h"].T + rhd @ blk["U_h"].T + blk["b_h"]
-        c = sigmoid(ac) if p.literal_forms else np.tanh(ac)
+        h_prev = hs[t - 1] if t else h0
+        hds[t] = h_prev if rec_mask is None else h_prev * rec_mask
+        a = np.matmul(xs[t], W.T, out=acts[t])
+        a += b
+        zr = a[:, : 2 * n]
+        zr += hds[t] @ U_zr.T
+        sigmoid(zr, out=zr)
+        z, r, c = _gate_views(a, n)
+        np.multiply(r, hds[t], out=rhds[t])
+        c += rhds[t] @ U_h.T
+        (sigmoid if p.literal_forms else np.tanh)(c, out=c)
         # interpolation carries the undropped previous hidden state
         hs[t] = (1.0 - z) * h_prev + z * c
-        zs[t], rs[t], cs[t], rhds[t] = z, r, c, rhd
-        h_prev = hs[t]
-    cache = {
-        "xs": xs, "hs": hs, "hds": hds, "h_prevs": h_prevs,
-        "zs": zs, "rs": rs, "cs": cs, "rhds": rhds, "rec_mask": rec_mask,
+    return hs, {
+        "xs": xs, "hs": hs, "hds": hds, "rhds": rhds, "acts": acts,
+        "h0": h0, "rec_mask": rec_mask,
     }
-    return hs, cache
 
 
 # ---------------------------------------------------------------------------
@@ -334,82 +348,62 @@ def _indrnn_backward(p, cache, d_hs):
 
 
 def _lstm_backward(p, cache, d_hs):
-    blk = p.blocks
-    xs, hds = cache["xs"], cache["hds"]
-    gates, qs, tqs, q_prevs = cache["gates"], cache["qs"], cache["tqs"], cache["q_prevs"]
+    W, U, _ = _stacked(p)
+    xs, hds, acts = cache["xs"], cache["hds"], cache["acts"]
+    qs, tqs = cache["qs"], cache["tqs"]
     mask = _mask_or_one(cache)
-    grads = p.zero_grads()
-    d_xs = np.zeros_like(xs)
-    batch = xs.shape[1]
-    carry_h = np.zeros((batch, p.hidden_dim))
-    carry_q = np.zeros((batch, p.hidden_dim))
+    n = p.hidden_dim
+    dW, dU, db = np.zeros_like(W), np.zeros_like(U), np.zeros(4 * n)
+    d_xs = np.empty(xs.shape)
+    da = np.empty((xs.shape[1], 4 * n))  # pre-activation gradient f|i|g|o
+    daf, dai, dag, dao = _gate_views(da, n)
+    carry_h = carry_q = 0.0
     for t in range(xs.shape[0] - 1, -1, -1):
-        dh = d_hs[t] + carry_h
-        f, i, g, o = (gates[k][t] for k in _LSTM_GATES)
+        f, i, g, o = (np.ascontiguousarray(v) for v in _gate_views(acts[t], n))
         tq = tqs[t]
-        do = dh * tq
+        dh = d_hs[t] + carry_h
         dq = carry_q + dh * o * (1.0 - tq * tq)
-        df = dq * q_prevs[t]
-        di = dq * g
-        dg = dq * i
+        np.multiply(dh * tq, o * (1.0 - o), out=dao)
+        np.multiply(dq * (qs[t - 1] if t else cache["q0"]), f * (1.0 - f), out=daf)
+        np.multiply(dq * g, i * (1.0 - i), out=dai)
+        np.multiply(dq * i, 1.0 - g * g, out=dag)
         carry_q = dq * f
 
-        das = {
-            "f": df * f * (1.0 - f),
-            "i": di * i * (1.0 - i),
-            "g": dg * (1.0 - g * g),
-            "o": do * o * (1.0 - o),
-        }
-        dhd = np.zeros((batch, p.hidden_dim))
-        dx = np.zeros_like(xs[t])
-        for k, da in das.items():
-            grads[f"W_{k}"] += da.T @ xs[t]
-            grads[f"U_{k}"] += da.T @ hds[t]
-            grads[f"b_{k}"] += da.sum(axis=0)
-            dhd += da @ blk[f"U_{k}"]
-            dx += da @ blk[f"W_{k}"]
-        d_xs[t] = dx
-        carry_h = dhd * mask
-    return d_xs, grads
+        dW += da.T @ xs[t]
+        dU += da.T @ hds[t]
+        db += da.sum(axis=0)
+        np.matmul(da, W, out=d_xs[t])
+        carry_h = (da @ U) * mask
+    return d_xs, _split(p, W=dW, U=dU, b=db)
 
 
 def _gru_backward(p, cache, d_hs):
-    blk = p.blocks
-    xs, hds, h_prevs = cache["xs"], cache["hds"], cache["h_prevs"]
-    zs, rs, cs, rhds = cache["zs"], cache["rs"], cache["cs"], cache["rhds"]
+    W, U, _ = _stacked(p)
+    xs, hs, hds, rhds, acts = (cache[k] for k in ("xs", "hs", "hds", "rhds", "acts"))
     mask = _mask_or_one(cache)
-    grads = p.zero_grads()
-    d_xs = np.zeros_like(xs)
-    batch = xs.shape[1]
-    carry = np.zeros((batch, p.hidden_dim))
+    n = p.hidden_dim
+    dW, dU, db = np.zeros_like(W), np.zeros_like(U), np.zeros(3 * n)
+    d_xs = np.empty(xs.shape)
+    da = np.empty((xs.shape[1], 3 * n))  # pre-activation gradient z|r|h
+    daz, dar, dac = _gate_views(da, n)
+    da_zr = da[:, : 2 * n]
+    carry = 0.0
     for t in range(xs.shape[0] - 1, -1, -1):
+        z, r, c = (np.ascontiguousarray(v) for v in _gate_views(acts[t], n))
         dh = d_hs[t] + carry
-        z, r, c = zs[t], rs[t], cs[t]
-        dz = dh * (c - h_prevs[t])
-        dc = dh * z
-        dh_prev_direct = dh * (1.0 - z)
+        np.multiply(dh * (c - (hs[t - 1] if t else cache["h0"])), z * (1.0 - z), out=daz)
+        np.multiply(dh * z, c * (1.0 - c) if p.literal_forms else 1.0 - c * c, out=dac)
+        d_rhd = dac @ U[2 * n :]
+        np.multiply(d_rhd * hds[t], r * (1.0 - r), out=dar)
+        dhd = d_rhd * r + da_zr @ U[: 2 * n]
 
-        dac = dc * (c * (1.0 - c)) if p.literal_forms else dc * (1.0 - c * c)
-        d_rhd = dac @ blk["U_h"]
-        dr = d_rhd * hds[t]
-        dhd = d_rhd * r
-        dar = dr * r * (1.0 - r)
-        daz = dz * z * (1.0 - z)
-        dhd = dhd + daz @ blk["U_z"] + dar @ blk["U_r"]
-
-        grads["W_z"] += daz.T @ xs[t]
-        grads["U_z"] += daz.T @ hds[t]
-        grads["b_z"] += daz.sum(axis=0)
-        grads["W_r"] += dar.T @ xs[t]
-        grads["U_r"] += dar.T @ hds[t]
-        grads["b_r"] += dar.sum(axis=0)
-        grads["W_h"] += dac.T @ xs[t]
-        grads["U_h"] += dac.T @ rhds[t]
-        grads["b_h"] += dac.sum(axis=0)
-
-        d_xs[t] = daz @ blk["W_z"] + dar @ blk["W_r"] + dac @ blk["W_h"]
-        carry = dh_prev_direct + dhd * mask
-    return d_xs, grads
+        dW += da.T @ xs[t]
+        dU[: 2 * n] += da_zr.T @ hds[t]
+        dU[2 * n :] += dac.T @ rhds[t]
+        db += da.sum(axis=0)
+        np.matmul(da, W, out=d_xs[t])
+        carry = dh * (1.0 - z) + dhd * mask
+    return d_xs, _split(p, W=dW, U=dU, b=db)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,18 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from tmfusion.cli import main
+import tmfusion
+from tmfusion.cli import main, output_lock
 from tmfusion.dataset import load_dataset
+from tmfusion.errors import TmfusionError
 from tmfusion.rnn import Checkpoint, Hyperparams, build_model, load_checkpoint, save_checkpoint
 from tmfusion import evaluate as ev
 
@@ -297,10 +303,27 @@ class TestCliContract:
     def test_output_lock_refuses_second_writer(self, run_dir):
         cfg = run_dir / "config.json"
         out = run_dir / "out"
-        out.mkdir(exist_ok=True)
-        (out / ".tmfusion.lock").write_text("12345")
-        assert run_cli("ingest", "--config", str(cfg)) == 1
-        (out / ".tmfusion.lock").unlink()
+        with output_lock(out):
+            with pytest.raises(TmfusionError, match="locked by another run"):
+                with output_lock(out):
+                    pass
+            assert run_cli("ingest", "--config", str(cfg)) == 1
+        assert run_cli("ingest", "--config", str(cfg)) == 0
+
+    def test_lock_of_killed_run_does_not_block(self, run_dir):
+        cfg = run_dir / "config.json"
+        out = run_dir / "out"
+        code = (
+            "import os, signal, sys\n"
+            "from pathlib import Path\n"
+            "from tmfusion.cli import output_lock\n"
+            "with output_lock(Path(sys.argv[1])):\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(tmfusion.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code, str(out)], env=env, timeout=60)
+        assert proc.returncode == -signal.SIGKILL
+        assert (out / ".tmfusion.lock").exists()
         assert run_cli("ingest", "--config", str(cfg)) == 0
 
     def test_out_override_used_and_echoed(self, run_dir, tmp_path):

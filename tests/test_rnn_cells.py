@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from tmfusion.errors import InvalidArgumentError
 from tmfusion.rnn import (
+    CELL_KINDS,
     CellParams,
     block_shapes,
     gru_forward,
     indrnn_forward,
     lstm_forward,
+    sigmoid,
 )
 from tmfusion.rnn.cells import backward as cell_backward
 from tmfusion.rnn.cells import forward as cell_forward
@@ -182,56 +187,86 @@ def cell_loss(p: CellParams, xs, coeffs, rec_mask=None) -> float:
     return float(np.sum(hs * coeffs))
 
 
+def assert_backward_matches_finite_differences(p: CellParams, xs, coeffs, rec_mask=None):
+    """Central differences on every entry of every block and of the inputs."""
+    _, cache = cell_forward(p, xs, rec_mask=rec_mask)
+    d_xs, grads = cell_backward(p, cache, coeffs)
+
+    eps = 1e-6
+    targets = [(name, arr, grads[name]) for name, arr in p.blocks.items()]
+    targets.append(("d_xs", xs, d_xs))
+    for name, arr, analytic_arr in targets:
+        flat = arr.reshape(-1)
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + eps
+            up = cell_loss(p, xs, coeffs, rec_mask=rec_mask)
+            flat[idx] = orig - eps
+            down = cell_loss(p, xs, coeffs, rec_mask=rec_mask)
+            flat[idx] = orig
+            numeric = (up - down) / (2 * eps)
+            analytic = analytic_arr.reshape(-1)[idx]
+            denom = max(abs(numeric), abs(analytic), 1e-8)
+            label = f"{p.kind}(literal={p.literal_forms}).{name}[{idx}]"
+            assert abs(numeric - analytic) / denom < 1e-4, label
+
+
 @pytest.mark.parametrize("kind", ["simple", "indrnn", "lstm", "gru"])
 @pytest.mark.parametrize("literal", [False, True])
 def test_cell_backward_matches_finite_differences(rng, kind, literal):
     p = random_cell(kind, rng, m=3, n=4, literal=literal)
     xs = rng.normal(0, 1, size=(5, 2, 3))  # T=5, B=2
     coeffs = rng.normal(0, 1, size=(5, 2, 4))
-
-    hs, cache = cell_forward(p, xs)
-    _, grads = cell_backward(p, cache, coeffs)
-
-    eps = 1e-6
-    for name, arr in p.blocks.items():
-        flat = arr.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            up = cell_loss(p, xs, coeffs)
-            flat[idx] = orig - eps
-            down = cell_loss(p, xs, coeffs)
-            flat[idx] = orig
-            numeric = (up - down) / (2 * eps)
-            analytic = grads[name].reshape(-1)[idx]
-            denom = max(abs(numeric), abs(analytic), 1e-8)
-            assert abs(numeric - analytic) / denom < 1e-4, f"{kind}.{name}[{idx}]"
+    assert_backward_matches_finite_differences(p, xs, coeffs)
 
 
 def test_cell_backward_with_recurrent_mask(rng):
     """Dropout on the hidden-to-hidden path must be differentiated through."""
-    p = random_cell("gru", rng, m=3, n=4)
-    xs = rng.normal(0, 1, size=(4, 2, 3))
-    coeffs = rng.normal(0, 1, size=(4, 2, 4))
-    mask = (rng.random((2, 4)) < 0.5).astype(np.float64) / 0.5
+    for kind in CELL_KINDS:
+        for literal in (False, True):
+            p = random_cell(kind, rng, m=3, n=4, literal=literal)
+            xs = rng.normal(0, 1, size=(4, 2, 3))
+            coeffs = rng.normal(0, 1, size=(4, 2, 4))
+            mask = (rng.random((2, 4)) < 0.5).astype(np.float64) / 0.5
+            assert_backward_matches_finite_differences(p, xs, coeffs, rec_mask=mask)
 
-    hs, cache = cell_forward(p, xs, rec_mask=mask)
-    _, grads = cell_backward(p, cache, coeffs)
 
-    eps = 1e-6
-    name = "U_h"
-    arr = p.blocks[name].reshape(-1)
-    for idx in range(arr.size):
-        orig = arr[idx]
-        arr[idx] = orig + eps
-        up = cell_loss(p, xs, coeffs, rec_mask=mask)
-        arr[idx] = orig - eps
-        down = cell_loss(p, xs, coeffs, rec_mask=mask)
-        arr[idx] = orig
-        numeric = (up - down) / (2 * eps)
-        analytic = grads[name].reshape(-1)[idx]
-        denom = max(abs(numeric), abs(analytic), 1e-8)
-        assert abs(numeric - analytic) / denom < 1e-4
+class TestSigmoid:
+    def test_saturates_without_warning(self):
+        x = np.linspace(-1e3, 1e3, 20001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = sigmoid(x)
+        assert np.all(np.isfinite(s))
+        assert np.all((s >= 0.0) & (s <= 1.0))
+
+    def test_point_symmetry(self):
+        x = np.linspace(-40.0, 40.0, 8001)
+        np.testing.assert_allclose(sigmoid(-x), 1.0 - sigmoid(x), rtol=0, atol=1e-15)
+
+    def test_float64_for_float32_and_int_input(self):
+        for x in (np.linspace(-3.0, 3.0, 13, dtype=np.float32), np.arange(-3, 4)):
+            s = sigmoid(x)
+            assert s.dtype == np.float64
+            np.testing.assert_array_equal(s, sigmoid(x.astype(np.float64)))
+
+    def test_out_may_alias_input(self, rng):
+        x = rng.normal(0, 5, size=(6, 4))
+        expected = sigmoid(x)
+        y = x.copy()
+        assert sigmoid(y, out=y) is y
+        np.testing.assert_array_equal(y, expected)
+        # a strided column view, as the gated cells pass their gate slices
+        y = x.copy()
+        view = y[:, 1:3]
+        sigmoid(view, out=view)
+        np.testing.assert_array_equal(y[:, 1:3], expected[:, 1:3])
+        np.testing.assert_array_equal(y[:, [0, 3]], x[:, [0, 3]])
+
+    def test_matches_math_form(self):
+        x = np.linspace(-40.0, 40.0, 8001)
+        reference = np.array([1.0 / (1.0 + math.exp(-v)) for v in x])
+        np.testing.assert_allclose(sigmoid(x), reference, rtol=0, atol=1e-15)
 
 
 def test_hidden_states_bounded(rng):
