@@ -14,7 +14,6 @@ from .dataset import (
     NormalizerState,
     Sample,
     apply_normalizer,
-    assemble,
     build_dataset,
     fit_normalizer,
     label_bars,

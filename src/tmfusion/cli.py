@@ -32,6 +32,7 @@ from .dataset import (
     compare_file_labels,
     label_bars,
     load_dataset,
+    load_test_split,
     numeric_width,
     normalize_feature_set,
     save_dataset,
@@ -42,8 +43,9 @@ from .rnn import (
     BATCH_SWEEP_SIZES,
     Hyperparams,
     build_model,
+    forward_arrays,
     load_checkpoint,
-    predict,
+    samples_to_arrays,
     save_checkpoint,
     steps_per_epoch,
     train,
@@ -97,10 +99,53 @@ class RunConfig:
         }
 
 
+#: The JSON types each config value may take, key by key; no other key is accepted.
+_CONFIG_TYPES = {
+    "ticker": (str,),
+    "paths": (dict,),
+    "out_dir": (str,),
+    "feature_set": (list,),
+    "label_field": (str,),
+    "cell": (str,),
+    "embedding_dim": (int,),
+    "market_lookback": (int,),
+    "seed": (int,),
+    "indicators": (dict,),
+    "hyperparams": (dict,),
+}
+_PATH_TYPES = {
+    key: (str, type(None))
+    for key in ("ohlcv_csv", "tweets_jsonl", "embedding", "lexicon", "stopwords")
+}
+#: JSON types for the annotated field types of the config dataclasses.
+_FIELD_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _field_types(cls) -> dict:
+    return {f.name: _FIELD_JSON_TYPES[f.type] for f in dataclasses.fields(cls)}
+
+
+def _checked(obj, types: dict, where: str) -> dict:
+    """``obj`` itself, once it is a JSON object with known keys and well-typed values."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - set(types))
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {unknown}")
+    for key, value in obj.items():
+        if isinstance(value, bool) or not isinstance(value, types[key]):
+            raise SchemaError(
+                f"{where}: {key} must be {' or '.join(t.__name__ for t in types[key])}, "
+                f"got {value!r}"
+            )
+    return obj
+
+
 def load_run_config(path: str, seed_override: int | None = None,
                     out_override: str | None = None) -> RunConfig:
     """Parse and validate the run config; referenced input paths must exist.
 
+    Unknown keys and mistyped values at any level raise ``SchemaError``.
     Relative paths resolve against the config file's directory.
     """
     cfg_path = Path(path)
@@ -119,8 +164,9 @@ def load_run_config(path: str, seed_override: int | None = None,
         candidate = Path(p)
         return candidate if candidate.is_absolute() else base / candidate
 
+    _checked(obj, _CONFIG_TYPES, str(path))
+    paths = _checked(obj.get("paths", {}), _PATH_TYPES, f"{path}: paths")
     try:
-        paths = obj.get("paths", {})
         ticker = obj["ticker"]
         ohlcv = resolve(paths["ohlcv_csv"])
         tweets = resolve(paths["tweets_jsonl"])
@@ -128,7 +174,7 @@ def load_run_config(path: str, seed_override: int | None = None,
         raise SchemaError(f"{path}: missing required config key {exc}") from exc
 
     overrides: dict = {}
-    seed = int(obj.get("seed", 0))
+    seed = obj.get("seed", 0)
     if seed_override is not None:
         overrides["seed"] = seed_override
         seed = seed_override
@@ -137,26 +183,34 @@ def load_run_config(path: str, seed_override: int | None = None,
         overrides["out"] = out_override
         out_dir = Path(out_override)
 
-    hyper_kwargs = dict(obj.get("hyperparams", {}))
+    hyper_kwargs = dict(
+        _checked(obj.get("hyperparams", {}), _field_types(Hyperparams), f"{path}: hyperparams")
+    )
     hyper_kwargs["seed"] = seed
+    indicator_kwargs = _checked(
+        obj.get("indicators", {}), _field_types(IndicatorConfig), f"{path}: indicators"
+    )
     cell = obj.get("cell", "indrnn")
     if cell not in CELL_CHOICES:
         raise SchemaError(f"{path}: cell must be one of {CELL_CHOICES}")
+    feature_set = obj.get("feature_set", ["market", "social", "sentiment"])
+    if not all(isinstance(flag, str) for flag in feature_set):
+        raise SchemaError(f"{path}: feature_set must be a list of strings")
 
     cfg = RunConfig(
         ticker=ticker,
         ohlcv_csv=ohlcv,
         tweets_jsonl=tweets,
         out_dir=out_dir,
-        feature_set=normalize_feature_set(obj.get("feature_set", ["market", "social", "sentiment"])),
+        feature_set=normalize_feature_set(feature_set),
         label_field=obj.get("label_field", "close"),
         cell=cell,
         embedding_path=resolve(paths.get("embedding")),
         lexicon_path=resolve(paths.get("lexicon")),
         stopwords_path=resolve(paths.get("stopwords")),
-        embedding_dim=int(obj.get("embedding_dim", 50)),
-        market_lookback=int(obj.get("market_lookback", 0)),
-        indicators=IndicatorConfig(**obj.get("indicators", {})),
+        embedding_dim=obj.get("embedding_dim", 50),
+        market_lookback=obj.get("market_lookback", 0),
+        indicators=IndicatorConfig(**indicator_kwargs),
         hyperparams=Hyperparams(**hyper_kwargs),
         seed=seed,
         overrides=overrides,
@@ -360,26 +414,41 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+#: Dataset facts a checkpoint's metadata records, as named in the TMDS header.
+_CHECKPOINT_DATASET_KEYS = {
+    "feature_flags": "flags",
+    "numeric_width": "numeric_width",
+    "max_len": "max_len",
+    "embedding_dim": "embedding_dim",
+}
+
+
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     ckpt_path = Path(args.checkpoint) if args.checkpoint else cfg.out_dir / CHECKPOINT_NAME
     if not ckpt_path.exists():
         raise InvalidArgumentError(f"checkpoint {ckpt_path} does not exist; train first")
     ckpt = load_checkpoint(ckpt_path)
-    ds = load_dataset(cfg.out_dir / DATASET_DIR)
-    if not ds.test:
+    test, header = load_test_split(cfg.out_dir / DATASET_DIR)
+    if not test:
         raise InvalidArgumentError("dataset has no test samples")
+    for meta_key, header_key in _CHECKPOINT_DATASET_KEYS.items():
+        # a batched forward accepts any text length, so a max_len mismatch
+        # would otherwise evaluate silently
+        if meta_key in ckpt.meta and ckpt.meta[meta_key] != header[header_key]:
+            raise SchemaError(
+                f"checkpoint {ckpt_path} was trained on {meta_key} {ckpt.meta[meta_key]!r}, "
+                f"but the dataset has {header[header_key]!r}"
+            )
 
-    preds = []
-    per_day = []
-    for sample in ds.test:
-        cls, _prob = predict(ckpt, sample)
-        preds.append(cls)
-        per_day.append((sample.day, cls))
-    labels = [s.label for s in ds.test]
+    numeric, text, _ = samples_to_arrays(ckpt.model, test)
+    probs = forward_arrays(ckpt.model, numeric, text)
+    preds = [1 if p >= 0.5 else 0 for p in probs.tolist()]
+    per_day = [(s.day, cls) for s, cls in zip(test, preds)]
+    labels = [s.label for s in test]
     tweet_report = ev.metrics(ev.confusion(preds, labels))
 
     actual_by_day = {}
-    for s in ds.test:
+    for s in test:
         if actual_by_day.setdefault(s.day, s.label) != s.label:
             raise SchemaError(f"inconsistent labels for day {s.day} in test artifact")
     daily_table = ev.daily_aggregate(per_day, actual_by_day)

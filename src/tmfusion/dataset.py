@@ -2,10 +2,13 @@
 
 A sample is one tweet joined to its trading day's market features and the
 next trading day's up/down label, with the numeric feature blocks min-max
-normalized against the training split only. The build is a deterministic
-single chronological pass: per-author credibility is replayed so every
-sample sees only strictly-earlier information, and the 80/20 split keeps
-sample order.
+normalized against the training split only. The build is columnar: one
+chronological pass joins tweets to days and collects per-sample columns
+(day index, running author count, sentiment scored once per distinct text,
+credibility replayed from strictly-earlier tweets). Then the raw (N, width)
+matrix is filled block by block, widened to (N, steps, width) under a
+market lookback, and normalized once in place; each sample's numeric data
+is a row view into it. The 80/20 split keeps sample order.
 
 Artifacts are written to a directory as two binary sample files plus the
 normalizer and a build report, all byte-stable for a fixed config.
@@ -17,6 +20,7 @@ import bisect
 import datetime as dt
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,10 +32,11 @@ from .indicators import IndicatorConfig, OhlcvBar, market_feature_matrix
 from .social import (
     LexiconSentimentProvider,
     SentimentProvider,
+    SentimentVector,
     TweetRecord,
     UserHistoryStore,
     sentiment_vector,
-    social_vector,
+    social_matrix,
     tweet_score,
 )
 from .text import EmbeddingTable, embed_sequence, load_stopwords, tokenize_clean
@@ -159,23 +164,28 @@ def fit_normalizer(rows: np.ndarray) -> NormalizerState:
     return NormalizerState(rows.min(axis=0), rows.max(axis=0))
 
 
-def apply_normalizer(state: NormalizerState, row: np.ndarray) -> np.ndarray:
-    """Rescale to [0, 1]: out-of-range values clamp, constant columns map to 0.5."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape != (state.width,):
+def apply_normalizer(
+    state: NormalizerState, rows: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Rescale (..., width) rows to [0, 1]: out-of-range values clamp, constant columns map to 0.5.
+
+    The result goes to ``out`` when given; passing ``rows`` itself
+    normalizes in place.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim == 0 or rows.shape[-1] != state.width:
         raise InvalidArgumentError(
-            f"row width {row.shape} does not match normalizer width {state.width}"
+            f"row width {rows.shape} does not match normalizer width {state.width}"
         )
-    span = state.maxs - state.mins
     degenerate = state.degenerate
-    scaled = np.where(
-        degenerate, 0.5, (row - state.mins) / np.where(degenerate, 1.0, span)
-    )
-    return np.clip(scaled, 0.0, 1.0)
+    out = np.subtract(rows, state.mins, out=out)
+    out /= np.where(degenerate, 1.0, state.maxs - state.mins)
+    out[..., degenerate] = 0.5
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 # ---------------------------------------------------------------------------
-# Feature sets and sample assembly
+# Feature sets and samples
 # ---------------------------------------------------------------------------
 
 
@@ -213,75 +223,6 @@ class Sample:
     @property
     def numeric_steps(self) -> int:
         return 1 if self.numeric.ndim == 1 else int(self.numeric.shape[0])
-
-
-def numeric_row(
-    fs: frozenset[str],
-    market: np.ndarray | None,
-    social: np.ndarray | None,
-    sentiment: np.ndarray | None,
-    credibility: np.ndarray | None,
-) -> np.ndarray:
-    """Concatenate the raw blocks the feature set demands, in fixed order."""
-    blocks = {
-        "market": market,
-        "social": social,
-        "sentiment": sentiment,
-        "credibility": credibility,
-    }
-    parts = []
-    for name in NUMERIC_BLOCK_ORDER:
-        if name not in fs:
-            continue
-        block = blocks[name]
-        if block is None:
-            raise AssemblyError(f"feature set demands block '{name}' but it is missing")
-        block = np.asarray(block, dtype=np.float64)
-        if block.shape != (BLOCK_WIDTHS[name],):
-            raise AssemblyError(
-                f"block '{name}' has shape {block.shape}, expected ({BLOCK_WIDTHS[name]},)"
-            )
-        if not np.all(np.isfinite(block)):
-            raise AssemblyError(f"block '{name}' contains undefined values")
-        parts.append(block)
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
-def assemble(
-    tweet: TweetRecord,
-    sentiment: np.ndarray | None,
-    social: np.ndarray | None,
-    credibility: np.ndarray | None,
-    market: np.ndarray | None,
-    label: int,
-    fs: frozenset[str],
-    norm: NormalizerState,
-    embedding: EmbeddingTable | None = None,
-    max_len: int = 0,
-    stopwords: frozenset[str] | None = None,
-) -> Sample:
-    """Fuse one tweet's feature blocks into a finished sample.
-
-    Numeric blocks are concatenated [market, social, sentiment, credibility]
-    restricted to the feature set, then normalized; the text matrix is
-    attached only when the set demands it.
-    """
-    raw = numeric_row(fs, market, social, sentiment, credibility)
-    numeric = apply_normalizer(norm, raw)
-    text_matrix = None
-    if "text" in fs:
-        if embedding is None or max_len < 1:
-            raise AssemblyError("feature set demands block 'text' but no embedding/max_len given")
-        tokens = tokenize_clean(tweet.text, stopwords if stopwords is not None else load_stopwords())
-        text_matrix = embed_sequence(tokens, embedding, max_len)
-    return Sample(
-        numeric=numeric,
-        text=text_matrix,
-        label=label,
-        ticker=tweet.ticker,
-        day=tweet.timestamp.date(),
-        author=tweet.username,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -368,107 +309,114 @@ def build_dataset(
 
     store = UserHistoryStore()
     author_counts: dict[str, int] = {}
+    sentiment_ids: dict[str, int] = {}  # text -> index into `sentiments`
+    sentiments: list[SentimentVector] = []
     drops = {"before_first_trading_day": 0, "no_label_for_day": 0, "indicator_warmup": 0}
 
-    rows: list[np.ndarray] = []
-    tokens_per_sample: list[list[str]] = []
-    meta: list[tuple[TweetRecord, int, int]] = []
+    # the join collects one column entry per sample; blocks are built after it
+    kept: list[TweetRecord] = []
+    day_idx: list[int] = []
+    author_count: list[int] = []
+    sentiment_id: list[int] = []
+    credibility = (
+        np.empty((len(ordered), BLOCK_WIDTHS["credibility"])) if "credibility" in fs else None
+    )
 
     for tweet in ordered:
-        day_idx = _join_day(bar_dates, tweet.timestamp.date())
-        if day_idx is None:
+        day = _join_day(bar_dates, tweet.timestamp.date())
+        if day is None:
             drops["before_first_trading_day"] += 1
             continue
-        if day_idx >= len(label_by_idx):
+        if day >= len(label_by_idx):
             # joined to the final bar, whose next-day label does not exist yet
             drops["no_label_for_day"] += 1
             continue
-        if "market" in fs and day_idx - cfg.market_lookback < first_defined:
+        if "market" in fs and day - cfg.market_lookback < first_defined:
             # every lookback step must be past the indicator warmup
             drops["indicator_warmup"] += 1
             continue
 
-        label = label_by_idx[day_idx]
-        se = sentiment_vector(tweet.text, provider)
-
-        credibility = None
-        if "credibility" in fs:
-            credibility = store.observe(tweet.username, tweet.timestamp)
+        k = sentiment_ids.get(tweet.text)
+        if k is None:
+            k = sentiment_ids[tweet.text] = len(sentiments)
+            sentiments.append(sentiment_vector(tweet.text, provider))
+        if credibility is not None:
+            credibility[len(kept)] = store.observe(tweet.username, tweet.timestamp)
             store.record(
-                tweet.username, tweet.timestamp, tweet_score(se.label, label)
+                tweet.username, tweet.timestamp, tweet_score(sentiments[k].label, label_by_idx[day])
             )
+        author_counts[tweet.username] = author_counts.get(tweet.username, 0) + 1
 
-        social = None
-        if "social" in fs:
-            author_counts[tweet.username] = author_counts.get(tweet.username, 0) + 1
-            social = social_vector(tweet, author_counts[tweet.username])
+        kept.append(tweet)
+        day_idx.append(day)
+        author_count.append(author_counts[tweet.username])
+        sentiment_id.append(k)
 
-        market = market_rows[day_idx] if "market" in fs else None
-        sentiment = se.as_array() if "sentiment" in fs else None
-
-        rows.append(numeric_row(fs, market, social, sentiment, credibility))
-        tokens_per_sample.append(
-            tokenize_clean(tweet.text, stopwords) if "text" in fs else []
-        )
-        meta.append((tweet, label, day_idx))
-
-    if not meta:
+    if not kept:
         raise JoinError(
             f"no usable samples: tweets and bars for {cfg.ticker!r} share no labeled dates"
         )
 
-    n = len(meta)
+    n = len(kept)
     n_train = int(n * cfg.train_fraction)
+    day_idx = np.array(day_idx)
 
+    tokens = None
     max_len = 0
     if "text" in fs:
-        train_lengths = [len(t) for t in tokens_per_sample[:n_train]]
-        max_len = max(train_lengths, default=0) or 1
+        tokens = [tokenize_clean(t.text, stopwords) for t in kept]
+        max_len = max((len(t) for t in tokens[:n_train]), default=0) or 1
         if cfg.max_len_override is not None:
             max_len = cfg.max_len_override
 
+    blocks = {
+        "market": lambda: market_rows[day_idx],
+        "social": lambda: social_matrix(kept, author_count),
+        "sentiment": lambda: np.array([s.as_array() for s in sentiments])[sentiment_id],
+        "credibility": lambda: credibility[:n],
+    }
     width = numeric_width(fs)
-    matrix = np.array(rows) if width > 0 else np.zeros((n, 0))
+    numeric = np.empty((n, width))  # raw rows until normalized in place below
+    col = 0
+    for name in NUMERIC_BLOCK_ORDER:
+        if name not in fs:
+            continue
+        block = blocks[name]()
+        if not np.all(np.isfinite(block)):
+            raise AssemblyError(f"block '{name}' has missing or non-finite values")
+        numeric[:, col : col + BLOCK_WIDTHS[name]] = block
+        col += BLOCK_WIDTHS[name]
+
     if width > 0:
         if n_train == 0:
             raise InvalidArgumentError("train split is empty; need more samples")
-        normalizer = fit_normalizer(matrix[:n_train])
+        normalizer = fit_normalizer(numeric[:n_train])
     else:
         normalizer = NormalizerState(np.zeros(0), np.zeros(0))
-
-    samples: list[Sample] = []
-    for i, (tweet, label, day_idx) in enumerate(meta):
-        text_matrix = (
-            embed_sequence(tokens_per_sample[i], cfg.embedding, max_len)
-            if "text" in fs
-            else None
-        )
-        if cfg.market_lookback > 0:
-            # prior steps substitute earlier days' market block; the
-            # normalizer fitted on current-day rows may clamp them
-            steps = []
-            for back in range(cfg.market_lookback, -1, -1):
-                step_row = matrix[i].copy()
-                step_row[: BLOCK_WIDTHS["market"]] = market_rows[day_idx - back]
-                steps.append(apply_normalizer(normalizer, step_row))
-            numeric = np.stack(steps)
-        else:
-            numeric = apply_normalizer(normalizer, matrix[i])
-        samples.append(
-            Sample(
-                numeric=numeric,
-                text=text_matrix,
-                label=label,
-                ticker=tweet.ticker,
-                day=bar_dates[day_idx],
-                author=tweet.username,
-            )
-        )
-
-    train, test = samples[:n_train], samples[n_train:]
     train_hash = hashlib.sha256(
-        struct.pack("<I", n_train) + matrix[:n_train].astype("<f8").tobytes()
+        struct.pack("<I", n_train) + numeric[:n_train].astype("<f8").tobytes()
     ).hexdigest()
+
+    if cfg.market_lookback > 0:
+        # prior steps substitute earlier days' market block; the normalizer
+        # fitted on current-day rows may clamp them
+        back = np.arange(cfg.market_lookback, -1, -1)
+        numeric = np.repeat(numeric[:, None, :], back.size, axis=1)
+        numeric[:, :, : BLOCK_WIDTHS["market"]] = market_rows[day_idx[:, None] - back]
+    apply_normalizer(normalizer, numeric, out=numeric)
+
+    samples = [
+        Sample(
+            numeric=numeric[i],
+            text=embed_sequence(tokens[i], cfg.embedding, max_len) if tokens is not None else None,
+            label=label_by_idx[day],
+            ticker=tweet.ticker,
+            day=bar_dates[day],
+            author=tweet.username,
+        )
+        for i, (tweet, day) in enumerate(zip(kept, day_idx.tolist()))
+    ]
+    train, test = samples[:n_train], samples[n_train:]
 
     report = {
         "schema_version": 1,
@@ -545,30 +493,69 @@ def write_samples(
                 fh.write(s.text.astype("<f8").tobytes())
 
 
-def read_samples(path: Path | str) -> tuple[list[Sample], dict]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != DATASET_MAGIC:
+#: magic, u32le format version, u32le header length
+_PREAMBLE = struct.Struct("<4sII")
+_RECORD_HEAD = struct.Struct("<BIH")
+_HEADER_COUNTS = ("numeric_width", "numeric_steps", "max_len", "embedding_dim", "count")
+
+
+def _read_header(path: Path | str, fh) -> dict:
+    """Check the preamble and parse the header, leaving ``fh`` at the first record."""
+    size = os.fstat(fh.fileno()).st_size
+    preamble = fh.read(_PREAMBLE.size)
+    if len(preamble) < _PREAMBLE.size:
+        raise SchemaError(f"{path}: {size}-byte file is shorter than the preamble")
+    magic, version, header_len = _PREAMBLE.unpack(preamble)
+    if magic != DATASET_MAGIC:
         raise SchemaError(f"{path}: bad magic")
-    (version,) = struct.unpack_from("<I", blob, 4)
     if version != DATASET_FORMAT_VERSION:
         raise SchemaError(f"{path}: unsupported format version {version}")
-    (header_len,) = struct.unpack_from("<I", blob, 8)
-    header = json.loads(blob[12 : 12 + header_len])
-    if header.get("schema_hash") != schema_hash():
+    if _PREAMBLE.size + header_len > size:
+        raise SchemaError(f"{path}: header length {header_len} runs past the end of the file")
+    try:
+        header = json.loads(fh.read(header_len))
+    except ValueError as exc:
+        raise SchemaError(f"{path}: header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict) or header.get("schema_hash") != schema_hash():
         raise SchemaError(f"{path}: schema hash mismatch")
+    if not (
+        all(type(header.get(k)) is int and header[k] >= 0 for k in _HEADER_COUNTS)
+        and isinstance(header.get("flags"), list)
+        and isinstance(header.get("ticker"), str)
+    ):
+        raise SchemaError(f"{path}: malformed header")
+    return header
 
-    width = header["numeric_width"]
-    steps = header["numeric_steps"]
-    max_len = header["max_len"]
-    dim = header["embedding_dim"]
+
+def read_header(path: Path | str) -> dict:
+    """The header of a dataset file, reading no records."""
+    with open(path, "rb") as fh:
+        return _read_header(path, fh)
+
+
+def read_samples(path: Path | str) -> tuple[list[Sample], dict]:
+    with open(path, "rb") as fh:
+        header = _read_header(path, fh)
+        blob = fh.read()
+
+    width, steps, max_len, dim, count = (header[k] for k in _HEADER_COUNTS)
     has_text = "text" in header["flags"]
-    offset = 12 + header_len
+    text_len = max_len * dim if has_text else 0
+    offset = 0
     samples = []
-    for _ in range(header["count"]):
-        label, day_ord, author_len = struct.unpack_from("<BIH", blob, offset)
-        offset += 7
-        author = blob[offset : offset + author_len].decode("utf-8")
+    for i in range(count):
+        if offset + _RECORD_HEAD.size > len(blob):
+            raise SchemaError(f"{path}: file ends inside record {i} of {count}")
+        label, day_ord, author_len = _RECORD_HEAD.unpack_from(blob, offset)
+        offset += _RECORD_HEAD.size
+        end = offset + author_len + 8 * (steps * width + text_len)
+        if end > len(blob):
+            raise SchemaError(f"{path}: file ends inside record {i} of {count}")
+        try:
+            author = blob[offset : offset + author_len].decode("utf-8")
+            day = dt.date.fromordinal(day_ord)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: record {i}: {exc}") from exc
         offset += author_len
         numeric = np.frombuffer(
             blob, dtype="<f8", count=steps * width, offset=offset
@@ -579,23 +566,25 @@ def read_samples(path: Path | str) -> tuple[list[Sample], dict]:
         text = None
         if has_text:
             text = (
-                np.frombuffer(blob, dtype="<f8", count=max_len * dim, offset=offset)
+                np.frombuffer(blob, dtype="<f8", count=text_len, offset=offset)
                 .reshape(max_len, dim)
                 .copy()
             )
-            offset += 8 * max_len * dim
+        offset = end
         samples.append(
             Sample(
                 numeric=numeric,
                 text=text,
                 label=int(label),
                 ticker=header["ticker"],
-                day=dt.date.fromordinal(day_ord),
+                day=day,
                 author=author,
             )
         )
     if offset != len(blob):
-        raise SchemaError(f"{path}: {len(blob) - offset} trailing bytes")
+        raise SchemaError(
+            f"{path}: {len(blob) - offset} bytes after the {count} records the header counts"
+        )
     return samples, header
 
 
@@ -631,12 +620,20 @@ class LoadedDataset:
 def load_dataset(dirpath: Path | str) -> LoadedDataset:
     out = Path(dirpath)
     train, header = read_samples(out / "train.bin")
-    test, test_header = read_samples(out / "test.bin")
-    shared = ("flags", "numeric_width", "numeric_steps", "max_len", "embedding_dim")
-    if {k: header[k] for k in shared} != {k: test_header[k] for k in shared}:
-        raise SchemaError(f"{dirpath}: train/test headers disagree")
+    test, _ = load_test_split(out)
     normalizer = NormalizerState.from_json_dict(
         json.loads((out / "normalizer.json").read_text("utf-8"))
     )
     report = json.loads((out / "build_report.json").read_text("utf-8"))
     return LoadedDataset(train, test, normalizer, header, report)
+
+
+def load_test_split(dirpath: Path | str) -> tuple[list[Sample], dict]:
+    """The test samples and their header; of train.bin only the header is read."""
+    out = Path(dirpath)
+    test, header = read_samples(out / "test.bin")
+    train_header = read_header(out / "train.bin")
+    shared = ("flags", "numeric_width", "numeric_steps", "max_len", "embedding_dim")
+    if {k: train_header[k] for k in shared} != {k: header[k] for k in shared}:
+        raise SchemaError(f"{dirpath}: train/test headers disagree")
+    return test, header

@@ -23,7 +23,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from importlib import resources
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -162,15 +162,18 @@ def social_vector(tweet: TweetRecord, author_tweet_count: int) -> np.ndarray:
     """Activity counters plus the author's running tweet count (this tweet included)."""
     if author_tweet_count < 1:
         raise InvalidArgumentError("author_tweet_count includes the current tweet, so >= 1")
-    return np.array(
-        [
-            float(tweet.follower_count),
-            float(tweet.friends_count),
-            float(tweet.replies),
-            float(tweet.retweets),
-            float(tweet.favorites),
-            float(author_tweet_count),
-        ]
+    return social_matrix([tweet], [author_tweet_count])[0]
+
+
+def social_matrix(tweets: Sequence[TweetRecord], author_tweet_counts: Sequence[int]) -> np.ndarray:
+    """The social vectors of many tweets as one (n, 6) array; a missing counter reads NaN."""
+    return np.fromiter(
+        (
+            (t.follower_count, t.friends_count, t.replies, t.retweets, t.favorites, count)
+            for t, count in zip(tweets, author_tweet_counts)
+        ),
+        dtype=np.dtype((np.float64, len(SOCIAL_FEATURE_NAMES))),
+        count=len(tweets),
     )
 
 

@@ -260,6 +260,33 @@ class TestEvaluate:
         cfg = prepare_dataset(run_dir)
         assert run_cli("evaluate", "--config", str(cfg)) == 1
 
+    def test_rejects_checkpoint_of_other_feature_set(self, run_dir, capsys):
+        # social+sentiment and market+credibility are both 9 columns wide,
+        # so only the recorded flags tell the two datasets apart
+        cfg = write_config(run_dir, feature_set=["social", "sentiment"])
+        prepare_dataset(run_dir)
+        assert run_cli("train", "--config", str(cfg)) == 0
+        cfg = write_config(run_dir, feature_set=["market", "credibility"])
+        assert run_cli("features", "--config", str(cfg)) == 0
+        capsys.readouterr()
+        assert run_cli("evaluate", "--config", str(cfg)) == 1
+        assert "feature_flags" in capsys.readouterr().err
+        assert not (run_dir / "out" / "report.json").exists()
+
+    def test_reads_only_the_header_of_train_bin(self, run_dir):
+        cfg = prepare_dataset(run_dir)
+        assert run_cli("train", "--config", str(cfg)) == 0
+        assert run_cli("evaluate", "--config", str(cfg)) == 0
+        report = (run_dir / "out" / "report.json").read_bytes()
+        train_bin = run_dir / "out" / "dataset" / "train.bin"
+        blob = train_bin.read_bytes()
+        header_end = 12 + int.from_bytes(blob[8:12], "little")
+        train_bin.write_bytes(blob[:header_end])
+        assert run_cli("evaluate", "--config", str(cfg)) == 0
+        assert (run_dir / "out" / "report.json").read_bytes() == report
+        train_bin.write_bytes(blob[: header_end - 1])
+        assert run_cli("evaluate", "--config", str(cfg)) == 1
+
 
 class TestReport:
     def test_prints_summary(self, run_dir, capsys):
@@ -363,6 +390,26 @@ class TestCliContract:
         assert run_cli("evaluate", "--config", str(cfg)) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["config"]["market_lookback"] == 2
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"hyperparams": {"lr": 0.1}}, "lr"),
+            ({"hyperparams": {"epochs": "2"}}, "epochs"),
+            ({"celll": "lstm"}, "celll"),
+            ({"indicators": {"rsi": 3}}, "rsi"),
+            ({"paths": {"ohlcv_csv": "bars.csv", "tweets_jsonl": "tweets.jsonl", "lexcion": None}},
+             "lexcion"),
+            ({"seed": 1.5}, "seed"),
+            ({"feature_set": [["market"]]}, "feature_set"),
+        ],
+    )
+    def test_config_schema_errors_exit_1(self, run_dir, capsys, overrides, named):
+        cfg = write_config(run_dir, **overrides)
+        assert run_cli("ingest", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert named in err
 
     def test_config_rejects_unknown_cell_and_flags(self, tmp_path, rng):
         write_corpus(tmp_path, rng, n_tweets=10)

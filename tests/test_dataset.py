@@ -1,24 +1,33 @@
 from __future__ import annotations
 
+import bisect
+import dataclasses
 import datetime as dt
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import tmfusion.dataset as dataset_module
 from tmfusion.dataset import (
     BuildConfig,
     NormalizerState,
     apply_normalizer,
-    assemble,
     build_dataset,
     compare_file_labels,
     fit_normalizer,
     label_bars,
     load_dataset,
     numeric_width,
+    read_header,
     read_samples,
     save_dataset,
+    schema_hash,
 )
 from tmfusion.errors import (
     AssemblyError,
@@ -26,8 +35,14 @@ from tmfusion.errors import (
     JoinError,
     SchemaError,
 )
-from tmfusion.indicators import IndicatorConfig, OhlcvBar, load_ohlcv_csv
-from tmfusion.social import LexiconSentimentProvider, TweetRecord, tweet_score
+from tmfusion.indicators import IndicatorConfig, OhlcvBar, load_ohlcv_csv, market_feature_matrix
+from tmfusion.social import (
+    LexiconSentimentProvider,
+    TweetRecord,
+    UserHistoryStore,
+    sentiment_vector,
+    tweet_score,
+)
 from tmfusion.text import EmbeddingTable
 
 from .conftest import DATA_DIR, random_bars, synthetic_tweets, weekday_bars
@@ -153,6 +168,30 @@ class TestNormalizer:
         with pytest.raises(InvalidArgumentError):
             fit_normalizer(np.zeros((0, 3)))
 
+    def test_accepts_any_leading_shape(self):
+        state = NormalizerState(np.array([2.0, 3.0]), np.array([6.0, 3.0]))
+        out = apply_normalizer(state, np.full((2, 3, 2), 4.0))
+        np.testing.assert_array_equal(out, np.broadcast_to([0.5, 0.5], (2, 3, 2)))
+        with pytest.raises(InvalidArgumentError):
+            apply_normalizer(state, np.zeros((3, 1)))
+        with pytest.raises(InvalidArgumentError):
+            apply_normalizer(state, np.float64(1.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_in_place_matches_per_row(self, data):
+        n, steps, width, fit_rows = (data.draw(st.integers(1, 5)) for _ in range(4))
+        fit = data.draw(arrays(np.float64, (fit_rows, width), elements=st.floats(-1e3, 1e3)))
+        constant = data.draw(arrays(np.bool_, width))
+        fit[:, constant] = fit[0, constant]
+        state = fit_normalizer(fit)
+        # values reach well past the fitted range so clamping is exercised
+        rows = data.draw(arrays(np.float64, (n, steps, width), elements=st.floats(-1e4, 1e4)))
+        expected = np.array([[apply_normalizer(state, row) for row in sample] for sample in rows])
+        returned = apply_normalizer(state, rows, out=rows)
+        assert returned is rows
+        assert rows.tobytes() == expected.tobytes()
+
     def test_json_round_trip(self, rng):
         state = fit_normalizer(rng.normal(0, 2, size=(10, 3)))
         back = NormalizerState.from_json_dict(state.to_json_dict())
@@ -160,108 +199,120 @@ class TestNormalizer:
         np.testing.assert_array_equal(back.maxs, state.maxs)
 
 
-def make_tweet(text="Strong rally", username="trader", day=dt.date(2021, 9, 22)) -> TweetRecord:
-    return TweetRecord(
-        id="1",
-        username=username,
-        timestamp=dt.datetime(day.year, day.month, day.day, 12, tzinfo=UTC),
-        text=text,
-        ticker="AAPL",
-    )
+FULL_NUMERIC = frozenset({"market", "social", "sentiment", "credibility"})
+
+
+def small_corpus(rng, n_tweets=60, n_bars=30):
+    bars = weekday_bars(rng, n_bars)
+    dates = [bars[0].date + dt.timedelta(days=i)
+             for i in range((bars[-1].date - bars[0].date).days + 1)]
+    return synthetic_tweets(rng, dates, n_tweets), bars
+
+
+def reference_raw_rows(tweets, bars, fs) -> np.ndarray:
+    """Raw numeric rows of a build, one tweet at a time through the per-tweet
+    feature functions, concatenated in the documented block order."""
+    provider = LexiconSentimentProvider.shipped()
+    market_rows, first_defined = market_feature_matrix(bars, SMALL_IND)
+    labels = [lb.label for lb in label_bars(bars)]
+    dates = [b.date for b in bars]
+    store = UserHistoryStore()
+    counts: dict[str, int] = {}
+    rows = []
+    for t in sorted((t for t in tweets if t.ticker == "AAPL"), key=lambda t: t.timestamp):
+        day = bisect.bisect_right(dates, t.timestamp.date()) - 1
+        if day < 0 or day >= len(labels) or ("market" in fs and day < first_defined):
+            continue
+        se = sentiment_vector(t.text, provider)
+        counts[t.username] = counts.get(t.username, 0) + 1
+        blocks = {
+            "market": market_rows[day],
+            "social": np.array([t.follower_count, t.friends_count, t.replies,
+                                t.retweets, t.favorites, counts[t.username]], dtype=float),
+            "sentiment": se.as_array(),
+            "credibility": store.observe(t.username, t.timestamp),
+        }
+        store.record(t.username, t.timestamp, tweet_score(se.label, labels[day]))
+        order = ("market", "social", "sentiment", "credibility")
+        rows.append(np.concatenate([blocks[b] for b in order if b in fs]))
+    return np.array(rows)
 
 
 class TestAssemble:
-    norm18 = NormalizerState(np.zeros(18), np.ones(18))
-    norm5 = NormalizerState(np.zeros(5), np.ones(5))
-    blocks = dict(
-        market=np.arange(5, dtype=float) / 10,
-        social=np.arange(6, dtype=float) / 10,
-        sentiment=np.arange(3, dtype=float) / 10,
-        credibility=np.arange(4, dtype=float) / 10,
-    )
+    """How build_dataset assembles each sample: block order, widths, block checks."""
 
-    def test_market_only(self):
-        s = assemble(
-            make_tweet(), None, None, None, self.blocks["market"],
-            label=1, fs=frozenset({"market"}), norm=self.norm5,
+    def build(self, tweets, bars, fs, **kwargs):
+        cfg = BuildConfig(ticker="AAPL", feature_set=fs, indicators=SMALL_IND, **kwargs)
+        return build_dataset(tweets, bars, cfg)
+
+    def test_market_only(self, rng):
+        result = self.build(*small_corpus(rng), frozenset({"market"}))
+        for s in result.train + result.test:
+            assert s.numeric.shape == (5,)
+            assert s.text is None
+
+    def test_full_feature_width(self, rng):
+        result = self.build(
+            *small_corpus(rng), FULL_NUMERIC | {"text"},
+            embedding=EmbeddingTable.hashed(dim=4, seed=0), max_len_override=6,
         )
-        assert s.numeric.shape == (5,)
-        assert s.text is None
+        for s in result.train + result.test:
+            assert s.numeric.shape == (18,)
+            assert s.text is not None and s.text.shape == (6, 4)
 
-    def test_full_feature_width(self):
-        emb = EmbeddingTable.hashed(dim=4, seed=0)
-        s = assemble(
-            make_tweet(),
-            self.blocks["sentiment"],
-            self.blocks["social"],
-            self.blocks["credibility"],
-            self.blocks["market"],
-            label=0,
-            fs=frozenset({"market", "social", "sentiment", "credibility", "text"}),
-            norm=self.norm18,
-            embedding=emb,
-            max_len=6,
+    def test_text_only(self, rng):
+        result = self.build(
+            *small_corpus(rng), frozenset({"text"}),
+            embedding=EmbeddingTable.hashed(dim=4, seed=0), max_len_override=3,
         )
-        assert s.numeric.shape == (18,)
-        assert s.text is not None and s.text.shape == (6, 4)
+        assert result.normalizer.width == 0
+        for s in result.train + result.test:
+            assert s.numeric.shape == (0,)
+            assert s.text.shape == (3, 4)
 
-    def test_text_only(self):
-        emb = EmbeddingTable.hashed(dim=4, seed=0)
-        s = assemble(
-            make_tweet(), None, None, None, None,
-            label=1, fs=frozenset({"text"}),
-            norm=NormalizerState(np.zeros(0), np.zeros(0)),
-            embedding=emb, max_len=3,
-        )
-        assert s.numeric.shape == (0,)
-        assert s.text.shape == (3, 4)
-
-    def test_missing_block_named(self):
+    def test_missing_block_named(self, rng):
+        tweets, bars = small_corpus(rng)
+        tweets = [dataclasses.replace(t, replies=None) if i % 2 else t for i, t in enumerate(tweets)]
         with pytest.raises(AssemblyError, match="social"):
-            assemble(
-                make_tweet(), self.blocks["sentiment"], None, None, None,
-                label=1, fs=frozenset({"social", "sentiment"}),
-                norm=NormalizerState(np.zeros(9), np.ones(9)),
-            )
+            self.build(tweets, bars, frozenset({"social", "sentiment"}))
 
-    def test_warmup_market_rejected(self):
-        bad_market = np.array([np.nan, 0.0, 0.0, 0.5, 1.0])
+    def test_warmup_market_rejected(self, rng, monkeypatch):
+        real = dataset_module.market_feature_matrix
+
+        def undefined_past_warmup(bars, cfg):
+            rows, first_defined = real(bars, cfg)
+            rows[first_defined:, 0] = np.nan
+            return rows, first_defined
+
+        monkeypatch.setattr(dataset_module, "market_feature_matrix", undefined_past_warmup)
         with pytest.raises(AssemblyError, match="market"):
-            assemble(
-                make_tweet(), None, None, None, bad_market,
-                label=1, fs=frozenset({"market"}), norm=self.norm5,
-            )
+            self.build(*small_corpus(rng), frozenset({"market"}))
 
-    def test_fixed_block_order(self):
-        fs = frozenset({"market", "social", "sentiment", "credibility"})
-        norm = NormalizerState(np.zeros(18), np.full(18, 2.0))
-        s = assemble(
-            make_tweet(),
-            self.blocks["sentiment"],
-            self.blocks["social"],
-            self.blocks["credibility"],
-            self.blocks["market"],
-            label=1, fs=fs, norm=norm,
-        )
-        expected_raw = np.concatenate(
-            [self.blocks["market"], self.blocks["social"],
-             self.blocks["sentiment"], self.blocks["credibility"]]
-        )
-        np.testing.assert_allclose(s.numeric, expected_raw / 2.0)
+    def test_fixed_block_order(self, rng):
+        tweets, bars = small_corpus(rng, n_tweets=120)
+        result = self.build(tweets, bars, FULL_NUMERIC)
+        raw = reference_raw_rows(tweets, bars, FULL_NUMERIC)
+        samples = result.train + result.test
+        assert len(samples) == len(raw)
+        n_train = len(result.train)
+        expected_hash = hashlib.sha256(
+            struct.pack("<I", n_train) + raw[:n_train].astype("<f8").tobytes()
+        ).hexdigest()
+        assert result.report["leakage_audit_hash"] == expected_hash
+        np.testing.assert_array_equal(result.normalizer.mins, raw[:n_train].min(axis=0))
+        np.testing.assert_array_equal(result.normalizer.maxs, raw[:n_train].max(axis=0))
+        for s, row in zip(samples, raw):
+            np.testing.assert_array_equal(s.numeric, apply_normalizer(result.normalizer, row))
 
-    def test_deterministic(self):
-        kwargs = dict(
-            sentiment=self.blocks["sentiment"],
-            social=self.blocks["social"],
-            credibility=self.blocks["credibility"],
-            market=self.blocks["market"],
-            label=1,
-            fs=frozenset({"market", "social", "sentiment", "credibility"}),
-            norm=self.norm18,
-        )
-        a = assemble(make_tweet(), **kwargs)
-        b = assemble(make_tweet(), **kwargs)
-        np.testing.assert_array_equal(a.numeric, b.numeric)
+    def test_deterministic(self, rng):
+        tweets, bars = small_corpus(rng)
+        kwargs = dict(embedding=EmbeddingTable.hashed(dim=4, seed=0))
+        a = self.build(tweets, bars, FULL_NUMERIC | {"text"}, **kwargs)
+        b = self.build(tweets, bars, FULL_NUMERIC | {"text"}, **kwargs)
+        assert a.report == b.report
+        for x, y in zip(a.train + a.test, b.train + b.test):
+            np.testing.assert_array_equal(x.numeric, y.numeric)
+            np.testing.assert_array_equal(x.text, y.text)
 
 
 MSE = frozenset({"market", "social", "sentiment"})
@@ -550,6 +601,44 @@ class TestArtifacts:
         p.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(SchemaError):
             read_samples(p)
+
+    def test_every_truncation_rejected(self, rng, tmp_path):
+        cfg, result = self.build_small(rng, with_text=True)
+        save_dataset(tmp_path / "ds", result, cfg)
+        blob = (tmp_path / "ds" / "test.bin").read_bytes()
+        header_end = 12 + int.from_bytes(blob[8:12], "little")
+        cut = tmp_path / "cut.bin"
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(SchemaError, match="cut.bin"):
+                read_samples(cut)
+            if size < header_end:
+                with pytest.raises(SchemaError, match="cut.bin"):
+                    read_header(cut)
+        cut.write_bytes(blob)
+        samples, header = read_samples(cut)
+        assert len(samples) == header["count"] == len(result.test)
+        assert read_header(cut) == header
+
+    def test_header_read_skips_records(self, rng, tmp_path):
+        cfg, result = self.build_small(rng)
+        save_dataset(tmp_path / "ds", result, cfg)
+        p = tmp_path / "ds" / "train.bin"
+        _, header = read_samples(p)
+        blob = p.read_bytes()
+        p.write_bytes(blob[: 12 + int.from_bytes(blob[8:12], "little")])
+        assert read_header(p) == header
+
+    def test_malformed_header_rejected(self, tmp_path):
+        p = tmp_path / "train.bin"
+        counts_wrong = {"schema_hash": schema_hash(), "flags": [], "ticker": "AAPL",
+                        "numeric_width": -1, "numeric_steps": 1, "max_len": 0,
+                        "embedding_dim": 0, "count": 0}
+        for header in (b"not json", b'{"schema_hash": "0"}', b"[]",
+                       json.dumps(counts_wrong).encode()):
+            p.write_bytes(b"TMDS" + struct.pack("<II", 1, len(header)) + header)
+            with pytest.raises(SchemaError, match="train.bin"):
+                read_samples(p)
 
     def test_trailing_bytes_rejected(self, rng, tmp_path):
         cfg, result = self.build_small(rng)
