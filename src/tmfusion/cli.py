@@ -37,7 +37,13 @@ from .dataset import (
     normalize_feature_set,
     save_dataset,
 )
-from .errors import InvalidArgumentError, SchemaError, TmfusionError
+from .errors import (
+    InvalidArgumentError,
+    SchemaError,
+    TmfusionError,
+    checked_object,
+    field_types,
+)
 from .indicators import IndicatorConfig, load_ohlcv_csv
 from .rnn import (
     BATCH_SWEEP_SIZES,
@@ -117,30 +123,6 @@ _PATH_TYPES = {
     key: (str, type(None))
     for key in ("ohlcv_csv", "tweets_jsonl", "embedding", "lexicon", "stopwords")
 }
-#: JSON types for the annotated field types of the config dataclasses.
-_FIELD_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
-
-
-def _field_types(cls) -> dict:
-    return {f.name: _FIELD_JSON_TYPES[f.type] for f in dataclasses.fields(cls)}
-
-
-def _checked(obj, types: dict, where: str) -> dict:
-    """``obj`` itself, once it is a JSON object with known keys and well-typed values."""
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - set(types))
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {unknown}")
-    for key, value in obj.items():
-        if isinstance(value, bool) or not isinstance(value, types[key]):
-            raise SchemaError(
-                f"{where}: {key} must be {' or '.join(t.__name__ for t in types[key])}, "
-                f"got {value!r}"
-            )
-    return obj
-
-
 def load_run_config(path: str, seed_override: int | None = None,
                     out_override: str | None = None) -> RunConfig:
     """Parse and validate the run config; referenced input paths must exist.
@@ -164,8 +146,8 @@ def load_run_config(path: str, seed_override: int | None = None,
         candidate = Path(p)
         return candidate if candidate.is_absolute() else base / candidate
 
-    _checked(obj, _CONFIG_TYPES, str(path))
-    paths = _checked(obj.get("paths", {}), _PATH_TYPES, f"{path}: paths")
+    checked_object(obj, _CONFIG_TYPES, str(path))
+    paths = checked_object(obj.get("paths", {}), _PATH_TYPES, f"{path}: paths")
     try:
         ticker = obj["ticker"]
         ohlcv = resolve(paths["ohlcv_csv"])
@@ -184,11 +166,13 @@ def load_run_config(path: str, seed_override: int | None = None,
         out_dir = Path(out_override)
 
     hyper_kwargs = dict(
-        _checked(obj.get("hyperparams", {}), _field_types(Hyperparams), f"{path}: hyperparams")
+        checked_object(obj.get("hyperparams", {}), field_types(Hyperparams), f"{path}: hyperparams")
     )
+    if "seed" in hyper_kwargs:
+        raise SchemaError(f"{path}: hyperparams.seed is not accepted; set the top-level seed")
     hyper_kwargs["seed"] = seed
-    indicator_kwargs = _checked(
-        obj.get("indicators", {}), _field_types(IndicatorConfig), f"{path}: indicators"
+    indicator_kwargs = checked_object(
+        obj.get("indicators", {}), field_types(IndicatorConfig), f"{path}: indicators"
     )
     cell = obj.get("cell", "indrnn")
     if cell not in CELL_CHOICES:

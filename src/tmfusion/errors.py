@@ -1,7 +1,9 @@
-"""Exception types and line-level ingest diagnostics shared across the package."""
+"""Exception types, line-level ingest diagnostics and the JSON-object check
+shared across the package."""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 
@@ -50,3 +52,37 @@ class Diagnostic:
 
     def __str__(self) -> str:
         return f"line {self.line}: {self.message}"
+
+
+#: JSON types for the annotated field types of the config dataclasses.
+_FIELD_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def field_types(cls) -> dict[str, tuple[type, ...]]:
+    """The JSON types each field of dataclass ``cls`` may take, keyed by field name."""
+    return {f.name: _FIELD_JSON_TYPES[f.type] for f in dataclasses.fields(cls)}
+
+
+def checked_object(obj, types: dict, where: str, required=()) -> dict:
+    """``obj`` itself, once it is a JSON object with known, well-typed keys.
+
+    Every key must appear in ``types`` with a value of one of its types (a
+    bool passes only where ``bool`` is listed), and every key in
+    ``required`` must be present; otherwise ``SchemaError`` names the key.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - set(types))
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {unknown}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise SchemaError(f"{where}: missing keys {missing}")
+    for key, value in obj.items():
+        allowed = types[key]
+        if (isinstance(value, bool) and bool not in allowed) or not isinstance(value, allowed):
+            raise SchemaError(
+                f"{where}: {key} must be {' or '.join(t.__name__ for t in allowed)}, "
+                f"got {value!r}"
+            )
+    return obj

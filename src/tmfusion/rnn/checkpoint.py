@@ -3,7 +3,8 @@
 Weights serialize as little-endian 64-bit floats so any reader can decode
 them regardless of platform. The JSON itself is canonical (sorted keys,
 compact separators), which makes save -> load -> save byte-identical and
-lets runs be compared by file hash.
+lets runs be compared by file hash. Loading checks every field, so a
+missing, mistyped or undecodable one raises ``SchemaError`` naming it.
 """
 
 from __future__ import annotations
@@ -17,11 +18,26 @@ from pathlib import Path
 import numpy as np
 
 from ..dataset import Sample
-from ..errors import InvalidArgumentError, SchemaError
-from .cells import CellParams
+from ..errors import InvalidArgumentError, SchemaError, checked_object, field_types
+from .cells import CellParams, block_shapes
 from .model import Hyperparams, ModelSpec, forward_model
 
 CHECKPOINT_VERSION = 1
+
+#: The JSON type of each top-level checkpoint key; all of them are required.
+_CHECKPOINT_TYPES = {
+    "schema_version": (int,),
+    "architecture": (str,),
+    "cell_kind": (str,),
+    "literal_forms": (bool,),
+    "hyperparams": (dict,),
+    "dims": (dict,),
+    "weights": (dict,),
+    "training_log": (list,),
+    "meta": (dict,),
+}
+_DIMS_TYPES = dict.fromkeys(("text_dim", "numeric_dim", "text_layers", "numeric_layers"), (int,))
+_ARRAY_TYPES = {"shape": (list,), "data": (str,)}
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -31,9 +47,16 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).copy()
+def _decode_array(weights: dict, name: str, where: str) -> np.ndarray:
+    where = f"{where}: weights.{name}"
+    if name not in weights:
+        raise SchemaError(f"{where} is missing")
+    obj = checked_object(weights[name], _ARRAY_TYPES, where, required=_ARRAY_TYPES)
+    try:
+        raw = base64.b64decode(obj["data"], validate=True)
+        return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).copy()
+    except (ValueError, TypeError) as exc:  # bad base64, length or shape
+        raise SchemaError(f"{where} does not decode: {exc}") from exc
 
 
 @dataclass
@@ -69,22 +92,21 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def _rebuild_branch(
-    weights: dict, branch: str, n_layers: int, kind: str, literal: bool
+    obj: dict, hyper: Hyperparams, branch: str, where: str
 ) -> list[CellParams]:
+    """The branch's layers, shaped as ``build_model`` shapes them."""
+    kind, dims = obj["cell_kind"], obj["dims"]
     layers = []
-    for i in range(n_layers):
-        prefix = f"{branch}.{i}."
+    input_dim = dims[f"{branch}_dim"]
+    for i in range(dims[f"{branch}_layers"]):
         blocks = {
-            path[len(prefix):]: _decode_array(obj)
-            for path, obj in weights.items()
-            if path.startswith(prefix)
+            name: _decode_array(obj["weights"], f"{branch}.{i}.{name}", where)
+            for name in block_shapes(kind, input_dim, hyper.hidden_units)
         }
-        if not blocks:
-            raise SchemaError(f"checkpoint is missing weights for {branch} layer {i}")
-        any_w = next(v for k, v in blocks.items() if k.startswith(("W", "w")) and v.ndim == 2)
         layers.append(
-            CellParams(kind, any_w.shape[1], any_w.shape[0], blocks, literal)
+            CellParams(kind, input_dim, hyper.hidden_units, blocks, obj["literal_forms"])
         )
+        input_dim = hyper.hidden_units
     return layers
 
 
@@ -93,24 +115,28 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    if obj.get("schema_version") != CHECKPOINT_VERSION:
-        raise SchemaError(f"{path}: unsupported checkpoint version {obj.get('schema_version')}")
-
-    hyper = Hyperparams(**obj["hyperparams"])
-    weights = obj["weights"]
-    kind = obj["cell_kind"]
-    literal = bool(obj.get("literal_forms", False))
-    dims = obj["dims"]
+    version = obj.get("schema_version") if isinstance(obj, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise SchemaError(f"{path}: unsupported checkpoint schema_version {version!r}")
+    where = str(path)
+    checked_object(obj, _CHECKPOINT_TYPES, where, required=_CHECKPOINT_TYPES)
+    checked_object(obj["dims"], _DIMS_TYPES, f"{where}: dims", required=_DIMS_TYPES)
+    hyper = Hyperparams(
+        **checked_object(obj["hyperparams"], field_types(Hyperparams), f"{where}: hyperparams")
+    )
     model = ModelSpec(
         architecture=obj["architecture"],
-        cell_kind=kind,
-        text_layers=_rebuild_branch(weights, "text", dims["text_layers"], kind, literal),
-        numeric_layers=_rebuild_branch(weights, "numeric", dims["numeric_layers"], kind, literal),
-        head_w=_decode_array(weights["head.w"]),
-        head_b=_decode_array(weights["head.b"]),
+        cell_kind=obj["cell_kind"],
+        text_layers=_rebuild_branch(obj, hyper, "text", where),
+        numeric_layers=_rebuild_branch(obj, hyper, "numeric", where),
+        head_w=_decode_array(obj["weights"], "head.w", where),
+        head_b=_decode_array(obj["weights"], "head.b", where),
         hyper=hyper,
-        literal_forms=literal,
+        literal_forms=obj["literal_forms"],
     )
+    unknown = sorted(set(obj["weights"]) - {name for name, _ in model.params()})
+    if unknown:
+        raise SchemaError(f"{where}: weights: unknown blocks {unknown}")
     return Checkpoint(model=model, training_log=obj["training_log"], meta=obj["meta"])
 
 

@@ -20,7 +20,13 @@ import numpy as np
 
 from ..dataset import Sample
 from ..errors import InvalidArgumentError
-from .cells import CellParams, backward as cell_backward, forward as cell_forward, sigmoid
+from .cells import (
+    CellParams,
+    backward as cell_backward,
+    forward as cell_forward,
+    sigmoid,
+    workspace_array,
+)
 
 ARCHITECTURES = ("text_only", "numeric_only", "fused")
 
@@ -185,20 +191,26 @@ def _draw_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) ->
     return (rng.random(shape) < keep).astype(np.float64) / keep
 
 
-def _forward_branch(layers, xs, train_mode, rng, rec_rate):
+def _layer_ws(workspace: dict | None, branch: str, i: int) -> dict | None:
+    """Layer ``i`` of ``branch``'s own buffers in ``workspace``, so layers never share one."""
+    return None if workspace is None else workspace.setdefault(f"{branch}.{i}", {})
+
+
+def _forward_branch(layers, xs, train_mode, rng, rec_rate, workspace, branch):
     caches = []
     current = xs
-    for layer in layers:
+    for i, layer in enumerate(layers):
         rec_mask = None
         if train_mode:
             rec_mask = _draw_mask(rng, (xs.shape[1], layer.hidden_dim), rec_rate)
-        hs, cache = cell_forward(layer, current, rec_mask=rec_mask)
+        current, cache = cell_forward(
+            layer, current, rec_mask=rec_mask, ws=_layer_ws(workspace, branch, i)
+        )
         caches.append(cache)
-        current = hs
     return current[-1], caches  # final hidden state (B, N)
 
 
-def _forward_arrays(model, numeric, text, train_mode, rng):
+def _forward_arrays(model, numeric, text, train_mode, rng, workspace=None):
     """Shared forward path. Returns probabilities plus a full cache bundle."""
     if train_mode and rng is None:
         raise InvalidArgumentError("train_mode forward needs a random generator")
@@ -211,9 +223,9 @@ def _forward_arrays(model, numeric, text, train_mode, rng):
         if text is None:
             raise InvalidArgumentError("model expects a text matrix per sample")
         batch = text.shape[0]
-        xs = np.ascontiguousarray(text.transpose(1, 0, 2))  # (T, B, k)
         final, caches = _forward_branch(
-            model.text_layers, xs, train_mode, rng, hyper.recurrent_dropout
+            model.text_layers, text.transpose(1, 0, 2), train_mode, rng,
+            hyper.recurrent_dropout, workspace, "text",
         )
         parts.append(final)
         bundle["branches"].append(caches)
@@ -226,9 +238,10 @@ def _forward_arrays(model, numeric, text, train_mode, rng):
         if numeric.ndim == 2:
             xs = numeric[None, :, :]  # single timestep
         else:
-            xs = np.ascontiguousarray(numeric.transpose(1, 0, 2))  # lookback steps
+            xs = numeric.transpose(1, 0, 2)  # lookback steps
         final, caches = _forward_branch(
-            model.numeric_layers, xs, train_mode, rng, hyper.recurrent_dropout
+            model.numeric_layers, xs, train_mode, rng, hyper.recurrent_dropout,
+            workspace, "numeric",
         )
         parts.append(final)
         bundle["branches"].append(caches)
@@ -276,10 +289,14 @@ def forward_arrays(
     text: np.ndarray | None,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
+    workspace: dict | None = None,
 ) -> np.ndarray:
-    """Probabilities for a batch given (B, n) numeric and/or (B, T, k) text."""
+    """Probabilities for a batch given (B, n) numeric and/or (B, T, k) text.
+
+    ``workspace`` is as for ``backward_arrays``.
+    """
     _check_sample_shapes(model, numeric, text)
-    probs, _ = _forward_arrays(model, numeric, text, train_mode, rng)
+    probs, _ = _forward_arrays(model, numeric, text, train_mode, rng, workspace)
     return probs
 
 
@@ -303,17 +320,23 @@ def backward_arrays(
     text: np.ndarray | None,
     labels: np.ndarray,
     rng: np.random.Generator | None = None,
+    workspace: dict | None = None,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """One forward/backward over a batch.
 
     Dropout is active exactly when a generator is passed. Returns the
     regularized mean cross-entropy, exact gradients for every block, and the
     batch probabilities.
+
+    ``workspace`` is a dict that a caller passes unchanged to every call of
+    a run, starting empty. It holds one dict of reused flat buffers per
+    layer (see ``cells.workspace_array``), which the cell caches live in
+    instead of fresh arrays; the results are bit-identical either way.
     """
     _check_sample_shapes(model, numeric, text)
     labels = np.asarray(labels, dtype=np.float64)
     train_mode = rng is not None
-    probs, bundle = _forward_arrays(model, numeric, text, train_mode, rng)
+    probs, bundle = _forward_arrays(model, numeric, text, train_mode, rng, workspace)
     batch = labels.shape[0]
 
     p = np.clip(probs, EPS, 1.0 - EPS)
@@ -344,12 +367,19 @@ def backward_arrays(
         if ff_mask is not None:
             de = de * ff_mask
         caches = bundle["branches"][b_idx]
-        # seed the top layer with gradient only on its final timestep
+        # seed the top layer with gradient only on its final timestep, in
+        # the cells' feature-major layout
         t_len = caches[-1]["xs"].shape[0]
-        d_hs = np.zeros((t_len, batch, width))
-        d_hs[-1] = de
+        seed = workspace_array(
+            _layer_ws(workspace, branch_name, len(layers) - 1), "d_top", (t_len, width, batch)
+        )
+        seed[:-1] = 0.0
+        seed[-1] = de.T
+        d_hs = seed.transpose(0, 2, 1)
         for i in range(len(layers) - 1, -1, -1):
-            d_xs, layer_grads = cell_backward(layers[i], caches[i], d_hs)
+            d_xs, layer_grads = cell_backward(
+                layers[i], caches[i], d_hs, ws=_layer_ws(workspace, branch_name, i)
+            )
             for name, g in layer_grads.items():
                 grads[f"{branch_name}.{i}.{name}"] = g
             d_hs = d_xs

@@ -11,6 +11,10 @@ Each epoch shuffles the training set with the seeded training stream, walks
 it in batches, and updates in place. Per-epoch mean loss, training accuracy
 (from the same train-mode forward passes), and validation accuracy are
 logged into the checkpoint. A non-finite loss aborts with the epoch number.
+
+A run allocates its working memory once: the batch gathers, the cell caches
+and the per-epoch validation forward (in chunks of at most ``batch_size``
+rows) all reuse the buffers of one workspace (see ``backward_arrays``).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 from ..dataset import Sample
 from ..errors import DivergedError, InvalidArgumentError
 from .checkpoint import Checkpoint
+from .cells import workspace_array
 from .model import (
     ModelSpec,
     backward_arrays,
@@ -35,10 +40,38 @@ def steps_per_epoch(n_samples: int, batch_size: int) -> int:
     return math.ceil(n_samples / batch_size)
 
 
+def _correct(probs: np.ndarray, labels: np.ndarray) -> int:
+    return int(np.sum((probs >= 0.5).astype(np.float64) == labels))
+
+
+def _accuracy(model, numeric, text, labels, chunk: int, workspace: dict | None) -> float:
+    """Accuracy of dropout-free forwards over chunks of at most ``chunk`` rows."""
+    correct = 0
+    for start in range(0, labels.shape[0], chunk):
+        rows = slice(start, start + chunk)
+        probs = forward_arrays(
+            model,
+            numeric[rows] if numeric is not None else None,
+            text[rows] if text is not None else None,
+            workspace=workspace,
+        )
+        correct += _correct(probs, labels[rows])
+    return correct / labels.shape[0]
+
+
 def evaluate_accuracy(model: ModelSpec, samples: list[Sample]) -> float:
-    numeric, text, labels = samples_to_arrays(model, samples)
-    probs = forward_arrays(model, numeric, text)
-    return float(np.mean((probs >= 0.5).astype(np.float64) == labels))
+    """Accuracy of one dropout-free forward over ``samples``."""
+    arrays = samples_to_arrays(model, samples)
+    return _accuracy(model, *arrays, chunk=len(samples), workspace=None)
+
+
+def _gather(arr: np.ndarray | None, idx: np.ndarray, ws: dict, name: str) -> np.ndarray | None:
+    """Rows ``idx`` of ``arr``, copied into the workspace buffer ``name``."""
+    if arr is None:
+        return None
+    out = workspace_array(ws, name, (len(idx),) + arr.shape[1:])
+    # mode="raise" would gather into a temporary first; idx is a permutation slice
+    return np.take(arr, idx, axis=0, out=out, mode="clip")
 
 
 def train(
@@ -54,9 +87,12 @@ def train(
     _, train_rng = rng_streams(hyper.seed)
 
     numeric, text, labels = samples_to_arrays(model, train_samples)
+    valid = samples_to_arrays(model, valid_samples)
     n = labels.shape[0]
     params = dict(model.params())
     velocity = {path: np.zeros_like(arr) for path, arr in params.items()}
+    workspace: dict = {}
+    batch_ws = workspace.setdefault("batch", {})
 
     log: list[dict] = []
     for epoch in range(1, hyper.epochs + 1):
@@ -65,10 +101,13 @@ def train(
         correct = 0
         for start in range(0, n, hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
-            batch_numeric = numeric[idx] if numeric is not None else None
-            batch_text = text[idx] if text is not None else None
             loss, grads, probs = backward_arrays(
-                model, batch_numeric, batch_text, labels[idx], rng=train_rng
+                model,
+                _gather(numeric, idx, batch_ws, "numeric"),
+                _gather(text, idx, batch_ws, "text"),
+                labels[idx],
+                rng=train_rng,
+                workspace=workspace,
             )
             if not math.isfinite(loss):
                 raise DivergedError(epoch)
@@ -79,13 +118,13 @@ def train(
                 v -= step * g
                 params[path] += v
             losses.append(loss)
-            correct += int(np.sum((probs >= 0.5).astype(np.float64) == labels[idx]))
+            correct += _correct(probs, labels[idx])
         log.append(
             {
                 "epoch": epoch,
                 "loss": float(np.mean(losses)),
                 "accuracy": correct / n,
-                "valid_accuracy": evaluate_accuracy(model, valid_samples),
+                "valid_accuracy": _accuracy(model, *valid, hyper.batch_size, workspace),
             }
         )
     return Checkpoint(model=model, training_log=log, meta=dict(meta or {}))

@@ -260,6 +260,21 @@ class TestEvaluate:
         cfg = prepare_dataset(run_dir)
         assert run_cli("evaluate", "--config", str(cfg)) == 1
 
+    def test_checkpoint_missing_field_exits_1(self, run_dir, capsys):
+        hyper = Hyperparams(**FAST_HYPERS, seed=7)
+        model = build_model("numeric_only", "indrnn", hyper, numeric_dim=4)
+        path = run_dir / "ckpt.json"
+        save_checkpoint(Checkpoint(model=model), path)
+        blob = json.loads(path.read_text())
+        for key in blob:
+            path.write_text(json.dumps({k: v for k, v in blob.items() if k != key}))
+            capsys.readouterr()
+            assert run_cli("evaluate", "--config", str(run_dir / "config.json"),
+                           "--checkpoint", str(path)) == 1, key
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert key in err
+
     def test_rejects_checkpoint_of_other_feature_set(self, run_dir, capsys):
         # social+sentiment and market+credibility are both 9 columns wide,
         # so only the recorded flags tell the two datasets apart
@@ -402,6 +417,7 @@ class TestCliContract:
              "lexcion"),
             ({"seed": 1.5}, "seed"),
             ({"feature_set": [["market"]]}, "feature_set"),
+            ({"hyperparams": {**FAST_HYPERS, "seed": 3}}, "hyperparams.seed"),
         ],
     )
     def test_config_schema_errors_exit_1(self, run_dir, capsys, overrides, named):

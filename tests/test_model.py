@@ -10,10 +10,12 @@ import pytest
 from tmfusion.dataset import Sample
 from tmfusion.errors import DivergedError, InvalidArgumentError, SchemaError
 from tmfusion.rnn import (
+    CELL_KINDS,
     Checkpoint,
     Hyperparams,
     backward_arrays,
     build_model,
+    evaluate_accuracy,
     forward_model,
     load_checkpoint,
     loss_arrays,
@@ -180,6 +182,33 @@ class TestBackward:
         labels = np.array([1.0, 0.0, 1.0])
         finite_difference_check(model, numeric, None, labels)
 
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_workspace_matches_fresh_arrays(self, rng, kind):
+        """Reused buffers, poisoned with NaN, give the bits of fresh arrays:
+        a full batch, then a smaller one served by prefix views."""
+        hyper = Hyperparams(epochs=1, layers=2, hidden_units=4, batch_size=6, seed=3)
+        model = build_model("fused", kind, hyper, numeric_dim=5, text_dim=3)
+        numeric = rng.normal(0.5, 0.2, size=(6, 3, 5))  # three lookback steps
+        text = rng.normal(0, 0.5, size=(6, 4, 3))
+        labels = rng.integers(0, 2, size=6).astype(np.float64)
+        workspace: dict = {}
+        backward_arrays(model, numeric, text, labels, rng=np.random.default_rng(0),
+                        workspace=workspace)
+        for rows in (slice(0, 6), slice(1, 5)):
+            for buffers in workspace.values():
+                for buf in buffers.values():
+                    buf.fill(np.nan)
+            batch = (model, numeric[rows], text[rows], labels[rows])
+            loss, grads, probs = backward_arrays(*batch, rng=np.random.default_rng(1))
+            w_loss, w_grads, w_probs = backward_arrays(
+                *batch, rng=np.random.default_rng(1), workspace=workspace
+            )
+            assert w_loss == loss
+            np.testing.assert_array_equal(w_probs, probs)
+            assert set(w_grads) == set(grads)
+            for path, g in grads.items():
+                np.testing.assert_array_equal(w_grads[path], g, err_msg=path)
+
     def test_dropout_draws_are_deterministic(self, rng):
         model = build_model("numeric_only", "indrnn", SMALL, numeric_dim=5)
         numeric = rng.normal(0.5, 0.3, size=(4, 5))
@@ -257,6 +286,14 @@ class TestTrain:
         assert [e["epoch"] for e in ckpt.training_log] == [1, 2, 3, 4, 5]
         for entry in ckpt.training_log:
             assert set(entry) == {"epoch", "loss", "accuracy", "valid_accuracy"}
+
+    def test_chunked_validation_matches_one_forward(self, rng):
+        # 12 validation rows in chunks of at most 5: two full chunks, one partial
+        tr, te = synthetic_linear_dataset(rng, n=60, width=6)
+        hyper = Hyperparams(epochs=2, layers=2, hidden_units=4, batch_size=5, seed=4)
+        model = build_model("numeric_only", "gru", hyper, numeric_dim=6)
+        ckpt = train(model, tr, te)
+        assert ckpt.training_log[-1]["valid_accuracy"] == evaluate_accuracy(model, te)
 
     def test_learns_separable_data(self, rng):
         tr, te = linear_rule_samples(rng, n=600, width=6)
@@ -342,6 +379,33 @@ class TestCheckpoint:
         path.write_text(json.dumps(blob))
         with pytest.raises(SchemaError):
             load_checkpoint(path)
+
+    def test_bad_fields_rejected_by_name(self, tmp_path):
+        hyper = Hyperparams(epochs=1, layers=1, hidden_units=3, batch_size=4, seed=0)
+        model = build_model("numeric_only", "gru", hyper, numeric_dim=4)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(Checkpoint(model=model), path)
+        good = json.loads(path.read_text())
+
+        def rejected(mutate, named):
+            blob = json.loads(json.dumps(good))
+            mutate(blob)
+            path.write_text(json.dumps(blob))
+            with pytest.raises(SchemaError, match=named):
+                load_checkpoint(path)
+
+        for key, value in good.items():
+            if key != "schema_version":
+                wrong = "x" if not isinstance(value, str) else 1
+                rejected(lambda b, key=key, wrong=wrong: b.update({key: wrong}), key)
+        rejected(lambda b: b["hyperparams"].update(dropuot=0.1), "dropuot")
+        rejected(lambda b: b["hyperparams"].update(epochs="1"), "epochs")
+        rejected(lambda b: b["dims"].pop("numeric_layers"), "numeric_layers")
+        rejected(lambda b: b["weights"].pop("numeric.0.U_r"), "numeric.0.U_r")
+        rejected(lambda b: b["weights"].update({"numeric.1.W_z": b["weights"]["head.b"]}),
+                 "numeric.1.W_z")
+        rejected(lambda b: b["weights"]["head.w"].update(data="not base64!"), "head.w")
+        rejected(lambda b: b["weights"]["head.w"].update(shape=[2, 2]), "head.w")
 
     def test_corrupt_json_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"

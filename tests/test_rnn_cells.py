@@ -181,15 +181,19 @@ class TestSimpleForward:
         np.testing.assert_allclose(hs[:, 0, :], oracle, atol=1e-12)
 
 
-def cell_loss(p: CellParams, xs, coeffs, rec_mask=None) -> float:
+def cell_loss(p: CellParams, xs, coeffs, rec_mask=None, **states) -> float:
     """Scalar projection of the hidden sequence, for finite differencing."""
-    hs, _ = cell_forward(p, xs, rec_mask=rec_mask)
+    hs, _ = cell_forward(p, xs, rec_mask=rec_mask, **states)
     return float(np.sum(hs * coeffs))
 
 
-def assert_backward_matches_finite_differences(p: CellParams, xs, coeffs, rec_mask=None):
-    """Central differences on every entry of every block and of the inputs."""
-    _, cache = cell_forward(p, xs, rec_mask=rec_mask)
+def assert_backward_matches_finite_differences(p: CellParams, xs, coeffs, rec_mask=None,
+                                               **states):
+    """Central differences on every entry of every block and of the inputs.
+
+    ``states`` are the initial ``h0`` (and ``q0``) passed to every forward.
+    """
+    _, cache = cell_forward(p, xs, rec_mask=rec_mask, **states)
     d_xs, grads = cell_backward(p, cache, coeffs)
 
     eps = 1e-6
@@ -200,9 +204,9 @@ def assert_backward_matches_finite_differences(p: CellParams, xs, coeffs, rec_ma
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + eps
-            up = cell_loss(p, xs, coeffs, rec_mask=rec_mask)
+            up = cell_loss(p, xs, coeffs, rec_mask=rec_mask, **states)
             flat[idx] = orig - eps
-            down = cell_loss(p, xs, coeffs, rec_mask=rec_mask)
+            down = cell_loss(p, xs, coeffs, rec_mask=rec_mask, **states)
             flat[idx] = orig
             numeric = (up - down) / (2 * eps)
             analytic = analytic_arr.reshape(-1)[idx]
@@ -218,6 +222,25 @@ def test_cell_backward_matches_finite_differences(rng, kind, literal):
     xs = rng.normal(0, 1, size=(5, 2, 3))  # T=5, B=2
     coeffs = rng.normal(0, 1, size=(5, 2, 4))
     assert_backward_matches_finite_differences(p, xs, coeffs)
+
+
+@pytest.mark.parametrize("kind", ["simple", "indrnn", "lstm", "gru"])
+@pytest.mark.parametrize("literal", [False, True])
+def test_cell_backward_from_nonzero_initial_state(rng, kind, literal):
+    """The (B, N) initial states enter the feature-major kernels transposed;
+    B != N makes a transposition mistake fail on shape or on value."""
+    p = random_cell(kind, rng, m=3, n=4, literal=literal)
+    xs = rng.normal(0, 1, size=(4, 3, 3))  # T=4, B=3
+    coeffs = rng.normal(0, 1, size=(4, 3, 4))
+    states = {"h0": rng.normal(0, 0.5, size=(3, 4))}
+    if kind == "lstm":
+        states["q0"] = rng.normal(0, 0.5, size=(3, 4))
+    assert_backward_matches_finite_differences(p, xs, coeffs, **states)
+    # each sequence of the batch runs from its own row of the initial states
+    hs, _ = cell_forward(p, xs, **states)
+    for j in range(3):
+        alone, _ = cell_forward(p, xs[:, j : j + 1], **{k: v[j : j + 1] for k, v in states.items()})
+        np.testing.assert_allclose(hs[:, j], alone[:, 0], rtol=0, atol=1e-12)
 
 
 def test_cell_backward_with_recurrent_mask(rng):
