@@ -32,7 +32,7 @@ from .dataset import (
     compare_file_labels,
     label_bars,
     load_dataset,
-    load_test_split,
+    load_test_samples,
     numeric_width,
     normalize_feature_set,
     save_dataset,
@@ -412,7 +412,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not ckpt_path.exists():
         raise InvalidArgumentError(f"checkpoint {ckpt_path} does not exist; train first")
     ckpt = load_checkpoint(ckpt_path)
-    test, header = load_test_split(cfg.out_dir / DATASET_DIR)
+    test, header = load_test_samples(cfg.out_dir / DATASET_DIR)
     if not test:
         raise InvalidArgumentError("dataset has no test samples")
     for meta_key, header_key in _CHECKPOINT_DATASET_KEYS.items():
@@ -457,17 +457,41 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+#: The JSON types of report.json's keys (all required), of one level's
+#: metrics and of its confusion counts.
+_REPORT_TYPES = {
+    "schema_version": (int,),
+    "ticker": (str,),
+    "tweet_level": (dict,),
+    "daily_level": (dict, type(None)),
+    "daily_table": (list,),
+    "config": (dict,),
+}
+_LEVEL_TYPES = {
+    **dict.fromkeys(("accuracy", "precision", "recall", "f1"), (int, float)),
+    "counts": (dict,),
+}
+_COUNTS_TYPES = dict.fromkeys(("tp", "tn", "fp", "fn"), (int,))
+
+
 def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     report_path = cfg.out_dir / REPORT_NAME
     if not report_path.exists():
         raise InvalidArgumentError(f"no report at {report_path}; run the evaluate subcommand first")
-    obj = json.loads(report_path.read_text(encoding="utf-8"))
+    try:
+        obj = json.loads(report_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{report_path}: not valid JSON: {exc}") from exc
+    checked_object(obj, _REPORT_TYPES, str(report_path), required=_REPORT_TYPES)
     print(f"ticker: {obj['ticker']}")
     for level in ("tweet_level", "daily_level"):
-        block = obj.get(level)
-        if not block:
+        block = obj[level]
+        if block is None:
             continue
-        c = block["counts"]
+        where = f"{report_path}: {level}"
+        checked_object(block, _LEVEL_TYPES, where, required=_LEVEL_TYPES)
+        c = checked_object(block["counts"], _COUNTS_TYPES, f"{where}.counts",
+                           required=_COUNTS_TYPES)
         print(
             f"{level}: accuracy {block['accuracy']:.4f} precision {block['precision']:.4f} "
             f"recall {block['recall']:.4f} f1 {block['f1']:.4f} "

@@ -149,10 +149,6 @@ class NormalizerState:
             "degenerate": [bool(v) for v in self.degenerate],
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "NormalizerState":
-        return cls(np.array(obj["mins"], dtype=np.float64), np.array(obj["maxs"], dtype=np.float64))
-
 
 def fit_normalizer(rows: np.ndarray) -> NormalizerState:
     """Columnwise extrema of the given rows; constant columns are flagged."""
@@ -612,7 +608,6 @@ def save_dataset(dirpath: Path | str, result: BuildResult, cfg: BuildConfig) -> 
 class LoadedDataset:
     train: list[Sample]
     test: list[Sample]
-    normalizer: NormalizerState
     header: dict
     report: dict
 
@@ -620,15 +615,12 @@ class LoadedDataset:
 def load_dataset(dirpath: Path | str) -> LoadedDataset:
     out = Path(dirpath)
     train, header = read_samples(out / "train.bin")
-    test, _ = load_test_split(out)
-    normalizer = NormalizerState.from_json_dict(
-        json.loads((out / "normalizer.json").read_text("utf-8"))
-    )
+    test, _ = load_test_samples(out)
     report = json.loads((out / "build_report.json").read_text("utf-8"))
-    return LoadedDataset(train, test, normalizer, header, report)
+    return LoadedDataset(train, test, header, report)
 
 
-def load_test_split(dirpath: Path | str) -> tuple[list[Sample], dict]:
+def load_test_samples(dirpath: Path | str) -> tuple[list[Sample], dict]:
     """The test samples and their header; of train.bin only the header is read."""
     out = Path(dirpath)
     test, header = read_samples(out / "test.bin")

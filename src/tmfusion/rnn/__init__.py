@@ -1,56 +1,13 @@
 """From-scratch recurrent cells, fusion models, training, and checkpoints."""
 
-from .cells import (
-    CELL_KINDS,
-    CellParams,
-    block_shapes,
-    gru_forward,
-    indrnn_forward,
-    lstm_forward,
-    sigmoid,
-)
-from .checkpoint import Checkpoint, load_checkpoint, predict, save_checkpoint
+from .checkpoint import load_checkpoint, predict, save_checkpoint
 from .model import (
-    ARCHITECTURES,
     BATCH_SWEEP_SIZES,
     Hyperparams,
-    ModelSpec,
-    backward,
     backward_arrays,
     build_model,
     forward_arrays,
-    forward_model,
-    loss_arrays,
     rng_streams,
     samples_to_arrays,
 )
-from .training import evaluate_accuracy, steps_per_epoch, train
-
-__all__ = [
-    "ARCHITECTURES",
-    "BATCH_SWEEP_SIZES",
-    "CELL_KINDS",
-    "CellParams",
-    "Checkpoint",
-    "Hyperparams",
-    "ModelSpec",
-    "backward",
-    "backward_arrays",
-    "block_shapes",
-    "build_model",
-    "evaluate_accuracy",
-    "forward_arrays",
-    "forward_model",
-    "gru_forward",
-    "indrnn_forward",
-    "load_checkpoint",
-    "loss_arrays",
-    "lstm_forward",
-    "predict",
-    "rng_streams",
-    "samples_to_arrays",
-    "save_checkpoint",
-    "sigmoid",
-    "steps_per_epoch",
-    "train",
-]
+from .training import steps_per_epoch, train

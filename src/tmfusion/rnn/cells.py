@@ -20,11 +20,14 @@ it. The public shapes are unchanged: the (T, B, N) outputs and the
 (T, B, M) input gradients are transposed views of (T, N, B) and (T, M, B)
 arrays, and ``d_hs`` may be either kind of (T, B, N) array.
 
-The gated cells store one block per gate (``W_f``, ``U_f``, ``b_f``, ...)
-and concatenate them in gate order at call time into ``W`` (G·N × M),
-``U`` (G·N × N) and ``b`` (G·N). The GRU applies ``U_z|U_r`` to h and
-``U_h`` apart, to ``r * h``. Per-gate weight gradients are views of the
-stacked sums; bias gradients are sums over the contiguous gate rows.
+Storage. A layer's parameters are one flat float64 vector, laid out as
+the stacked ``W`` (G·N × M), ``U`` (G·N × N; the independently recurrent
+cell's (N,) ``u``) and ``b`` (G·N), gates in order, and its gradient is a
+twin vector of the same layout. The kernels compute with the stacked
+views and backward accumulates straight into the gradient's views; the
+per-gate blocks (``W_f``, ``U_z``, ...) are views of the same memory that
+exist only for checkpoints and tests. The GRU applies ``U_z|U_r`` to h and
+``U_h`` apart, to ``r * h``.
 
 Workspace. ``forward`` and ``backward`` take an optional ``ws``: one
 layer's dict of flat float64 buffers (see ``workspace_array``). A buffer
@@ -47,7 +50,6 @@ left undropped); passing ``rec_mask=None`` disables it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,7 +95,11 @@ def workspace_array(
 
 
 def block_shapes(kind: str, input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
-    """Parameter block names and shapes, in canonical (initialization) order."""
+    """Per-gate parameter block names and shapes, in canonical order.
+
+    The blocks tile a layer's flat parameter vector in this order, which is
+    also the order their initial values are drawn in.
+    """
     m, n = input_dim, hidden_dim
     if kind == "simple":
         return {"W": (n, m), "U": (n, n), "b": (n,)}
@@ -108,54 +114,85 @@ def block_shapes(kind: str, input_dim: int, hidden_dim: int) -> dict[str, tuple[
     raise InvalidArgumentError(f"unknown cell kind {kind!r}")
 
 
-@dataclass
+def param_size(kind: str, input_dim: int, hidden_dim: int) -> int:
+    """Length of a layer's flat parameter vector."""
+    return sum(math.prod(shape) for shape in block_shapes(kind, input_dim, hidden_dim).values())
+
+
+def carve(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, one per shape, from its start."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views
+
+
+def _flat_buffer(arr: np.ndarray | None, size: int, name: str) -> np.ndarray:
+    if arr is None:
+        return np.zeros(size)
+    if arr.shape != (size,) or arr.dtype != np.float64:
+        raise InvalidArgumentError(
+            f"{name} must be a float64 vector of length {size}, got {arr.dtype} {arr.shape}"
+        )
+    return arr
+
+
 class CellParams:
-    """One recurrent layer's weights."""
+    """One recurrent layer's weights and their gradient.
 
-    kind: str
-    input_dim: int
-    hidden_dim: int
-    blocks: dict[str, np.ndarray]
-    literal_forms: bool = False
+    ``theta`` is the layer's flat float64 parameter vector and ``grad`` its
+    twin; both are fresh zeros unless given, as a model gives views of its
+    own two vectors. Everything else is a view of one of the two:
 
-    def __post_init__(self) -> None:
-        expected = block_shapes(self.kind, self.input_dim, self.hidden_dim)
-        if set(self.blocks) != set(expected):
-            raise InvalidArgumentError(
-                f"{self.kind} cell expects blocks {sorted(expected)}, got {sorted(self.blocks)}"
-            )
-        for name, shape in expected.items():
-            arr = self.blocks[name]
-            if arr.shape != shape:
-                raise InvalidArgumentError(f"block {name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidArgumentError(f"block {name} contains non-finite values")
+    - ``W`` (G·N × M), ``U`` (G·N × N) and ``b`` (G·N): the stacked blocks
+      the kernels compute with, gates in order; the independently recurrent
+      cell's ``U`` is its (N,) recurrent vector ``u``;
+    - ``dW``, ``dU`` and ``db``: the same views of ``grad``;
+    - ``blocks`` and ``grads``: the per-gate blocks of ``block_shapes``
+      (``W_f``, ``U_z``, ...), keyed by name, for checkpoints and tests.
+    """
 
-    @classmethod
-    def init(
-        cls,
+    def __init__(
+        self,
         kind: str,
         input_dim: int,
         hidden_dim: int,
-        rng: np.random.Generator,
         literal_forms: bool = False,
-    ) -> "CellParams":
-        """Uniform(-s, s) matrices with s = sqrt(6 / (fan_in + fan_out));
-        the elementwise recurrent vector draws from [0, 1], biases start at 0."""
-        blocks: dict[str, np.ndarray] = {}
-        for name, shape in block_shapes(kind, input_dim, hidden_dim).items():
-            if name == "u":
-                blocks[name] = rng.uniform(0.0, 1.0, shape)
-            elif len(shape) == 1:
-                blocks[name] = np.zeros(shape)
-            else:
-                fan_out, fan_in = shape
-                s = math.sqrt(6.0 / (fan_in + fan_out))
-                blocks[name] = rng.uniform(-s, s, shape)
-        return cls(kind, input_dim, hidden_dim, blocks, literal_forms)
+        theta: np.ndarray | None = None,
+        grad: np.ndarray | None = None,
+    ) -> None:
+        shapes = block_shapes(kind, input_dim, hidden_dim)
+        size = param_size(kind, input_dim, hidden_dim)
+        self.kind, self.input_dim, self.hidden_dim = kind, input_dim, hidden_dim
+        self.literal_forms = literal_forms
+        self.theta = _flat_buffer(theta, size, "theta")
+        self.grad = _flat_buffer(grad, size, "grad")
+        self.blocks = dict(zip(shapes, carve(self.theta, shapes.values())))
+        self.grads = dict(zip(shapes, carve(self.grad, shapes.values())))
+        gn = hidden_dim * (len(_GATES[kind]) if kind in _GATES else 1)
+        recurrent = (hidden_dim,) if kind == "indrnn" else (gn, hidden_dim)
+        stacked = ((gn, input_dim), recurrent, (gn,))
+        self.W, self.U, self.b = carve(self.theta, stacked)
+        self.dW, self.dU, self.db = carve(self.grad, stacked)
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(arr) for name, arr in self.blocks.items()}
+    def initialize(self, rng: np.random.Generator) -> None:
+        """Draw fresh weights in place, block by block in canonical order.
+
+        Matrices are Uniform(-s, s) with s = sqrt(6 / (fan_in + fan_out)),
+        taken per gate; the elementwise recurrent vector draws from [0, 1],
+        biases start at 0.
+        """
+        for name, arr in self.blocks.items():
+            if name == "u":
+                arr[...] = rng.uniform(0.0, 1.0, arr.shape)
+            elif arr.ndim == 1:
+                arr[...] = 0.0
+            else:
+                fan_out, fan_in = arr.shape
+                s = math.sqrt(6.0 / (fan_in + fan_out))
+                arr[...] = rng.uniform(-s, s, arr.shape)
 
 
 def _initial_state(p: CellParams, batch: int, s0: np.ndarray | None, name: str) -> np.ndarray:
@@ -168,22 +205,6 @@ def _initial_state(p: CellParams, batch: int, s0: np.ndarray | None, name: str) 
             f"{name} must have shape ({batch}, {p.hidden_dim}), got {s0.shape}"
         )
     return np.ascontiguousarray(s0.T)
-
-
-def _stacked(p: CellParams) -> list[np.ndarray]:
-    """``W``, ``U`` and ``b`` of a gated cell: per-gate blocks concatenated in gate order."""
-    gates = _GATES[p.kind]
-    return [np.concatenate([p.blocks[f"{prefix}_{g}"] for g in gates]) for prefix in "WUb"]
-
-
-def _split(p: CellParams, **stacked: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-gate views of a gated cell's stacked gradients, keyed by block name."""
-    n = p.hidden_dim
-    return {
-        f"{prefix}_{g}": arr[k * n : (k + 1) * n]
-        for prefix, arr in stacked.items()
-        for k, g in enumerate(_GATES[p.kind])
-    }
 
 
 def _dropped(h: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
@@ -228,8 +249,8 @@ def forward(
     return cache["hs"].transpose(0, 2, 1), cache
 
 
-def _simple_forward(p, cache, ws):
-    W, U, b = p.blocks["W"], p.blocks["U"], p.blocks["b"][:, None]
+def _forward_simple(p, cache, ws):
+    W, U, b = p.W, p.U, p.b[:, None]
     xs, mask = cache["xs"], cache["mask"]
     hs = workspace_array(ws, "hs", (xs.shape[0], p.hidden_dim, xs.shape[1]))
     h_prev = cache["h0"]
@@ -241,8 +262,8 @@ def _simple_forward(p, cache, ws):
     cache["hs"] = hs
 
 
-def _indrnn_forward(p, cache, ws):
-    W, u, b = p.blocks["W"], p.blocks["u"][:, None], p.blocks["b"][:, None]
+def _forward_indrnn(p, cache, ws):
+    W, u, b = p.W, p.U[:, None], p.b[:, None]
     xs, mask = cache["xs"], cache["mask"]
     shape = (xs.shape[0], p.hidden_dim, xs.shape[1])
     hs = workspace_array(ws, "hs", shape)
@@ -261,15 +282,14 @@ def _indrnn_forward(p, cache, ws):
     cache.update(hs=hs, ss=ss)
 
 
-def _lstm_forward(p, cache, ws):
-    W, U, b = _stacked(p)
+def _forward_lstm(p, cache, ws):
+    W, U, b = p.W, p.U, p.b[:, None]
     xs, mask = cache["xs"], cache["mask"]
     t_len, batch, _ = xs.shape
     n = p.hidden_dim
     acts = workspace_array(ws, "acts", (t_len, 4 * n, batch))  # gate activations f|i|g|o
     hs, qs, tqs = (workspace_array(ws, name, (t_len, n, batch)) for name in ("hs", "qs", "tqs"))
     rec = workspace_array(ws, "rec", (4 * n, batch))
-    b = b[:, None]
     h_prev, q_prev = cache["h0"], cache["q0"]
     for t in range(t_len):
         a = np.matmul(W, xs[t].T, out=acts[t])
@@ -286,8 +306,8 @@ def _lstm_forward(p, cache, ws):
     cache.update(acts=acts, hs=hs, qs=qs, tqs=tqs)
 
 
-def _gru_forward(p, cache, ws):
-    W, U, b = _stacked(p)
+def _forward_gru(p, cache, ws):
+    W, U, b = p.W, p.U, p.b[:, None]
     xs, mask = cache["xs"], cache["mask"]
     t_len, batch, _ = xs.shape
     n = p.hidden_dim
@@ -295,7 +315,6 @@ def _gru_forward(p, cache, ws):
     acts = workspace_array(ws, "acts", (t_len, 3 * n, batch))  # z|r gates, then the candidate
     hs = workspace_array(ws, "hs", (t_len, n, batch))
     rec = workspace_array(ws, "rec", (2 * n, batch))
-    b = b[:, None]
     h_prev = cache["h0"]
     for t in range(t_len):
         hd = _dropped(h_prev, mask)
@@ -315,10 +334,10 @@ def _gru_forward(p, cache, ws):
 
 
 _FORWARD = {
-    "simple": _simple_forward,
-    "indrnn": _indrnn_forward,
-    "lstm": _lstm_forward,
-    "gru": _gru_forward,
+    "simple": _forward_simple,
+    "indrnn": _forward_indrnn,
+    "lstm": _forward_lstm,
+    "gru": _forward_gru,
 }
 
 
@@ -332,64 +351,60 @@ def backward(
     cache: dict,
     d_hs: np.ndarray,
     ws: dict[str, np.ndarray] | None = None,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+) -> np.ndarray:
     """Backpropagate-through-time one layer.
 
     ``d_hs`` is the upstream gradient on every hidden output (T, B, N).
     Returns the gradient on the layer's input sequence (T, B, M) and
-    per-block weight gradients (summed over batch and time, no
-    regularization). With ``ws``, the layer's workspace dict, the input
-    gradient lives in its buffers; pass the dict the forward used.
+    overwrites ``p.grad`` with the weight gradient (summed over batch and
+    time, no regularization). With ``ws``, the layer's workspace dict, the
+    input gradient lives in its buffers; pass the dict the forward used.
     """
     # no copy when d_hs is a transposed view of a feature-major array
     dhs = np.ascontiguousarray(np.asarray(d_hs, dtype=np.float64).transpose(0, 2, 1))
     xs = cache["xs"]
     d_xs = workspace_array(ws, "d_xs", (xs.shape[0], p.input_dim, xs.shape[1]))
-    grads = _BACKWARD[p.kind](p, cache, dhs, d_xs, ws)
-    return d_xs.transpose(0, 2, 1), grads
+    p.grad.fill(0.0)
+    _BACKWARD[p.kind](p, cache, dhs, d_xs, ws)
+    return d_xs.transpose(0, 2, 1)
 
 
-def _simple_backward(p, cache, dhs, d_xs, ws):
-    W, U = p.blocks["W"], p.blocks["U"]
+def _backward_simple(p, cache, dhs, d_xs, ws):
+    W, U, dW, dU, db = p.W, p.U, p.dW, p.dU, p.db
     xs, hs, mask = cache["xs"], cache["hs"], cache["mask"]
-    grads = p.zero_grads()
     carry = 0.0
     for t in range(xs.shape[0] - 1, -1, -1):
         dh = dhs[t] + carry
         dpre = dh * hs[t] * (1.0 - hs[t])
-        grads["W"] += dpre @ xs[t]
-        grads["U"] += dpre @ _dropped(_prev(cache, "h", t), mask).T
-        grads["b"] += dpre.sum(axis=1)
+        dW += dpre @ xs[t]
+        dU += dpre @ _dropped(_prev(cache, "h", t), mask).T
+        db += dpre.sum(axis=1)
         np.matmul(W.T, dpre, out=d_xs[t])
         carry = _dropped(U.T @ dpre, mask)
-    return grads
 
 
-def _indrnn_backward(p, cache, dhs, d_xs, ws):
-    W, u = p.blocks["W"], p.blocks["u"][:, None]
+def _backward_indrnn(p, cache, dhs, d_xs, ws):
+    W, u, dW, du, db = p.W, p.U[:, None], p.dW, p.dU, p.db
     xs, ss, mask = cache["xs"], cache["ss"], cache["mask"]
-    grads = p.zero_grads()
     carry = 0.0
     for t in range(xs.shape[0] - 1, -1, -1):
         dh = dhs[t] + carry
         if p.literal_forms:
-            grads["b"] += dh.sum(axis=1)
+            db += dh.sum(axis=1)
             dpre = dh * ss[t] * (1.0 - ss[t])
         else:
             dpre = dh * ss[t] * (1.0 - ss[t])
-            grads["b"] += dpre.sum(axis=1)
-        grads["W"] += dpre @ xs[t]
-        grads["u"] += (dpre * _dropped(_prev(cache, "h", t), mask)).sum(axis=1)
+            db += dpre.sum(axis=1)
+        dW += dpre @ xs[t]
+        du += (dpre * _dropped(_prev(cache, "h", t), mask)).sum(axis=1)
         np.matmul(W.T, dpre, out=d_xs[t])
         carry = _dropped(dpre * u, mask)
-    return grads
 
 
-def _lstm_backward(p, cache, dhs, d_xs, ws):
-    W, U, _ = _stacked(p)
+def _backward_lstm(p, cache, dhs, d_xs, ws):
+    W, U, dW, dU, db = p.W, p.U, p.dW, p.dU, p.db
     xs, acts, tqs, mask = cache["xs"], cache["acts"], cache["tqs"], cache["mask"]
     batch, n = xs.shape[1], p.hidden_dim
-    dW, dU, db = np.zeros_like(W), np.zeros_like(U), np.zeros(4 * n)
     da = workspace_array(ws, "da", (4 * n, batch))  # pre-activation gradient f|i|g|o
     daf, dai, dag, dao = da.reshape(4, n, batch)
     carry_h = carry_q = 0.0
@@ -409,15 +424,13 @@ def _lstm_backward(p, cache, dhs, d_xs, ws):
         db += da.sum(axis=1)
         np.matmul(W.T, da, out=d_xs[t])
         carry_h = _dropped(U.T @ da, mask)
-    return _split(p, W=dW, U=dU, b=db)
 
 
-def _gru_backward(p, cache, dhs, d_xs, ws):
-    W, U, _ = _stacked(p)
+def _backward_gru(p, cache, dhs, d_xs, ws):
     xs, acts, mask = cache["xs"], cache["acts"], cache["mask"]
     batch, n = xs.shape[1], p.hidden_dim
-    U_zr, U_h = U[: 2 * n], U[2 * n :]
-    dW, dU, db = np.zeros_like(W), np.zeros_like(U), np.zeros(3 * n)
+    W, U_zr, U_h = p.W, p.U[: 2 * n], p.U[2 * n :]
+    dW, dU_zr, dU_h, db = p.dW, p.dU[: 2 * n], p.dU[2 * n :], p.db
     da = workspace_array(ws, "da", (3 * n, batch))  # pre-activation gradient z|r|h
     daz, dar, dac = da.reshape(3, n, batch)
     da_zr = da[: 2 * n]
@@ -434,64 +447,16 @@ def _gru_backward(p, cache, dhs, d_xs, ws):
         dhd = d_rhd * r + U_zr.T @ da_zr
 
         dW += da @ xs[t]
-        dU[: 2 * n] += da_zr @ hd.T
-        dU[2 * n :] += dac @ (r * hd).T
+        dU_zr += da_zr @ hd.T
+        dU_h += dac @ (r * hd).T
         db += da.sum(axis=1)
         np.matmul(W.T, da, out=d_xs[t])
         carry = dh * (1.0 - z) + _dropped(dhd, mask)
-    return _split(p, W=dW, U=dU, b=db)
 
 
 _BACKWARD = {
-    "simple": _simple_backward,
-    "indrnn": _indrnn_backward,
-    "lstm": _lstm_backward,
-    "gru": _gru_backward,
+    "simple": _backward_simple,
+    "indrnn": _backward_indrnn,
+    "lstm": _backward_lstm,
+    "gru": _backward_gru,
 }
-
-
-# ---------------------------------------------------------------------------
-# Single-sequence convenience wrappers
-# ---------------------------------------------------------------------------
-
-
-def _wrap_single(p, xs, h0):
-    xs = np.asarray(xs, dtype=np.float64)
-    single = xs.ndim == 2
-    if single:
-        xs = xs[:, None, :]
-        if h0 is not None:
-            h0 = np.asarray(h0, dtype=np.float64)[None, :]
-    return xs, h0, single
-
-
-def indrnn_forward(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None) -> np.ndarray:
-    """Hidden sequence of the independently recurrent cell; accepts (T, M) or (T, B, M)."""
-    if p.kind != "indrnn":
-        raise InvalidArgumentError(f"expected an indrnn cell, got {p.kind}")
-    xs, h0, single = _wrap_single(p, xs, h0)
-    hs, _ = forward(p, xs, h0=h0)
-    return hs[:, 0, :] if single else hs
-
-
-def lstm_forward(
-    p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None, q0: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(hidden sequence, cell-state sequence); accepts (T, M) or (T, B, M)."""
-    if p.kind != "lstm":
-        raise InvalidArgumentError(f"expected an lstm cell, got {p.kind}")
-    xs, h0, single = _wrap_single(p, xs, h0)
-    if q0 is not None and single:
-        q0 = np.asarray(q0, dtype=np.float64)[None, :]
-    hs, cache = forward(p, xs, h0=h0, q0=q0)
-    qs = cache["qs"].transpose(0, 2, 1)
-    return (hs[:, 0, :], qs[:, 0, :]) if single else (hs, qs)
-
-
-def gru_forward(p: CellParams, xs: np.ndarray, h0: np.ndarray | None = None) -> np.ndarray:
-    """Hidden sequence of the gated-update cell; accepts (T, M) or (T, B, M)."""
-    if p.kind != "gru":
-        raise InvalidArgumentError(f"expected a gru cell, got {p.kind}")
-    xs, h0, single = _wrap_single(p, xs, h0)
-    hs, _ = forward(p, xs, h0=h0)
-    return hs[:, 0, :] if single else hs

@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from ..dataset import Sample
-from ..errors import InvalidArgumentError, SchemaError, checked_object, field_types
-from .cells import CellParams, block_shapes
-from .model import Hyperparams, ModelSpec, forward_model
+from ..errors import SchemaError, checked_object, field_types
+from .model import Hyperparams, ModelSpec, forward_arrays, param_count, samples_to_arrays
 
 CHECKPOINT_VERSION = 1
 
@@ -47,16 +46,30 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(weights: dict, name: str, where: str) -> np.ndarray:
+def _decode_into(view: np.ndarray, weights: dict, name: str, where: str) -> None:
+    """Decode block ``name`` of ``weights`` into ``view``, which has its shape."""
     where = f"{where}: weights.{name}"
     if name not in weights:
         raise SchemaError(f"{where} is missing")
     obj = checked_object(weights[name], _ARRAY_TYPES, where, required=_ARRAY_TYPES)
+    if obj["shape"] != list(view.shape):
+        raise SchemaError(f"{where} has shape {obj['shape']}, expected {list(view.shape)}")
     try:
         raw = base64.b64decode(obj["data"], validate=True)
-        return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).copy()
-    except (ValueError, TypeError) as exc:  # bad base64, length or shape
+        view[...] = np.frombuffer(raw, dtype="<f8").reshape(view.shape)
+    except (ValueError, TypeError) as exc:  # bad base64 or length
         raise SchemaError(f"{where} does not decode: {exc}") from exc
+    if not np.all(np.isfinite(view)):
+        raise SchemaError(f"{where} contains non-finite values")
+
+
+def _dims(model: ModelSpec) -> dict:
+    return {
+        "text_dim": model.text_dim,
+        "numeric_dim": model.numeric_dim,
+        "text_layers": len(model.text_layers),
+        "numeric_layers": len(model.numeric_layers),
+    }
 
 
 @dataclass
@@ -74,12 +87,7 @@ class Checkpoint:
             "cell_kind": self.model.cell_kind,
             "literal_forms": self.model.literal_forms,
             "hyperparams": dataclasses.asdict(self.model.hyper),
-            "dims": {
-                "text_dim": self.model.text_dim,
-                "numeric_dim": self.model.numeric_dim,
-                "text_layers": len(self.model.text_layers),
-                "numeric_layers": len(self.model.numeric_layers),
-            },
+            "dims": _dims(self.model),
             "weights": {path: _encode_array(arr) for path, arr in self.model.params()},
             "training_log": self.training_log,
             "meta": self.meta,
@@ -91,28 +99,10 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     Path(path).write_text(blob, encoding="utf-8")
 
 
-def _rebuild_branch(
-    obj: dict, hyper: Hyperparams, branch: str, where: str
-) -> list[CellParams]:
-    """The branch's layers, shaped as ``build_model`` shapes them."""
-    kind, dims = obj["cell_kind"], obj["dims"]
-    layers = []
-    input_dim = dims[f"{branch}_dim"]
-    for i in range(dims[f"{branch}_layers"]):
-        blocks = {
-            name: _decode_array(obj["weights"], f"{branch}.{i}.{name}", where)
-            for name in block_shapes(kind, input_dim, hyper.hidden_units)
-        }
-        layers.append(
-            CellParams(kind, input_dim, hyper.hidden_units, blocks, obj["literal_forms"])
-        )
-        input_dim = hyper.hidden_units
-    return layers
-
-
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     version = obj.get("schema_version") if isinstance(obj, dict) else None
@@ -124,16 +114,23 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     hyper = Hyperparams(
         **checked_object(obj["hyperparams"], field_types(Hyperparams), f"{where}: hyperparams")
     )
-    model = ModelSpec(
-        architecture=obj["architecture"],
-        cell_kind=obj["cell_kind"],
-        text_layers=_rebuild_branch(obj, hyper, "text", where),
-        numeric_layers=_rebuild_branch(obj, hyper, "numeric", where),
-        head_w=_decode_array(obj["weights"], "head.w", where),
-        head_b=_decode_array(obj["weights"], "head.b", where),
-        hyper=hyper,
-        literal_forms=obj["literal_forms"],
-    )
+    dims = obj["dims"]
+    shape = (obj["architecture"], obj["cell_kind"], hyper, dims["text_dim"], dims["numeric_dim"])
+    # every weight takes more than 8 bytes of base64, so this bounds what
+    # the model allocates by the size of the file
+    if 8 * param_count(*shape) > len(text):
+        raise SchemaError(
+            f"{where}: dims {dims} and hyperparams describe {param_count(*shape)} weights, "
+            f"more than the file holds"
+        )
+    model = ModelSpec(*shape, literal_forms=obj["literal_forms"])
+    if _dims(model) != dims:
+        raise SchemaError(
+            f"{where}: dims {dims} do not match a {model.architecture} model, "
+            f"which has {_dims(model)}"
+        )
+    for name, view in model.params():
+        _decode_into(view, obj["weights"], name, where)
     unknown = sorted(set(obj["weights"]) - {name for name, _ in model.params()})
     if unknown:
         raise SchemaError(f"{where}: weights: unknown blocks {unknown}")
@@ -142,14 +139,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 def predict(ckpt: Checkpoint, sample: Sample) -> tuple[int, float]:
     """(class, probability) with dropout disabled; class 1 iff probability >= 0.5."""
-    model = ckpt.model
-    if model.numeric_layers and sample.numeric.shape[-1] != model.numeric_dim:
-        raise InvalidArgumentError(
-            f"sample numeric shape {sample.numeric.shape} does not match model "
-            f"width {model.numeric_dim}"
-        )
-    if model.text_layers:
-        if sample.text is None or sample.text.ndim != 2 or sample.text.shape[1] != model.text_dim:
-            raise InvalidArgumentError("sample text matrix does not match model text branch")
-    prob = forward_model(model, sample)
+    numeric, text, _ = samples_to_arrays(ckpt.model, [sample])
+    prob = float(forward_arrays(ckpt.model, numeric, text)[0])
     return (1 if prob >= 0.5 else 0), prob

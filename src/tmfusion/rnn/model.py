@@ -23,7 +23,9 @@ from ..errors import InvalidArgumentError
 from .cells import (
     CellParams,
     backward as cell_backward,
+    carve,
     forward as cell_forward,
+    param_size,
     sigmoid,
     workspace_array,
 )
@@ -74,65 +76,103 @@ def rng_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     )
 
 
-@dataclass
+def _branch_inputs(architecture: str, text_dim: int, numeric_dim: int) -> dict[str, int]:
+    """The input width of each branch ``architecture`` has, text first."""
+    if architecture not in ARCHITECTURES:
+        raise InvalidArgumentError(f"architecture must be one of {ARCHITECTURES}")
+    inputs = {}
+    for branch, dim, absent in (
+        ("text", text_dim, "numeric_only"), ("numeric", numeric_dim, "text_only")
+    ):
+        if architecture == absent:
+            continue
+        if dim < 1:
+            raise InvalidArgumentError(f"{architecture} model needs {branch}_dim >= 1")
+        inputs[branch] = dim
+    return inputs
+
+
+def param_count(
+    architecture: str, cell_kind: str, hyper: Hyperparams, text_dim: int = 0, numeric_dim: int = 0
+) -> int:
+    """Length of ``theta`` for a model of this shape, worked out without building it."""
+    inputs = _branch_inputs(architecture, text_dim, numeric_dim)
+    hidden = hyper.hidden_units
+    deep = param_size(cell_kind, hidden, hidden)
+    return sum(
+        param_size(cell_kind, m, hidden) + (hyper.layers - 1) * deep for m in inputs.values()
+    ) + hidden * len(inputs) + 1
+
+
+@dataclass(eq=False)
 class ModelSpec:
+    """A fusion model: its shape, and its weights in one flat vector.
+
+    Every trainable number lives in ``theta``, one contiguous float64
+    vector, and ``backward_arrays`` writes the matching gradient into its
+    twin ``grad``. Laid out in order are the text layers, the numeric
+    layers, ``head.w`` and ``head.b``. ``text_layers`` and
+    ``numeric_layers`` hold one ``CellParams`` per layer over its slices of
+    both vectors, and ``head_w``/``head_b`` and ``head_dw``/``head_db`` are
+    views as well. A branch the architecture lacks has no layers and a
+    ``*_dim`` of 0; each present branch has ``hyper.layers`` layers of
+    ``hyper.hidden_units`` units. The weights start at zero; see
+    ``build_model``.
+    """
+
     architecture: str
     cell_kind: str
-    text_layers: list[CellParams]
-    numeric_layers: list[CellParams]
-    head_w: np.ndarray
-    head_b: np.ndarray
     hyper: Hyperparams
+    text_dim: int = 0
+    numeric_dim: int = 0
     literal_forms: bool = False
 
     def __post_init__(self) -> None:
-        if self.architecture not in ARCHITECTURES:
-            raise InvalidArgumentError(f"architecture must be one of {ARCHITECTURES}")
-        if self.architecture in ("text_only", "fused") and not self.text_layers:
-            raise InvalidArgumentError(f"{self.architecture} model needs a text branch")
-        if self.architecture in ("numeric_only", "fused") and not self.numeric_layers:
-            raise InvalidArgumentError(f"{self.architecture} model needs a numeric branch")
-        if self.architecture == "text_only" and self.numeric_layers:
-            raise InvalidArgumentError("text_only model must not carry a numeric branch")
-        if self.architecture == "numeric_only" and self.text_layers:
-            raise InvalidArgumentError("numeric_only model must not carry a text branch")
-        head_width = sum(l.hidden_dim for l in self.active_branches_final_dims())
-        if self.head_w.shape != (head_width,) or self.head_b.shape != (1,):
-            raise InvalidArgumentError(
-                f"head must be ({head_width},) weights and (1,) bias, got "
-                f"{self.head_w.shape} / {self.head_b.shape}"
-            )
+        inputs = _branch_inputs(self.architecture, self.text_dim, self.numeric_dim)
+        self.text_dim, self.numeric_dim = inputs.get("text", 0), inputs.get("numeric", 0)
+        hidden = self.hyper.hidden_units
+        self.theta = np.zeros(param_count(
+            self.architecture, self.cell_kind, self.hyper, self.text_dim, self.numeric_dim
+        ))
+        self.grad = np.zeros(self.theta.size)
+        layers: dict[str, list[CellParams]] = {"text": [], "numeric": []}
+        offset = 0
+        for branch, m in inputs.items():
+            for _ in range(self.hyper.layers):
+                span = slice(offset, offset + param_size(self.cell_kind, m, hidden))
+                layers[branch].append(CellParams(
+                    self.cell_kind, m, hidden, self.literal_forms,
+                    self.theta[span], self.grad[span],
+                ))
+                offset, m = span.stop, hidden
+        self.text_layers, self.numeric_layers = layers["text"], layers["numeric"]
+        head = ((hidden * len(inputs),), (1,))
+        self.head_w, self.head_b = carve(self.theta[offset:], head)
+        self.head_dw, self.head_db = carve(self.grad[offset:], head)
 
-    def active_branches_final_dims(self) -> list[CellParams]:
-        out = []
-        if self.text_layers:
-            out.append(self.text_layers[-1])
-        if self.numeric_layers:
-            out.append(self.numeric_layers[-1])
-        return out
-
-    @property
-    def text_dim(self) -> int:
-        return self.text_layers[0].input_dim if self.text_layers else 0
-
-    @property
-    def numeric_dim(self) -> int:
-        return self.numeric_layers[0].input_dim if self.numeric_layers else 0
+    def branches(self) -> list[tuple[str, list[CellParams]]]:
+        """(name, layers) of each branch the model has, text first."""
+        return [
+            (name, layers)
+            for name, layers in (("text", self.text_layers), ("numeric", self.numeric_layers))
+            if layers
+        ]
 
     def params(self):
-        """Yield (path, array) for every trainable block, in a fixed order."""
-        for branch, layers in (("text", self.text_layers), ("numeric", self.numeric_layers)):
-            for i, layer in enumerate(layers):
-                for name, arr in layer.blocks.items():
-                    yield f"{branch}.{i}.{name}", arr
-        yield "head.w", self.head_w
-        yield "head.b", self.head_b
+        """Yield (path, view of ``theta``) for every named block, in layout order."""
+        return self._named("blocks", self.head_w, self.head_b)
 
-    def get_param(self, path: str) -> np.ndarray:
-        for p, arr in self.params():
-            if p == path:
-                return arr
-        raise KeyError(path)
+    def grads(self):
+        """Yield (path, view of ``grad``), paths and order as ``params``."""
+        return self._named("grads", self.head_dw, self.head_db)
+
+    def _named(self, attr: str, head_w: np.ndarray, head_b: np.ndarray):
+        for branch, layers in self.branches():
+            for i, layer in enumerate(layers):
+                for name, arr in getattr(layer, attr).items():
+                    yield f"{branch}.{i}.{name}", arr
+        yield "head.w", head_w
+        yield "head.b", head_b
 
 
 def build_model(
@@ -143,40 +183,22 @@ def build_model(
     text_dim: int = 0,
     literal_forms: bool = False,
 ) -> ModelSpec:
-    """Freshly initialized model; identical seeds give identical weights."""
+    """Freshly initialized model; identical seeds give identical weights.
+
+    The draws run layer by layer (text branch first, each layer's blocks in
+    canonical order), then the head's weights; the head bias starts at 0.
+    """
+    model = ModelSpec(
+        architecture, cell_kind, hyper, text_dim=text_dim, numeric_dim=numeric_dim,
+        literal_forms=literal_forms,
+    )
     init_rng, _ = rng_streams(hyper.seed)
-
-    def make_branch(input_dim: int) -> list[CellParams]:
-        layers = []
-        dim = input_dim
-        for _ in range(hyper.layers):
-            layers.append(
-                CellParams.init(cell_kind, dim, hyper.hidden_units, init_rng, literal_forms)
-            )
-            dim = hyper.hidden_units
-        return layers
-
-    text_layers: list[CellParams] = []
-    numeric_layers: list[CellParams] = []
-    if architecture in ("text_only", "fused"):
-        if text_dim < 1:
-            raise InvalidArgumentError(f"{architecture} model needs text_dim >= 1")
-        text_layers = make_branch(text_dim)
-    if architecture in ("numeric_only", "fused"):
-        if numeric_dim < 1:
-            raise InvalidArgumentError(f"{architecture} model needs numeric_dim >= 1")
-        numeric_layers = make_branch(numeric_dim)
-
-    head_width = (hyper.hidden_units if text_layers else 0) + (
-        hyper.hidden_units if numeric_layers else 0
-    )
-    s = math.sqrt(6.0 / (head_width + 1))
-    head_w = init_rng.uniform(-s, s, head_width)
-    head_b = np.zeros(1)
-    return ModelSpec(
-        architecture, cell_kind, text_layers, numeric_layers, head_w, head_b,
-        hyper, literal_forms,
-    )
+    for _, layers in model.branches():
+        for layer in layers:
+            layer.initialize(init_rng)
+    s = math.sqrt(6.0 / (model.head_w.size + 1))
+    model.head_w[...] = init_rng.uniform(-s, s, model.head_w.size)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -300,20 +322,6 @@ def forward_arrays(
     return probs
 
 
-def loss_arrays(
-    model: ModelSpec,
-    numeric: np.ndarray | None,
-    text: np.ndarray | None,
-    labels: np.ndarray,
-) -> float:
-    """Mean binary cross-entropy plus the L2 penalty, without dropout."""
-    probs = forward_arrays(model, numeric, text)
-    p = np.clip(probs, EPS, 1.0 - EPS)
-    data = -np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
-    reg = 0.5 * model.hyper.l2 * sum(float(np.sum(arr * arr)) for _, arr in model.params())
-    return float(data + reg)
-
-
 def backward_arrays(
     model: ModelSpec,
     numeric: np.ndarray | None,
@@ -321,12 +329,12 @@ def backward_arrays(
     labels: np.ndarray,
     rng: np.random.Generator | None = None,
     workspace: dict | None = None,
-) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+) -> tuple[float, np.ndarray]:
     """One forward/backward over a batch.
 
     Dropout is active exactly when a generator is passed. Returns the
-    regularized mean cross-entropy, exact gradients for every block, and the
-    batch probabilities.
+    regularized mean cross-entropy and the batch probabilities, and
+    overwrites ``model.grad`` with the exact gradient of that loss.
 
     ``workspace`` is a dict that a caller passes unchanged to every call of
     a run, starting empty. It holds one dict of reused flat buffers per
@@ -341,25 +349,16 @@ def backward_arrays(
 
     p = np.clip(probs, EPS, 1.0 - EPS)
     data_loss = -np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
-    reg = 0.5 * model.hyper.l2 * sum(float(np.sum(arr * arr)) for _, arr in model.params())
+    reg = 0.5 * model.hyper.l2 * float(model.theta @ model.theta)
     loss = float(data_loss + reg)
 
     dlogit = (probs - labels) / batch  # (B,)
-    E = bundle["E"]
-    grads: dict[str, np.ndarray] = {
-        "head.w": E.T @ dlogit,
-        "head.b": np.array([dlogit.sum()]),
-    }
+    model.head_dw[...] = bundle["E"].T @ dlogit
+    model.head_db[0] = dlogit.sum()
     dE = np.outer(dlogit, model.head_w)  # (B, H)
 
     offset = 0
-    branch_layers = []
-    if model.text_layers:
-        branch_layers.append(("text", model.text_layers))
-    if model.numeric_layers:
-        branch_layers.append(("numeric", model.numeric_layers))
-
-    for b_idx, (branch_name, layers) in enumerate(branch_layers):
+    for b_idx, (branch_name, layers) in enumerate(model.branches()):
         width = layers[-1].hidden_dim
         de = dE[:, offset : offset + width]
         offset += width
@@ -377,16 +376,12 @@ def backward_arrays(
         seed[-1] = de.T
         d_hs = seed.transpose(0, 2, 1)
         for i in range(len(layers) - 1, -1, -1):
-            d_xs, layer_grads = cell_backward(
+            d_hs = cell_backward(
                 layers[i], caches[i], d_hs, ws=_layer_ws(workspace, branch_name, i)
             )
-            for name, g in layer_grads.items():
-                grads[f"{branch_name}.{i}.{name}"] = g
-            d_hs = d_xs
 
-    for path, arr in model.params():
-        grads[path] = grads[path] + model.hyper.l2 * arr
-    return loss, grads, probs
+    model.grad += model.hyper.l2 * model.theta
+    return loss, probs
 
 
 # ---------------------------------------------------------------------------
@@ -409,25 +404,3 @@ def samples_to_arrays(
         text = np.stack([s.text for s in samples])
     labels = np.array([s.label for s in samples], dtype=np.float64)
     return numeric, text, labels
-
-
-def forward_model(
-    model: ModelSpec,
-    sample: Sample,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Probability of class 1 (price up) for one sample."""
-    numeric, text, _ = samples_to_arrays(model, [sample])
-    return float(forward_arrays(model, numeric, text, train_mode, rng)[0])
-
-
-def backward(
-    model: ModelSpec,
-    batch: list[Sample],
-    rng: np.random.Generator | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and exact gradients for a list of samples."""
-    numeric, text, labels = samples_to_arrays(model, batch)
-    loss, grads, _ = backward_arrays(model, numeric, text, labels, rng)
-    return loss, grads

@@ -27,13 +27,7 @@ from ..dataset import Sample
 from ..errors import DivergedError, InvalidArgumentError
 from .checkpoint import Checkpoint
 from .cells import workspace_array
-from .model import (
-    ModelSpec,
-    backward_arrays,
-    forward_arrays,
-    rng_streams,
-    samples_to_arrays,
-)
+from .model import ModelSpec, backward_arrays, forward_arrays, rng_streams, samples_to_arrays
 
 
 def steps_per_epoch(n_samples: int, batch_size: int) -> int:
@@ -59,12 +53,6 @@ def _accuracy(model, numeric, text, labels, chunk: int, workspace: dict | None) 
     return correct / labels.shape[0]
 
 
-def evaluate_accuracy(model: ModelSpec, samples: list[Sample]) -> float:
-    """Accuracy of one dropout-free forward over ``samples``."""
-    arrays = samples_to_arrays(model, samples)
-    return _accuracy(model, *arrays, chunk=len(samples), workspace=None)
-
-
 def _gather(arr: np.ndarray | None, idx: np.ndarray, ws: dict, name: str) -> np.ndarray | None:
     """Rows ``idx`` of ``arr``, copied into the workspace buffer ``name``."""
     if arr is None:
@@ -80,7 +68,15 @@ def train(
     valid_samples: list[Sample],
     meta: dict | None = None,
 ) -> Checkpoint:
-    """Train in place and return a checkpoint wrapping the final weights."""
+    """Train ``model`` in place and return a checkpoint wrapping it.
+
+    The samples are stacked into arrays once. Each step's ``backward_arrays``
+    leaves the gradient in ``model.grad``, and the momentum update is three
+    whole-vector operations on ``model.theta`` and one velocity vector of
+    the same layout. The validation accuracy logged each epoch comes from
+    dropout-free forwards over ``valid_samples`` in chunks of at most
+    ``batch_size`` rows.
+    """
     if not train_samples or not valid_samples:
         raise InvalidArgumentError("train and validation sets must be non-empty")
     hyper = model.hyper
@@ -89,8 +85,7 @@ def train(
     numeric, text, labels = samples_to_arrays(model, train_samples)
     valid = samples_to_arrays(model, valid_samples)
     n = labels.shape[0]
-    params = dict(model.params())
-    velocity = {path: np.zeros_like(arr) for path, arr in params.items()}
+    velocity = np.zeros_like(model.theta)
     workspace: dict = {}
     batch_ws = workspace.setdefault("batch", {})
 
@@ -101,7 +96,7 @@ def train(
         correct = 0
         for start in range(0, n, hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
-            loss, grads, probs = backward_arrays(
+            loss, probs = backward_arrays(
                 model,
                 _gather(numeric, idx, batch_ws, "numeric"),
                 _gather(text, idx, batch_ws, "text"),
@@ -112,11 +107,9 @@ def train(
             if not math.isfinite(loss):
                 raise DivergedError(epoch)
             step = hyper.learning_rate * len(idx)
-            for path, g in grads.items():
-                v = velocity[path]
-                v *= hyper.momentum
-                v -= step * g
-                params[path] += v
+            velocity *= hyper.momentum
+            velocity -= step * model.grad
+            model.theta += velocity
             losses.append(loss)
             correct += _correct(probs, labels[idx])
         log.append(

@@ -167,3 +167,14 @@ def synthetic_tweets(
             )
         )
     return tweets
+
+
+def cell_with_blocks(kind: str, input_dim: int, hidden_dim: int, blocks: dict,
+                     literal: bool = False):
+    """A standalone cell whose per-gate blocks hold copies of ``blocks``."""
+    from tmfusion.rnn.cells import CellParams
+
+    cell = CellParams(kind, input_dim, hidden_dim, literal)
+    for name, view in cell.blocks.items():
+        view[...] = blocks[name]
+    return cell

@@ -2,7 +2,9 @@
 
 Everything here recomputes results definition-by-definition with plain
 Python loops and floats, deliberately sharing no code with the library.
-Undefined (warmup) entries are returned as None.
+Undefined (warmup) entries are returned as None. The one exception is
+``loss_reference``: the scalar loss the gradient checks difference, built
+on the library's own dropout-free forward.
 """
 
 from __future__ import annotations
@@ -267,3 +269,16 @@ def gru_oracle(blocks, xs, h0=None, literal=False) -> list[list[float]]:
         out.append(h)
         h_prev = h
     return out
+
+
+def loss_reference(model, numeric, text, labels) -> float:
+    """Mean binary cross-entropy plus the L2 penalty, without dropout."""
+    import numpy as np
+
+    from tmfusion.rnn.model import EPS, forward_arrays
+
+    probs = forward_arrays(model, numeric, text)
+    p = np.clip(probs, EPS, 1.0 - EPS)
+    data = -np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
+    reg = 0.5 * model.hyper.l2 * sum(float(np.sum(arr * arr)) for _, arr in model.params())
+    return float(data + reg)

@@ -26,22 +26,22 @@ from tmfusion.rnn import (
     Hyperparams,
     backward_arrays,
     build_model,
-    loss_arrays,
     save_checkpoint,
     train,
 )
 from tmfusion.rnn.cells import forward as cell_forward
-from tmfusion.rnn.cells import CellParams, block_shapes
+from tmfusion.rnn.cells import block_shapes
 from tmfusion.social import UserHistory, UserHistoryStore, update_user_history, user_history_vector
 from tmfusion.social import author_rating, recommendation_score, representativeness
 
-from .conftest import DATA_DIR, linear_rule_samples, random_walk
+from .conftest import DATA_DIR, cell_with_blocks, linear_rule_samples, random_walk
 from .oracles import (
     bollinger_oracle,
     cci_oracle,
     confusion_oracle,
     credibility_oracle,
     ema_oracle,
+    loss_reference,
     macd_oracle,
     metrics_oracle,
     rsi_oracle,
@@ -134,16 +134,17 @@ def test_criterion_03_gradient_checks():
                 text = rng.normal(0.0, 0.2, size=(3, 5, 3))  # sequence length 5
             model = build_model(architecture, kind, hyper, **kwargs)
             labels = np.array([1.0, 0.0, 1.0])
-            _, grads, _ = backward_arrays(model, numeric, text, labels)
+            backward_arrays(model, numeric, text, labels)
+            grads = dict(model.grads())
             eps = 1e-5
             for path, arr in model.params():
                 flat = arr.reshape(-1)
                 for idx in range(flat.size):
                     orig = flat[idx]
                     flat[idx] = orig + eps
-                    up = loss_arrays(model, numeric, text, labels)
+                    up = loss_reference(model, numeric, text, labels)
                     flat[idx] = orig - eps
-                    down = loss_arrays(model, numeric, text, labels)
+                    down = loss_reference(model, numeric, text, labels)
                     flat[idx] = orig
                     fd = (up - down) / (2 * eps)
                     an = grads[path].reshape(-1)[idx]
@@ -164,7 +165,7 @@ def test_criterion_04_indrnn_independence():
             name: rng.uniform(-1.0, 1.0, shape)
             for name, shape in block_shapes("indrnn", m, n).items()
         }
-        cell = CellParams("indrnn", m, n, blocks)
+        cell = cell_with_blocks("indrnn", m, n, blocks)
         xs = rng.normal(0, 1, size=(t_len, 1, m))
         h0 = rng.normal(0, 1, size=(1, n))
         base, _ = cell_forward(cell, xs, h0=h0)

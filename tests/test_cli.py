@@ -16,7 +16,8 @@ import tmfusion
 from tmfusion.cli import main, output_lock
 from tmfusion.dataset import load_dataset
 from tmfusion.errors import TmfusionError
-from tmfusion.rnn import Checkpoint, Hyperparams, build_model, load_checkpoint, save_checkpoint
+from tmfusion.rnn import Hyperparams, build_model, load_checkpoint, save_checkpoint
+from tmfusion.rnn.checkpoint import Checkpoint
 from tmfusion import evaluate as ev
 
 from .conftest import DATA_DIR, synthetic_tweets, weekday_bars
@@ -196,6 +197,16 @@ class TestTrain:
         second = hashlib.sha256((run_dir / "out" / "checkpoint.json").read_bytes()).hexdigest()
         assert first == second
 
+    def test_corrupt_normalizer_json_is_not_read(self, run_dir):
+        # training reads only the two splits; normalizer.json records the fit
+        cfg = prepare_dataset(run_dir)
+        assert run_cli("train", "--config", str(cfg)) == 0
+        checkpoint = run_dir / "out" / "checkpoint.json"
+        first = checkpoint.read_bytes()
+        (run_dir / "out" / "dataset" / "normalizer.json").write_text("{}")
+        assert run_cli("train", "--config", str(cfg)) == 0
+        assert checkpoint.read_bytes() == first
+
     def test_sweep_writes_six_monotone_rows(self, run_dir):
         cfg = prepare_dataset(run_dir)
         assert run_cli("train", "--config", str(cfg), "--sweep-batch") == 0
@@ -314,9 +325,30 @@ class TestReport:
         assert "tweet_level: accuracy" in out
         assert "daily_level: accuracy" in out
 
-    def test_without_evaluation_fails(self, run_dir):
+    def test_without_evaluation_fails(self, run_dir, capsys):
         cfg = run_dir / "config.json"
         assert run_cli("report", "--config", str(cfg)) == 1
+        # a malformed report is a schema error, not a traceback
+        assert run_cli("ingest", "--config", str(cfg)) == 0
+        report = run_dir / "out" / "report.json"
+        level = {"accuracy": 0.5, "precision": 0.5, "recall": 0.5, "f1": 0.5,
+                 "counts": {"tp": 1, "tn": 1, "fp": 1, "fn": 1}}
+        good = {"schema_version": 1, "ticker": "AAPL", "tweet_level": level,
+                "daily_level": None, "daily_table": [], "config": {}}
+        report.write_text(json.dumps(good))
+        assert run_cli("report", "--config", str(cfg)) == 0
+        for broken in (
+            {**good, "tweet_level": {k: v for k, v in level.items() if k != "counts"}},
+            {**good, "daily_level": {**level, "counts": {"tp": 1}}},
+            {**good, "tweet_level": None},
+            {k: v for k, v in good.items() if k != "ticker"},
+            [],
+        ):
+            report.write_text(json.dumps(broken))
+            capsys.readouterr()
+            assert run_cli("report", "--config", str(cfg)) == 1, broken
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and "report.json" in err, broken
 
 
 class TestCliContract:

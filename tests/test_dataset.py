@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 import tmfusion.dataset as dataset_module
 from tmfusion.dataset import (
     BuildConfig,
+    BuildResult,
     NormalizerState,
     apply_normalizer,
     build_dataset,
@@ -192,11 +193,15 @@ class TestNormalizer:
         assert returned is rows
         assert rows.tobytes() == expected.tobytes()
 
-    def test_json_round_trip(self, rng):
+    def test_json_round_trip(self, rng, tmp_path):
+        """``save_dataset``'s normalizer.json holds the fitted extrema exactly."""
         state = fit_normalizer(rng.normal(0, 2, size=(10, 3)))
-        back = NormalizerState.from_json_dict(state.to_json_dict())
-        np.testing.assert_array_equal(back.mins, state.mins)
-        np.testing.assert_array_equal(back.maxs, state.maxs)
+        result = BuildResult(train=[], test=[], normalizer=state, max_len=0, report={})
+        cfg = BuildConfig(ticker="AAPL", feature_set=frozenset({"sentiment"}))
+        save_dataset(tmp_path, result, cfg)
+        saved = json.loads((tmp_path / "normalizer.json").read_text())
+        np.testing.assert_array_equal(np.array(saved["mins"]), state.mins)
+        np.testing.assert_array_equal(np.array(saved["maxs"]), state.maxs)
 
 
 FULL_NUMERIC = frozenset({"market", "social", "sentiment", "credibility"})
@@ -584,7 +589,8 @@ class TestArtifacts:
             np.testing.assert_array_equal(a.numeric, b.numeric)
             np.testing.assert_array_equal(a.text, b.text)
             assert (a.label, a.day, a.author, a.ticker) == (b.label, b.day, b.author, b.ticker)
-        np.testing.assert_array_equal(loaded.normalizer.mins, result.normalizer.mins)
+        saved = json.loads((tmp_path / "ds" / "normalizer.json").read_text())
+        np.testing.assert_array_equal(np.array(saved["mins"]), result.normalizer.mins)
         assert loaded.report == result.report
 
     def test_rebuild_byte_identical(self, rng, tmp_path):

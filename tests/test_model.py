@@ -3,6 +3,7 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,23 +11,22 @@ import pytest
 from tmfusion.dataset import Sample
 from tmfusion.errors import DivergedError, InvalidArgumentError, SchemaError
 from tmfusion.rnn import (
-    CELL_KINDS,
-    Checkpoint,
     Hyperparams,
     backward_arrays,
     build_model,
-    evaluate_accuracy,
-    forward_model,
+    forward_arrays,
     load_checkpoint,
-    loss_arrays,
     predict,
+    rng_streams,
+    samples_to_arrays,
     save_checkpoint,
     train,
 )
-from tmfusion.rnn.cells import sigmoid
+from tmfusion.rnn.cells import CELL_KINDS, sigmoid
+from tmfusion.rnn.checkpoint import Checkpoint
 
 from .conftest import linear_rule_samples
-from .oracles import gru_oracle, indrnn_oracle, lstm_oracle
+from .oracles import gru_oracle, indrnn_oracle, loss_reference, lstm_oracle
 
 SMALL = Hyperparams(
     epochs=3, layers=2, hidden_units=4, learning_rate=0.01,
@@ -49,13 +49,19 @@ def make_sample(rng, numeric_dim=0, text_shape=None, label=1) -> Sample:
     )
 
 
+def prob_of(model, sample: Sample, **kwargs) -> float:
+    """Probability of class 1 for one sample: a one-row batched forward."""
+    numeric, text, _ = samples_to_arrays(model, [sample])
+    return float(forward_arrays(model, numeric, text, **kwargs)[0])
+
+
 class TestForwardModel:
     def test_zero_head_gives_half(self, rng):
         model = build_model("numeric_only", "indrnn", SMALL, numeric_dim=6)
         model.head_w[:] = 0.0
         model.head_b[:] = 0.0
         sample = make_sample(rng, numeric_dim=6)
-        assert forward_model(model, sample) == 0.5
+        assert prob_of(model, sample) == 0.5
 
     def test_zeroed_numeric_branch_gives_half(self, rng):
         model = build_model("numeric_only", "indrnn", SMALL, numeric_dim=6)
@@ -64,7 +70,7 @@ class TestForwardModel:
                 arr[:] = 0.0
         model.head_w[:] = 0.0
         sample = make_sample(rng, numeric_dim=6)
-        assert forward_model(model, sample) == 0.5
+        assert prob_of(model, sample) == 0.5
 
     @pytest.mark.parametrize("kind,oracle", [
         ("indrnn", indrnn_oracle), ("lstm", lstm_oracle), ("gru", gru_oracle),
@@ -72,7 +78,7 @@ class TestForwardModel:
     def test_fused_matches_chained_branch_oracles(self, rng, kind, oracle):
         model = build_model("fused", kind, NO_REG, numeric_dim=6, text_dim=3)
         sample = make_sample(rng, numeric_dim=6, text_shape=(5, 3))
-        got = forward_model(model, sample)
+        got = prob_of(model, sample)
 
         def run_branch(layers, xs):
             current = [list(row) for row in xs]
@@ -97,26 +103,74 @@ class TestForwardModel:
         model = build_model("numeric_only", "gru", SMALL, numeric_dim=6)
         bad = make_sample(rng, numeric_dim=9)
         with pytest.raises(InvalidArgumentError):
-            forward_model(model, bad)
+            prob_of(model, bad)
 
     def test_train_mode_needs_rng(self, rng):
         model = build_model("numeric_only", "gru", SMALL, numeric_dim=6)
         sample = make_sample(rng, numeric_dim=6)
         with pytest.raises(InvalidArgumentError):
-            forward_model(model, sample, train_mode=True)
+            prob_of(model, sample, train_mode=True)
+
+
+class TestParameterStore:
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_blocks_are_views_of_one_vector_each(self, rng, kind):
+        model = build_model("fused", kind, SMALL, numeric_dim=5, text_dim=3)
+        params, grads = list(model.params()), list(model.grads())
+        assert [path for path, _ in params] == [path for path, _ in grads]
+        for (path, arr), (_, g) in zip(params, grads):
+            assert np.shares_memory(arr, model.theta), path
+            assert np.shares_memory(g, model.grad), path
+        # the named blocks tile each vector in order, with nothing left over
+        np.testing.assert_array_equal(
+            np.concatenate([arr.ravel() for _, arr in params]), model.theta
+        )
+        backward_arrays(model, rng.normal(0.5, 0.3, size=(3, 5)),
+                        rng.normal(0, 0.3, size=(3, 4, 3)), np.array([1.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(
+            np.concatenate([g.ravel() for _, g in model.grads()]), model.grad
+        )
+        # the stacked blocks the kernels use are the per-gate blocks, in gate order
+        n = SMALL.hidden_units
+        for _, layers in model.branches():
+            for layer in layers:
+                gate_w = [arr for name, arr in layer.blocks.items() if name[0] == "W"]
+                for k, arr in enumerate(gate_w):
+                    assert np.shares_memory(arr, layer.W[k * n : (k + 1) * n])
+                assert np.shares_memory(layer.dW, model.grad)
+
+
+    def test_initial_draws_follow_the_block_order(self):
+        """Every block is drawn from the init stream in layout order, per gate,
+        so initial weights do not depend on how the blocks are stored."""
+        for kind in CELL_KINDS:
+            model = build_model("fused", kind, SMALL, numeric_dim=5, text_dim=3)
+            init_rng, _ = rng_streams(SMALL.seed)
+            for path, arr in model.params():
+                name = path.rsplit(".", 1)[-1]
+                if name == "u":
+                    expected = init_rng.uniform(0.0, 1.0, arr.shape)
+                elif arr.ndim == 1 and path != "head.w":
+                    expected = np.zeros(arr.shape)
+                else:
+                    s = math.sqrt(6.0 / (sum(arr.shape) if arr.ndim == 2 else arr.size + 1))
+                    expected = init_rng.uniform(-s, s, arr.shape)
+                np.testing.assert_array_equal(arr, expected, err_msg=f"{kind} {path}")
 
 
 def finite_difference_check(model, numeric, text, labels, eps=1e-5, tol=1e-4):
-    _, grads, _ = backward_arrays(model, numeric, text, labels)
+    loss, _ = backward_arrays(model, numeric, text, labels)
+    assert loss == pytest.approx(loss_reference(model, numeric, text, labels), rel=1e-12)
+    grads = dict(model.grads())
     worst = 0.0
     for path, arr in model.params():
         flat = arr.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + eps
-            up = loss_arrays(model, numeric, text, labels)
+            up = loss_reference(model, numeric, text, labels)
             flat[idx] = orig - eps
-            down = loss_arrays(model, numeric, text, labels)
+            down = loss_reference(model, numeric, text, labels)
             flat[idx] = orig
             numeric_grad = (up - down) / (2 * eps)
             analytic = grads[path].reshape(-1)[idx]
@@ -158,9 +212,9 @@ class TestBackward:
         model.head_b[:] = 0.0
         numeric = rng.normal(0.5, 0.3, size=(4, 5))
         labels = np.array([1.0, 0.0, 1.0, 0.0])  # balanced
-        _, grads, probs = backward_arrays(model, numeric, None, labels)
+        _, probs = backward_arrays(model, numeric, None, labels)
         np.testing.assert_array_equal(probs, 0.5)
-        assert grads["head.b"][0] == 0.0
+        assert dict(model.grads())["head.b"][0] == 0.0
 
     def test_l2_adds_exactly_lambda_w_per_block(self, rng):
         base = Hyperparams(epochs=1, layers=2, hidden_units=4, l2=0.0, batch_size=4, seed=5)
@@ -169,8 +223,9 @@ class TestBackward:
         m1 = build_model("numeric_only", "gru", reg, numeric_dim=5)
         numeric = rng.normal(0.5, 0.3, size=(3, 5))
         labels = np.array([1.0, 0.0, 1.0])
-        _, g0, _ = backward_arrays(m0, numeric, None, labels)
-        _, g1, _ = backward_arrays(m1, numeric, None, labels)
+        backward_arrays(m0, numeric, None, labels)
+        backward_arrays(m1, numeric, None, labels)
+        g0, g1 = dict(m0.grads()), dict(m1.grads())
         params = dict(m0.params())
         for path in g0:
             np.testing.assert_allclose(g1[path] - g0[path], 0.01 * params[path], atol=1e-12)
@@ -199,10 +254,12 @@ class TestBackward:
                 for buf in buffers.values():
                     buf.fill(np.nan)
             batch = (model, numeric[rows], text[rows], labels[rows])
-            loss, grads, probs = backward_arrays(*batch, rng=np.random.default_rng(1))
-            w_loss, w_grads, w_probs = backward_arrays(
+            loss, probs = backward_arrays(*batch, rng=np.random.default_rng(1))
+            grads = {path: g.copy() for path, g in model.grads()}
+            w_loss, w_probs = backward_arrays(
                 *batch, rng=np.random.default_rng(1), workspace=workspace
             )
+            w_grads = dict(model.grads())
             assert w_loss == loss
             np.testing.assert_array_equal(w_probs, probs)
             assert set(w_grads) == set(grads)
@@ -215,8 +272,10 @@ class TestBackward:
         labels = np.array([1.0, 0.0, 1.0, 0.0])
         r1 = np.random.default_rng(99)
         r2 = np.random.default_rng(99)
-        l1, g1, p1 = backward_arrays(model, numeric, None, labels, rng=r1)
-        l2, g2, p2 = backward_arrays(model, numeric, None, labels, rng=r2)
+        l1, p1 = backward_arrays(model, numeric, None, labels, rng=r1)
+        g1 = {path: g.copy() for path, g in model.grads()}
+        l2, p2 = backward_arrays(model, numeric, None, labels, rng=r2)
+        g2 = dict(model.grads())
         assert l1 == l2
         np.testing.assert_array_equal(p1, p2)
         for path in g1:
@@ -293,7 +352,10 @@ class TestTrain:
         hyper = Hyperparams(epochs=2, layers=2, hidden_units=4, batch_size=5, seed=4)
         model = build_model("numeric_only", "gru", hyper, numeric_dim=6)
         ckpt = train(model, tr, te)
-        assert ckpt.training_log[-1]["valid_accuracy"] == evaluate_accuracy(model, te)
+        numeric, _, labels = samples_to_arrays(model, te)
+        probs = forward_arrays(model, numeric, None)
+        correct = int(np.sum((probs >= 0.5).astype(np.float64) == labels))
+        assert ckpt.training_log[-1]["valid_accuracy"] == correct / len(te)
 
     def test_learns_separable_data(self, rng):
         tr, te = linear_rule_samples(rng, n=600, width=6)
@@ -406,6 +468,11 @@ class TestCheckpoint:
                  "numeric.1.W_z")
         rejected(lambda b: b["weights"]["head.w"].update(data="not base64!"), "head.w")
         rejected(lambda b: b["weights"]["head.w"].update(shape=[2, 2]), "head.w")
+        rejected(lambda b: b["weights"]["head.b"].update(data="AAAAAAAA+H8="), "head.b")  # NaN
+        rejected(lambda b: b["dims"].update(numeric_layers=2), "numeric_layers")
+        # sizes past what the file holds are refused before anything is allocated
+        rejected(lambda b: b["hyperparams"].update(layers=10**9), "hyperparams")
+        rejected(lambda b: b["dims"].update(numeric_dim=10**18), "numeric_dim")
 
     def test_corrupt_json_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"

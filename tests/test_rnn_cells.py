@@ -7,18 +7,11 @@ import numpy as np
 import pytest
 
 from tmfusion.errors import InvalidArgumentError
-from tmfusion.rnn import (
-    CELL_KINDS,
-    CellParams,
-    block_shapes,
-    gru_forward,
-    indrnn_forward,
-    lstm_forward,
-    sigmoid,
-)
+from tmfusion.rnn.cells import CELL_KINDS, CellParams, block_shapes, param_size, sigmoid
 from tmfusion.rnn.cells import backward as cell_backward
 from tmfusion.rnn.cells import forward as cell_forward
 
+from .conftest import cell_with_blocks
 from .oracles import gru_oracle, indrnn_oracle, lstm_oracle, simple_rnn_oracle
 
 
@@ -26,36 +19,46 @@ def random_cell(kind: str, rng, m=3, n=4, literal=False) -> CellParams:
     blocks = {}
     for name, shape in block_shapes(kind, m, n).items():
         blocks[name] = rng.uniform(-0.8, 0.8, shape)
-    return CellParams(kind, m, n, blocks, literal)
+    return cell_with_blocks(kind, m, n, blocks, literal)
 
 
 def zero_cell(kind: str, m=3, n=4, literal=False) -> CellParams:
-    blocks = {name: np.zeros(shape) for name, shape in block_shapes(kind, m, n).items()}
-    return CellParams(kind, m, n, blocks, literal)
+    return CellParams(kind, m, n, literal)
+
+
+def run_one(p: CellParams, xs, h0=None, q0=None):
+    """One (T, M) sequence through the batched forward, with (N,) initial
+    states: the (T, N) hidden sequence and the (T, N) cell-state sequence
+    (None but for the LSTM)."""
+    states = {name: np.asarray(s)[None, :] for name, s in (("h0", h0), ("q0", q0))
+              if s is not None}
+    hs, cache = cell_forward(p, np.asarray(xs)[:, None, :], **states)
+    qs = cache["qs"][:, :, 0] if "qs" in cache else None
+    return hs[:, 0, :], qs
 
 
 class TestIndrnnForward:
     def test_zero_params_give_half(self, rng):
         p = zero_cell("indrnn")
         xs = rng.normal(0, 1, size=(6, 3))
-        hs = indrnn_forward(p, xs)
+        hs, _ = run_one(p, xs)
         np.testing.assert_array_equal(hs, np.full((6, 4), 0.5))
 
     def test_zero_recurrence_is_feedforward(self, rng):
         p = random_cell("indrnn", rng)
         p.blocks["u"][:] = 0.0
         xs = rng.normal(0, 1, size=(5, 3))
-        hs = indrnn_forward(p, xs)
+        hs, _ = run_one(p, xs)
         # with no recurrence each step depends on its own input alone
         for t in range(5):
-            alone = indrnn_forward(p, xs[t : t + 1])
+            alone, _ = run_one(p, xs[t : t + 1])
             np.testing.assert_allclose(hs[t], alone[0], atol=1e-15)
 
     def test_matches_scalar_oracle(self, rng):
         p = random_cell("indrnn", rng)
         xs = rng.normal(0, 1, size=(5, 3))
         h0 = rng.normal(0, 1, size=4)
-        hs = indrnn_forward(p, xs, h0=h0)
+        hs, _ = run_one(p, xs, h0=h0)
         oracle = indrnn_oracle(
             p.blocks["W"].tolist(), p.blocks["u"].tolist(), p.blocks["b"].tolist(),
             xs.tolist(), h0.tolist(),
@@ -65,7 +68,7 @@ class TestIndrnnForward:
     def test_literal_bias_outside(self, rng):
         p = random_cell("indrnn", rng, literal=True)
         xs = rng.normal(0, 1, size=(5, 3))
-        hs = indrnn_forward(p, xs)
+        hs, _ = run_one(p, xs)
         oracle = indrnn_oracle(
             p.blocks["W"].tolist(), p.blocks["u"].tolist(), p.blocks["b"].tolist(),
             xs.tolist(), None, literal=True,
@@ -77,30 +80,30 @@ class TestIndrnnForward:
             p = random_cell("indrnn", rng, m=2, n=5)
             xs = rng.normal(0, 1, size=(7, 2))
             h0 = rng.normal(0, 1, size=5)
-            base = indrnn_forward(p, xs, h0=h0)
+            base, _ = run_one(p, xs, h0=h0)
             j = int(rng.integers(0, 5))
             bumped = h0.copy()
             bumped[j] += 0.37
-            out = indrnn_forward(p, xs, h0=bumped)
+            out, _ = run_one(p, xs, h0=bumped)
             diff = out - base
             other = np.delete(diff, j, axis=1)
             assert np.all(other == 0.0)
             assert np.any(diff[:, j] != 0.0)
 
-    def test_kind_checked(self, rng):
+    def test_kind_checked(self):
         with pytest.raises(InvalidArgumentError):
-            indrnn_forward(random_cell("lstm", rng), np.zeros((2, 3)))
+            CellParams("indrnx", 3, 4)
 
     def test_shape_mismatch(self, rng):
         p = random_cell("indrnn", rng)
         with pytest.raises(InvalidArgumentError):
-            indrnn_forward(p, np.zeros((4, 7)))
+            run_one(p, np.zeros((4, 7)))
 
 
 class TestLstmForward:
     def test_all_zero_stays_zero(self):
         p = zero_cell("lstm")
-        hs, qs = lstm_forward(p, np.zeros((5, 3)))
+        hs, qs = run_one(p, np.zeros((5, 3)))
         np.testing.assert_array_equal(hs, np.zeros((5, 4)))
         np.testing.assert_array_equal(qs, np.zeros((5, 4)))
 
@@ -109,7 +112,7 @@ class TestLstmForward:
         p.blocks["b_f"][:] = 1e3  # forget gate pinned to 1
         p.blocks["b_i"][:] = -1e3  # input gate pinned to 0
         q0 = rng.normal(0, 1, size=4)
-        _, qs = lstm_forward(p, rng.normal(0, 1, size=(6, 3)), q0=q0)
+        _, qs = run_one(p, rng.normal(0, 1, size=(6, 3)), q0=q0)
         for t in range(6):
             np.testing.assert_allclose(qs[t], q0, atol=1e-12)
 
@@ -118,7 +121,7 @@ class TestLstmForward:
         xs = rng.normal(0, 1, size=(4, 3))
         h0 = rng.normal(0, 0.5, size=4)
         q0 = rng.normal(0, 0.5, size=4)
-        hs, qs = lstm_forward(p, xs, h0=h0, q0=q0)
+        hs, qs = run_one(p, xs, h0=h0, q0=q0)
         blocks = {k: v.tolist() for k, v in p.blocks.items()}
         ohs, oqs = lstm_oracle(blocks, xs.tolist(), h0.tolist(), q0.tolist())
         np.testing.assert_allclose(hs, ohs, atol=1e-12)
@@ -126,14 +129,14 @@ class TestLstmForward:
 
     def test_hidden_bounded(self, rng):
         p = random_cell("lstm", rng)
-        hs, _ = lstm_forward(p, rng.normal(0, 3, size=(20, 3)))
+        hs, _ = run_one(p, rng.normal(0, 3, size=(20, 3)))
         assert np.all(np.abs(hs) < 1.0)  # o in (0,1), tanh(q) in (-1,1)
 
 
 class TestGruForward:
     def test_all_zero_stays_zero(self):
         p = zero_cell("gru")
-        hs = gru_forward(p, np.zeros((5, 3)))
+        hs, _ = run_one(p, np.zeros((5, 3)))
         np.testing.assert_array_equal(hs, np.zeros((5, 4)))
 
     def test_update_gate_zero_is_pure_carry(self, rng):
@@ -142,7 +145,7 @@ class TestGruForward:
         p.blocks["W_z"][:] = 0.0
         p.blocks["U_z"][:] = 0.0
         h0 = rng.normal(0, 1, size=4)
-        hs = gru_forward(p, rng.normal(0, 1, size=(6, 3)), h0=h0)
+        hs, _ = run_one(p, rng.normal(0, 1, size=(6, 3)), h0=h0)
         for t in range(6):
             np.testing.assert_allclose(hs[t], h0, atol=1e-12)
 
@@ -150,7 +153,7 @@ class TestGruForward:
         p = random_cell("gru", rng)
         xs = rng.normal(0, 1, size=(5, 3))
         h0 = rng.normal(0, 0.5, size=4)
-        hs = gru_forward(p, xs, h0=h0)
+        hs, _ = run_one(p, xs, h0=h0)
         blocks = {k: v.tolist() for k, v in p.blocks.items()}
         np.testing.assert_allclose(
             hs, gru_oracle(blocks, xs.tolist(), h0.tolist()), atol=1e-12
@@ -159,12 +162,12 @@ class TestGruForward:
     def test_literal_candidate_uses_sigmoid(self, rng):
         p = random_cell("gru", rng, literal=True)
         xs = rng.normal(0, 1, size=(5, 3))
-        hs = gru_forward(p, xs)
+        hs, _ = run_one(p, xs)
         blocks = {k: v.tolist() for k, v in p.blocks.items()}
         np.testing.assert_allclose(
             hs, gru_oracle(blocks, xs.tolist(), None, literal=True), atol=1e-12
         )
-        default = gru_forward(CellParams(p.kind, 3, 4, p.blocks, False), xs)
+        default, _ = run_one(CellParams(p.kind, 3, 4, theta=p.theta), xs)
         assert not np.allclose(hs, default)
 
 
@@ -194,10 +197,10 @@ def assert_backward_matches_finite_differences(p: CellParams, xs, coeffs, rec_ma
     ``states`` are the initial ``h0`` (and ``q0``) passed to every forward.
     """
     _, cache = cell_forward(p, xs, rec_mask=rec_mask, **states)
-    d_xs, grads = cell_backward(p, cache, coeffs)
+    d_xs = cell_backward(p, cache, coeffs)
 
     eps = 1e-6
-    targets = [(name, arr, grads[name]) for name, arr in p.blocks.items()]
+    targets = [(name, arr, p.grads[name]) for name, arr in p.blocks.items()]
     targets.append(("d_xs", xs, d_xs))
     for name, arr, analytic_arr in targets:
         flat = arr.reshape(-1)
@@ -298,23 +301,24 @@ def test_hidden_states_bounded(rng):
         p = random_cell(kind, rng, m=3, n=4)
         xs = rng.normal(0, 10, size=(30, 3))
         if kind == "indrnn":
-            hs = indrnn_forward(p, xs)
+            hs, _ = run_one(p, xs)
             assert np.all(hs > 0.0) and np.all(hs < 1.0)
         elif kind == "gru":
-            hs = gru_forward(p, xs)
+            hs, _ = run_one(p, xs)
             assert np.all(np.abs(hs) < 1.0)  # convex mix of h0=0 and tanh candidate
         else:
             hs, _ = cell_forward(p, xs[:, None, :])
             assert np.all(hs > 0.0) and np.all(hs < 1.0)
     literal = random_cell("indrnn", rng, m=3, n=4, literal=True)
-    hs = indrnn_forward(literal, rng.normal(0, 10, size=(30, 3)))
+    hs, _ = run_one(literal, rng.normal(0, 10, size=(30, 3)))
     bias = literal.blocks["b"]
     assert np.all(hs > bias[None, :]) and np.all(hs < bias[None, :] + 1.0)
 
 
 def test_init_shapes_and_ranges(rng):
     for kind in ("simple", "indrnn", "lstm", "gru"):
-        p = CellParams.init(kind, 6, 14, rng)
+        p = CellParams(kind, 6, 14)
+        p.initialize(rng)
         for name, shape in block_shapes(kind, 6, 14).items():
             assert p.blocks[name].shape == shape
         if kind == "indrnn":
@@ -323,9 +327,11 @@ def test_init_shapes_and_ranges(rng):
 
 
 def test_block_validation(rng):
+    size = param_size("indrnn", 3, 4)
+    assert size == sum(np.prod(s) for s in block_shapes("indrnn", 3, 4).values())
     with pytest.raises(InvalidArgumentError):
-        CellParams("indrnn", 3, 4, {"W": np.zeros((4, 3))})
-    bad = {name: np.zeros(shape) for name, shape in block_shapes("indrnn", 3, 4).items()}
-    bad["u"] = np.zeros(7)
+        CellParams("indrnn", 3, 4, theta=np.zeros(12))  # the W block alone
     with pytest.raises(InvalidArgumentError):
-        CellParams("indrnn", 3, 4, bad)
+        CellParams("indrnn", 3, 4, grad=np.zeros(size + 3))
+    with pytest.raises(InvalidArgumentError):
+        CellParams("indrnn", 3, 4, theta=np.zeros(size, dtype=np.float32))
