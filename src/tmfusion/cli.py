@@ -8,6 +8,10 @@ rerun with the same config and seed is byte-identical.
 Subcommands hold an exclusive ``flock`` on a lock file inside the output
 directory while they run; concurrent writers to one directory are refused,
 and a run killed mid-stage leaves no lock behind.
+
+Only numpy-free modules are imported at the top; each subcommand imports
+the numeric modules it runs. So ``ingest``, ``report``, ``--help`` and a
+config error never load numpy, and ``features`` never loads the model.
 """
 
 from __future__ import annotations
@@ -21,195 +25,20 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
-
-from . import evaluate as ev
-from .dataset import (
-    BuildConfig,
-    build_dataset,
-    compare_file_labels,
-    label_bars,
-    load_dataset,
-    load_test_samples,
-    numeric_width,
-    normalize_feature_set,
-    save_dataset,
-)
-from .errors import (
-    InvalidArgumentError,
-    SchemaError,
-    TmfusionError,
-    checked_object,
-    field_types,
-)
-from .indicators import IndicatorConfig, load_ohlcv_csv
-from .rnn import (
-    BATCH_SWEEP_SIZES,
-    Hyperparams,
-    build_model,
-    forward_arrays,
-    load_checkpoint,
-    samples_to_arrays,
-    save_checkpoint,
-    steps_per_epoch,
-    train,
-)
-from .social import LexiconSentimentProvider, load_tweets_jsonl
-from .text import EmbeddingTable, load_stopwords
+from .artifacts import atomic_write, write_json
+from .config import BATCH_SWEEP_SIZES, Hyperparams, RunConfig, load_run_config
+from .errors import InvalidArgumentError, SchemaError, TmfusionError, checked_object
+from .inputs import compare_file_labels, label_bars, load_ohlcv_csv, load_tweets_jsonl
 
 logger = logging.getLogger("tmfusion.cli")
-
-CELL_CHOICES = ("indrnn", "lstm", "gru", "simple")
 
 MANIFEST_NAME = "ingest_manifest.json"
 DATASET_DIR = "dataset"
 CHECKPOINT_NAME = "checkpoint.json"
 REPORT_NAME = "report.json"
 SWEEP_NAME = "batch_sweep.csv"
-
-
-@dataclass
-class RunConfig:
-    ticker: str
-    ohlcv_csv: Path
-    tweets_jsonl: Path
-    out_dir: Path
-    feature_set: frozenset[str]
-    label_field: str = "close"
-    cell: str = "indrnn"
-    embedding_path: Path | None = None
-    lexicon_path: Path | None = None
-    stopwords_path: Path | None = None
-    embedding_dim: int = 50
-    market_lookback: int = 0
-    indicators: IndicatorConfig = field(default_factory=IndicatorConfig)
-    hyperparams: Hyperparams = field(default_factory=Hyperparams)
-    seed: int = 0
-    overrides: dict = field(default_factory=dict)
-
-    def echo(self) -> dict:
-        """The config as recorded in manifests."""
-        return {
-            "ticker": self.ticker,
-            "feature_set": sorted(self.feature_set),
-            "label_field": self.label_field,
-            "cell": self.cell,
-            "embedding_dim": self.embedding_dim,
-            "market_lookback": self.market_lookback,
-            "seed": self.seed,
-            "indicators": dataclasses.asdict(self.indicators),
-            "hyperparams": dataclasses.asdict(self.hyperparams),
-            "overrides": self.overrides,
-        }
-
-
-#: The JSON types each config value may take, key by key; no other key is accepted.
-_CONFIG_TYPES = {
-    "ticker": (str,),
-    "paths": (dict,),
-    "out_dir": (str,),
-    "feature_set": (list,),
-    "label_field": (str,),
-    "cell": (str,),
-    "embedding_dim": (int,),
-    "market_lookback": (int,),
-    "seed": (int,),
-    "indicators": (dict,),
-    "hyperparams": (dict,),
-}
-_PATH_TYPES = {
-    key: (str, type(None))
-    for key in ("ohlcv_csv", "tweets_jsonl", "embedding", "lexicon", "stopwords")
-}
-def load_run_config(path: str, seed_override: int | None = None,
-                    out_override: str | None = None) -> RunConfig:
-    """Parse and validate the run config; referenced input paths must exist.
-
-    Unknown keys and mistyped values at any level raise ``SchemaError``.
-    Relative paths resolve against the config file's directory.
-    """
-    cfg_path = Path(path)
-    try:
-        obj = json.loads(cfg_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise InvalidArgumentError(f"config file {path} does not exist")
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-
-    base = cfg_path.parent
-
-    def resolve(p: str | None) -> Path | None:
-        if p is None:
-            return None
-        candidate = Path(p)
-        return candidate if candidate.is_absolute() else base / candidate
-
-    checked_object(obj, _CONFIG_TYPES, str(path))
-    paths = checked_object(obj.get("paths", {}), _PATH_TYPES, f"{path}: paths")
-    try:
-        ticker = obj["ticker"]
-        ohlcv = resolve(paths["ohlcv_csv"])
-        tweets = resolve(paths["tweets_jsonl"])
-    except KeyError as exc:
-        raise SchemaError(f"{path}: missing required config key {exc}") from exc
-
-    overrides: dict = {}
-    seed = obj.get("seed", 0)
-    if seed_override is not None:
-        overrides["seed"] = seed_override
-        seed = seed_override
-    out_dir = resolve(obj.get("out_dir", "out"))
-    if out_override is not None:
-        overrides["out"] = out_override
-        out_dir = Path(out_override)
-
-    hyper_kwargs = dict(
-        checked_object(obj.get("hyperparams", {}), field_types(Hyperparams), f"{path}: hyperparams")
-    )
-    if "seed" in hyper_kwargs:
-        raise SchemaError(f"{path}: hyperparams.seed is not accepted; set the top-level seed")
-    hyper_kwargs["seed"] = seed
-    indicator_kwargs = checked_object(
-        obj.get("indicators", {}), field_types(IndicatorConfig), f"{path}: indicators"
-    )
-    cell = obj.get("cell", "indrnn")
-    if cell not in CELL_CHOICES:
-        raise SchemaError(f"{path}: cell must be one of {CELL_CHOICES}")
-    feature_set = obj.get("feature_set", ["market", "social", "sentiment"])
-    if not all(isinstance(flag, str) for flag in feature_set):
-        raise SchemaError(f"{path}: feature_set must be a list of strings")
-
-    cfg = RunConfig(
-        ticker=ticker,
-        ohlcv_csv=ohlcv,
-        tweets_jsonl=tweets,
-        out_dir=out_dir,
-        feature_set=normalize_feature_set(feature_set),
-        label_field=obj.get("label_field", "close"),
-        cell=cell,
-        embedding_path=resolve(paths.get("embedding")),
-        lexicon_path=resolve(paths.get("lexicon")),
-        stopwords_path=resolve(paths.get("stopwords")),
-        embedding_dim=obj.get("embedding_dim", 50),
-        market_lookback=obj.get("market_lookback", 0),
-        indicators=IndicatorConfig(**indicator_kwargs),
-        hyperparams=Hyperparams(**hyper_kwargs),
-        seed=seed,
-        overrides=overrides,
-    )
-
-    for name, p in (
-        ("ohlcv_csv", cfg.ohlcv_csv),
-        ("tweets_jsonl", cfg.tweets_jsonl),
-        ("embedding", cfg.embedding_path),
-        ("lexicon", cfg.lexicon_path),
-        ("stopwords", cfg.stopwords_path),
-    ):
-        if p is not None and not p.exists():
-            raise InvalidArgumentError(f"configured {name} path {p} does not exist")
-    return cfg
 
 
 @contextlib.contextmanager
@@ -229,10 +58,6 @@ def output_lock(out_dir: Path):
         except BlockingIOError:
             raise TmfusionError(f"output directory {out_dir} is locked by another run") from None
         yield
-
-
-def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +92,7 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
             "rejected": [{"line": d.line, "reason": d.message} for d in tweet_diags],
         },
     }
-    _write_json(cfg.out_dir / MANIFEST_NAME, manifest)
+    write_json(cfg.out_dir / MANIFEST_NAME, manifest)
     for d in ohlcv.diagnostics + tweet_diags:
         logger.warning("skipped %s", d)
     if label_mismatches:
@@ -282,7 +107,11 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_config(cfg: RunConfig) -> BuildConfig:
+def _build_config(cfg: RunConfig):
+    from .dataset import BuildConfig
+    from .social import LexiconSentimentProvider
+    from .text import EmbeddingTable, load_stopwords
+
     provider = (
         LexiconSentimentProvider.from_file(str(cfg.lexicon_path))
         if cfg.lexicon_path
@@ -308,6 +137,8 @@ def _build_config(cfg: RunConfig) -> BuildConfig:
 
 
 def cmd_features(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .dataset import build_dataset, save_dataset
+
     if not (cfg.out_dir / MANIFEST_NAME).exists():
         raise InvalidArgumentError(
             f"no ingest manifest in {cfg.out_dir}; run the ingest subcommand first"
@@ -326,9 +157,9 @@ def cmd_features(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _architecture(flags: frozenset[str]) -> str:
-    has_text = "text" in flags
-    has_numeric = numeric_width(flags) > 0
+def _architecture(header: dict) -> str:
+    has_text = "text" in header["flags"]
+    has_numeric = header["numeric_width"] > 0
     if has_text and has_numeric:
         return "fused"
     if has_text:
@@ -337,8 +168,10 @@ def _architecture(flags: frozenset[str]) -> str:
 
 
 def _fresh_model(cfg: RunConfig, header: dict, hyper: Hyperparams, literal: bool):
+    from .rnn import build_model
+
     return build_model(
-        _architecture(frozenset(header["flags"])),
+        _architecture(header),
         cfg.cell,
         hyper,
         numeric_dim=header["numeric_width"],
@@ -348,6 +181,9 @@ def _fresh_model(cfg: RunConfig, header: dict, hyper: Hyperparams, literal: bool
 
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .dataset import load_dataset
+    from .rnn import save_checkpoint, steps_per_epoch, train
+
     ds = load_dataset(cfg.out_dir / DATASET_DIR)
     meta = {
         "ticker": cfg.ticker,
@@ -380,7 +216,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
                 f"test accuracy {last['valid_accuracy']:.4f}"
             )
         sweep_path = cfg.out_dir / SWEEP_NAME
-        with open(sweep_path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(sweep_path) as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
@@ -408,6 +244,10 @@ _CHECKPOINT_DATASET_KEYS = {
 
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from . import evaluate as ev
+    from .dataset import load_test_samples
+    from .rnn import forward_arrays, load_checkpoint, samples_to_arrays
+
     ckpt_path = Path(args.checkpoint) if args.checkpoint else cfg.out_dir / CHECKPOINT_NAME
     if not ckpt_path.exists():
         raise InvalidArgumentError(f"checkpoint {ckpt_path} does not exist; train first")

@@ -1,4 +1,4 @@
-"""Sample assembly: labeling, normalization, feature fusion, dataset builds.
+"""Sample assembly: normalization, feature fusion, dataset builds.
 
 A sample is one tweet joined to its trading day's market features and the
 next trading day's up/down label, with the numeric feature blocks min-max
@@ -27,13 +27,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import atomic_write, canonical_json, write_json
+from .config import FEATURE_FLAGS, IndicatorConfig, normalize_feature_set
 from .errors import AssemblyError, InvalidArgumentError, JoinError, SchemaError
-from .indicators import IndicatorConfig, OhlcvBar, market_feature_matrix
+from .indicators import market_feature_matrix
+from .inputs import OhlcvBar, TweetRecord, label_bars
 from .social import (
     LexiconSentimentProvider,
     SentimentProvider,
     SentimentVector,
-    TweetRecord,
     UserHistoryStore,
     sentiment_vector,
     social_matrix,
@@ -41,12 +43,9 @@ from .social import (
 )
 from .text import EmbeddingTable, embed_sequence, load_stopwords, tokenize_clean
 
-LABEL_FIELDS = ("close", "open", "adj_close")
-
 #: Numeric feature blocks in concatenation order, with their widths.
 BLOCK_WIDTHS = {"market": 5, "social": 6, "sentiment": 3, "credibility": 4}
-NUMERIC_BLOCK_ORDER = ("market", "social", "sentiment", "credibility")
-FEATURE_FLAGS = NUMERIC_BLOCK_ORDER + ("text",)
+NUMERIC_BLOCK_ORDER = FEATURE_FLAGS[:-1]
 
 TRAIN_FRACTION = 0.8
 
@@ -67,51 +66,6 @@ SCHEMA_DESCRIPTOR = (
 
 def schema_hash() -> str:
     return hashlib.sha256(SCHEMA_DESCRIPTOR.encode("utf-8")).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Labeling
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LabeledBar:
-    """A bar plus the direction of the following bar's price."""
-
-    bar: OhlcvBar
-    label: int
-
-
-def label_bars(bars: list[OhlcvBar], label_field: str = "close") -> list[LabeledBar]:
-    """Label 0 when the day's price exceeds the next day's, 1 otherwise.
-
-    Equality counts as 1 (not a drop). The final bar has no successor and is
-    dropped, so the result is one shorter than the input.
-    """
-    if label_field not in LABEL_FIELDS:
-        raise InvalidArgumentError(f"label_field must be one of {LABEL_FIELDS}")
-    if len(bars) < 2:
-        raise InvalidArgumentError("need at least 2 bars to label")
-    out = []
-    for today, tomorrow in zip(bars, bars[1:]):
-        if tomorrow.date <= today.date:
-            raise InvalidArgumentError("bars must be strictly date-ascending")
-        price_today = getattr(today, label_field)
-        price_tomorrow = getattr(tomorrow, label_field)
-        out.append(LabeledBar(today, 0 if price_today > price_tomorrow else 1))
-    return out
-
-
-def compare_file_labels(
-    labeled: list[LabeledBar], file_labels: dict[dt.date, int]
-) -> list[str]:
-    """Dates (ISO) where a CSV's own label column disagrees with the rule."""
-    mismatches = []
-    for lb in labeled:
-        claimed = file_labels.get(lb.bar.date)
-        if claimed is not None and claimed != lb.label:
-            mismatches.append(lb.bar.date.isoformat())
-    return mismatches
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +137,6 @@ def apply_normalizer(
 # ---------------------------------------------------------------------------
 # Feature sets and samples
 # ---------------------------------------------------------------------------
-
-
-def normalize_feature_set(flags) -> frozenset[str]:
-    fs = frozenset(flags)
-    if not fs:
-        raise InvalidArgumentError("feature set must be nonempty")
-    unknown = fs - set(FEATURE_FLAGS)
-    if unknown:
-        raise InvalidArgumentError(f"unknown feature flags {sorted(unknown)}")
-    return fs
 
 
 def numeric_width(fs: frozenset[str]) -> int:
@@ -441,10 +385,6 @@ def build_dataset(
 # ---------------------------------------------------------------------------
 
 
-def _canonical_json(obj: dict) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def write_samples(
     path: Path | str,
     samples: list[Sample],
@@ -468,8 +408,8 @@ def write_samples(
         "count": len(samples),
     }
     expected_shape = (width,) if numeric_steps == 1 else (numeric_steps, width)
-    header_bytes = _canonical_json(header)
-    with open(path, "wb") as fh:
+    header_bytes = canonical_json(header).encode("utf-8")
+    with atomic_write(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<I", DATASET_FORMAT_VERSION))
         fh.write(struct.pack("<I", len(header_bytes)))
@@ -598,10 +538,8 @@ def save_dataset(dirpath: Path | str, result: BuildResult, cfg: BuildConfig) -> 
     )
     write_samples(out / "train.bin", result.train, **meta)
     write_samples(out / "test.bin", result.test, **meta)
-    (out / "normalizer.json").write_bytes(
-        _canonical_json(result.normalizer.to_json_dict())
-    )
-    (out / "build_report.json").write_bytes(_canonical_json(result.report))
+    write_json(out / "normalizer.json", result.normalizer.to_json_dict())
+    write_json(out / "build_report.json", result.report)
 
 
 @dataclass
@@ -609,15 +547,14 @@ class LoadedDataset:
     train: list[Sample]
     test: list[Sample]
     header: dict
-    report: dict
 
 
 def load_dataset(dirpath: Path | str) -> LoadedDataset:
+    """Both splits and their header; ``normalizer.json`` and ``build_report.json`` are not read."""
     out = Path(dirpath)
     train, header = read_samples(out / "train.bin")
     test, _ = load_test_samples(out)
-    report = json.loads((out / "build_report.json").read_text("utf-8"))
-    return LoadedDataset(train, test, header, report)
+    return LoadedDataset(train, test, header)
 
 
 def load_test_samples(dirpath: Path | str) -> tuple[list[Sample], dict]:

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .artifacts import atomic_write, write_json
 from .errors import InvalidArgumentError
 
 POS, NEG = "pos", "neg"
@@ -190,16 +190,14 @@ def write_report_json(
     }
     if extra:
         payload.update(extra)
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")), encoding="utf-8"
-    )
+    write_json(path, payload)
 
 
 def write_confusion_csv(
     path: str | Path, rows: Sequence[tuple[str, MetricReport]]
 ) -> None:
     """Flat CSV: one row per evaluation level with counts and metrics."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["level", "tp", "tn", "fp", "fn", "accuracy", "precision", "recall", "f1"]

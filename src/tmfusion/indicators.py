@@ -12,52 +12,19 @@ concurrently.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import Diagnostic, InvalidArgumentError, NotReadyError, SchemaError
-
-OHLCV_COLUMNS = ("Date", "Open", "High", "Low", "Close", "Adj Close")
-
-#: Accepted CSV date formats, tried in order.
-_DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%Y")
-
-BB_SCALAR_MODES = ("percent_b", "bandwidth", "middle")
+from .config import IndicatorConfig
+from .errors import InvalidArgumentError
+from .inputs import OhlcvBar
+from .inputs import load_ohlcv_csv  # noqa: F401  (bench/traced.py imports it from here)
 
 #: Order of the slots in the market feature vector.
 MARKET_FEATURE_NAMES = ("rsi", "macd", "cci", "bb", "ma")
-
-
-@dataclass(frozen=True)
-class OhlcvBar:
-    """One trading day of prices for a single ticker.
-
-    The adjusted close is carried through unchecked against high/low: split
-    and dividend adjustments legitimately push it outside the day's range.
-    """
-
-    date: dt.date
-    open: float
-    high: float
-    low: float
-    close: float
-    adj_close: float
-
-    def validate(self) -> None:
-        prices = (self.open, self.high, self.low, self.close, self.adj_close)
-        if not all(math.isfinite(p) and p > 0 for p in prices):
-            raise InvalidArgumentError(f"bar {self.date}: prices must be finite and > 0")
-        if self.low > min(self.open, self.close):
-            raise InvalidArgumentError(f"bar {self.date}: low exceeds open/close")
-        if self.high < max(self.open, self.close):
-            raise InvalidArgumentError(f"bar {self.date}: high below open/close")
-        if self.low > self.high:
-            raise InvalidArgumentError(f"bar {self.date}: low exceeds high")
 
 
 @dataclass(frozen=True)
@@ -89,47 +56,6 @@ class IndicatorSeries:
 
     def defined(self, i: int) -> bool:
         return self.warmup_len <= i < self.values.size
-
-
-@dataclass(frozen=True)
-class IndicatorConfig:
-    """Periods and modes for the market feature block."""
-
-    ma_period: int = 10
-    rsi_period: int = 27
-    macd_fast: int = 12
-    macd_slow: int = 26
-    cci_period: int = 20
-    bb_period: int = 20
-    bb_sigma_mult: float = 2.0
-    bb_scalar_mode: str = "percent_b"
-
-    def __post_init__(self) -> None:
-        if self.ma_period < 1:
-            raise InvalidArgumentError("ma_period must be >= 1")
-        if self.rsi_period < 2:
-            raise InvalidArgumentError("rsi_period must be >= 2")
-        if self.macd_fast < 1 or self.macd_fast >= self.macd_slow:
-            raise InvalidArgumentError("macd_fast must satisfy 1 <= fast < slow")
-        if self.cci_period < 2:
-            raise InvalidArgumentError("cci_period must be >= 2")
-        if self.bb_period < 2:
-            raise InvalidArgumentError("bb_period must be >= 2")
-        if not self.bb_sigma_mult > 0:
-            raise InvalidArgumentError("bb_sigma_mult must be > 0")
-        if self.bb_scalar_mode not in BB_SCALAR_MODES:
-            raise InvalidArgumentError(f"bb_scalar_mode must be one of {BB_SCALAR_MODES}")
-
-    @property
-    def warmup(self) -> int:
-        """Bars needed before every indicator in the block is defined."""
-        return max(
-            self.ma_period - 1,
-            self.rsi_period,
-            self.macd_slow - 1,
-            self.cci_period - 1,
-            self.bb_period - 1,
-        )
 
 
 def _as_series(series: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -308,111 +234,3 @@ def market_feature_matrix(
         )
         out[i, 4] = ma_s.values[i]
     return out, first
-
-
-def market_feature_vector(
-    bars: Sequence[OhlcvBar], t: dt.date, cfg: IndicatorConfig
-) -> np.ndarray:
-    """The [rsi, macd, cci, bb, ma] vector for one trading day.
-
-    Raises NotReadyError naming the offending indicator when t falls inside
-    any warmup window.
-    """
-    idx = None
-    for i, b in enumerate(bars):
-        if b.date == t:
-            idx = i
-            break
-    if idx is None:
-        raise InvalidArgumentError(f"date {t} not present in bar history")
-
-    warmups = {
-        "rsi": cfg.rsi_period,
-        "macd": cfg.macd_slow - 1,
-        "cci": cfg.cci_period - 1,
-        "bb": cfg.bb_period - 1,
-        "ma": cfg.ma_period - 1,
-    }
-    for name, w in warmups.items():
-        if idx < w:
-            raise NotReadyError(
-                f"indicator '{name}' is undefined at {t}: needs {w} prior bars, have {idx}"
-            )
-    matrix, _ = market_feature_matrix(bars, cfg)
-    return matrix[idx].copy()
-
-
-# ---------------------------------------------------------------------------
-# OHLCV CSV ingestion
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class OhlcvIngestResult:
-    """Parsed bars plus any label column the file carried and per-line rejects."""
-
-    bars: list[OhlcvBar]
-    file_labels: dict[dt.date, int]
-    diagnostics: list[Diagnostic]
-
-
-def _parse_date(raw: str) -> dt.date:
-    for fmt in _DATE_FORMATS:
-        try:
-            return dt.datetime.strptime(raw.strip(), fmt).date()
-        except ValueError:
-            continue
-    raise ValueError(f"unparseable date {raw!r} (expected YYYY-MM-DD or DD/MM/YYYY)")
-
-
-def load_ohlcv_csv(path: str, lenient: bool = False) -> OhlcvIngestResult:
-    """Parse a daily bar CSV with header Date,Open,High,Low,Close,Adj Close.
-
-    Rows must be strictly date-ascending after parsing. Extra columns are
-    ignored, except an integer ``Label`` column which is captured so callers
-    can cross-check it against the computed labels. Malformed rows raise
-    SchemaError, or are skipped with a diagnostic when ``lenient``.
-    """
-    bars: list[OhlcvBar] = []
-    file_labels: dict[dt.date, int] = {}
-    diagnostics: list[Diagnostic] = []
-
-    def reject(line: int, message: str) -> None:
-        if not lenient:
-            raise SchemaError(f"{path}: line {line}: {message}")
-        diagnostics.append(Diagnostic(line, message))
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in OHLCV_COLUMNS if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing required columns {missing}")
-        has_label = "Label" in header
-
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                date = _parse_date(row["Date"])
-                bar = OhlcvBar(
-                    date=date,
-                    open=float(row["Open"]),
-                    high=float(row["High"]),
-                    low=float(row["Low"]),
-                    close=float(row["Close"]),
-                    adj_close=float(row["Adj Close"]),
-                )
-                bar.validate()
-            except (ValueError, TypeError, KeyError) as exc:
-                reject(lineno, str(exc))
-                continue
-            if bars and bar.date <= bars[-1].date:
-                reject(lineno, f"date {bar.date} not strictly after {bars[-1].date}")
-                continue
-            bars.append(bar)
-            if has_label:
-                try:
-                    file_labels[date] = int(row["Label"])
-                except (ValueError, TypeError):
-                    reject(lineno, f"unparseable Label {row.get('Label')!r}")
-
-    return OhlcvIngestResult(bars=bars, file_labels=file_labels, diagnostics=diagnostics)

@@ -2,8 +2,6 @@
 
 from .checkpoint import load_checkpoint, predict, save_checkpoint
 from .model import (
-    BATCH_SWEEP_SIZES,
-    Hyperparams,
     backward_arrays,
     build_model,
     forward_arrays,

@@ -17,9 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ..artifacts import write_json
+from ..config import Hyperparams
 from ..dataset import Sample
 from ..errors import SchemaError, checked_object, field_types
-from .model import Hyperparams, ModelSpec, forward_arrays, param_count, samples_to_arrays
+from .model import ModelSpec, forward_arrays, param_count, samples_to_arrays
 
 CHECKPOINT_VERSION = 1
 
@@ -95,8 +97,7 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    blob = json.dumps(ckpt.to_json_dict(), sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(blob, encoding="utf-8")
+    write_json(path, ckpt.to_json_dict())
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import Hyperparams
 from ..dataset import Sample
 from ..errors import InvalidArgumentError
 from .cells import (
@@ -34,37 +35,6 @@ ARCHITECTURES = ("text_only", "numeric_only", "fused")
 
 #: Probabilities are clipped to [EPS, 1-EPS] inside the cross-entropy.
 EPS = 1e-12
-
-BATCH_SWEEP_SIZES = (128, 256, 512, 1024, 2048, 4096)
-
-
-@dataclass(frozen=True)
-class Hyperparams:
-    epochs: int = 100
-    layers: int = 2
-    hidden_units: int = 14
-    learning_rate: float = 0.001
-    activation: str = "sigmoid"
-    recurrent_dropout: float = 0.5
-    dropout: float = 0.5
-    l2: float = 0.0001
-    batch_size: int = 128
-    momentum: float = 0.9
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1 or self.layers < 1 or self.hidden_units < 1:
-            raise InvalidArgumentError("epochs, layers, hidden_units must be >= 1")
-        if self.learning_rate < 0 or self.l2 < 0:
-            raise InvalidArgumentError("learning_rate and l2 must be >= 0")
-        if not (0.0 <= self.dropout < 1.0 and 0.0 <= self.recurrent_dropout < 1.0):
-            raise InvalidArgumentError("dropout rates must be in [0, 1)")
-        if self.batch_size < 1:
-            raise InvalidArgumentError("batch_size must be >= 1")
-        if not (0.0 <= self.momentum < 1.0):
-            raise InvalidArgumentError("momentum must be in [0, 1)")
-        if self.activation != "sigmoid":
-            raise InvalidArgumentError("only the sigmoid activation is supported")
 
 
 def rng_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:

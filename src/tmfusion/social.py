@@ -27,7 +27,9 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import Diagnostic, InvalidArgumentError, OrderingError, SchemaError
+from .errors import InvalidArgumentError, OrderingError, SchemaError
+from .inputs import TweetRecord
+from .inputs import load_tweets_jsonl  # noqa: F401  (bench/traced.py imports it from here)
 
 #: |polarity| below this is treated as neutral.
 NEUTRAL_THRESHOLD = 0.05
@@ -43,35 +45,6 @@ SOCIAL_FEATURE_NAMES = (
 )
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
-
-_REQUIRED_TWEET_FIELDS = ("id", "username", "timestamp", "text", "ticker")
-_COUNTER_FIELDS = ("retweets", "favorites", "replies", "follower_count", "friends_count")
-
-
-@dataclass(frozen=True)
-class TweetRecord:
-    """One tweet as ingested from the JSON-lines corpus."""
-
-    id: str
-    username: str
-    timestamp: dt.datetime
-    text: str
-    ticker: str
-    retweets: int = 0
-    favorites: int = 0
-    replies: int = 0
-    follower_count: int = 0
-    friends_count: int = 0
-    hashtags: tuple[str, ...] = ()
-
-    def validate(self) -> None:
-        if not self.id:
-            raise InvalidArgumentError("tweet id must be nonempty")
-        if not self.username:
-            raise InvalidArgumentError("username must be nonempty")
-        for name in _COUNTER_FIELDS:
-            if getattr(self, name) < 0:
-                raise InvalidArgumentError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -156,13 +129,6 @@ def sentiment_vector(text: str, provider: SentimentProvider) -> SentimentVector:
     if not text:
         return SentimentVector(0.0, 0.0, 0)
     return provider.score(text)
-
-
-def social_vector(tweet: TweetRecord, author_tweet_count: int) -> np.ndarray:
-    """Activity counters plus the author's running tweet count (this tweet included)."""
-    if author_tweet_count < 1:
-        raise InvalidArgumentError("author_tweet_count includes the current tweet, so >= 1")
-    return social_matrix([tweet], [author_tweet_count])[0]
 
 
 def social_matrix(tweets: Sequence[TweetRecord], author_tweet_counts: Sequence[int]) -> np.ndarray:
@@ -297,67 +263,3 @@ class UserHistoryStore:
 
     def usernames(self) -> list[str]:
         return sorted(set(self._states) | set(self._pending))
-
-
-# ---------------------------------------------------------------------------
-# Tweet JSONL ingestion
-# ---------------------------------------------------------------------------
-
-
-def parse_timestamp(raw: str) -> dt.datetime:
-    """ISO-8601 timestamp; trailing Z accepted; naive values are taken as UTC."""
-    text = raw.strip()
-    if text.endswith("Z"):
-        text = text[:-1] + "+00:00"
-    parsed = dt.datetime.fromisoformat(text)
-    if parsed.tzinfo is None:
-        return parsed.replace(tzinfo=dt.timezone.utc)
-    return parsed.astimezone(dt.timezone.utc)
-
-
-def _tweet_from_json(obj: dict) -> TweetRecord:
-    missing = [f for f in _REQUIRED_TWEET_FIELDS if f not in obj]
-    if missing:
-        raise ValueError(f"missing required fields {missing}")
-    counters = {}
-    for name in _COUNTER_FIELDS:
-        value = obj.get(name, 0)
-        counters[name] = int(value)
-    hashtags = obj.get("hashtags", [])
-    if not isinstance(hashtags, list) or not all(isinstance(h, str) for h in hashtags):
-        raise ValueError("hashtags must be a list of strings")
-    tweet = TweetRecord(
-        id=str(obj["id"]),
-        username=str(obj["username"]),
-        timestamp=parse_timestamp(str(obj["timestamp"])),
-        text=str(obj["text"]),
-        ticker=str(obj["ticker"]),
-        hashtags=tuple(hashtags),
-        **counters,
-    )
-    tweet.validate()
-    return tweet
-
-
-def load_tweets_jsonl(path: str, lenient: bool = False) -> tuple[list[TweetRecord], list[Diagnostic]]:
-    """Parse one TweetRecord JSON object per line.
-
-    Unknown fields are ignored. Malformed lines raise SchemaError with the
-    line number, or are skipped with a diagnostic when ``lenient``.
-    """
-    tweets: list[TweetRecord] = []
-    diagnostics: list[Diagnostic] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("line is not a JSON object")
-                tweets.append(_tweet_from_json(obj))
-            except (ValueError, TypeError, InvalidArgumentError) as exc:
-                if not lenient:
-                    raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
-                diagnostics.append(Diagnostic(lineno, str(exc)))
-    return tweets, diagnostics

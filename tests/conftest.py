@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tmfusion.indicators import OhlcvBar
+from tmfusion.inputs import OhlcvBar
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -141,7 +141,7 @@ def synthetic_tweets(
     ticker: str = "AAPL",
 ):
     """Tweets with lexicon-scoreable text spread over the given calendar days."""
-    from tmfusion.social import TweetRecord
+    from tmfusion.inputs import TweetRecord
 
     tweets = []
     for i in range(n):

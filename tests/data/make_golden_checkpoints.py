@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
+from tmfusion.config import Hyperparams
 from tmfusion.dataset import Sample
 from tmfusion.rnn import (
-    Hyperparams,
     build_model,
     forward_arrays,
     samples_to_arrays,

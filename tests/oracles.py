@@ -2,9 +2,12 @@
 
 Everything here recomputes results definition-by-definition with plain
 Python loops and floats, deliberately sharing no code with the library.
-Undefined (warmup) entries are returned as None. The one exception is
-``loss_reference``: the scalar loss the gradient checks difference, built
-on the library's own dropout-free forward.
+Undefined (warmup) entries are returned as None. Three references are
+built on the library instead, to check how it assembles its batch
+results: ``loss_reference``, the scalar loss the gradient checks
+difference, over the dropout-free forward; ``market_feature_vector``, one
+trading day's row of ``market_feature_matrix``; and ``social_vector``, one
+tweet's row of ``social_matrix``.
 """
 
 from __future__ import annotations
@@ -269,6 +272,45 @@ def gru_oracle(blocks, xs, h0=None, literal=False) -> list[list[float]]:
         out.append(h)
         h_prev = h
     return out
+
+
+def market_feature_vector(bars, t, cfg):
+    """The [rsi, macd, cci, bb, ma] vector for the trading day ``t``.
+
+    Raises NotReadyError naming the offending indicator when t falls inside
+    any warmup window.
+    """
+    from tmfusion.errors import InvalidArgumentError, NotReadyError
+    from tmfusion.indicators import market_feature_matrix
+
+    dates = [b.date for b in bars]
+    if t not in dates:
+        raise InvalidArgumentError(f"date {t} not present in bar history")
+    idx = dates.index(t)
+    warmups = {
+        "rsi": cfg.rsi_period,
+        "macd": cfg.macd_slow - 1,
+        "cci": cfg.cci_period - 1,
+        "bb": cfg.bb_period - 1,
+        "ma": cfg.ma_period - 1,
+    }
+    for name, w in warmups.items():
+        if idx < w:
+            raise NotReadyError(
+                f"indicator '{name}' is undefined at {t}: needs {w} prior bars, have {idx}"
+            )
+    matrix, _ = market_feature_matrix(bars, cfg)
+    return matrix[idx]
+
+
+def social_vector(tweet, author_tweet_count: int):
+    """Activity counters plus the author's running tweet count (this tweet included)."""
+    from tmfusion.errors import InvalidArgumentError
+    from tmfusion.social import social_matrix
+
+    if author_tweet_count < 1:
+        raise InvalidArgumentError("author_tweet_count includes the current tweet, so >= 1")
+    return social_matrix([tweet], [author_tweet_count])[0]
 
 
 def loss_reference(model, numeric, text, labels) -> float:

@@ -14,16 +14,12 @@ import time
 
 import numpy as np
 
-from tmfusion.dataset import (
-    apply_normalizer,
-    compare_file_labels,
-    fit_normalizer,
-    label_bars,
-)
+from tmfusion.config import Hyperparams
+from tmfusion.dataset import apply_normalizer, fit_normalizer
 from tmfusion.evaluate import confusion, daily_aggregate, metrics
-from tmfusion.indicators import bollinger, cci, ema, load_ohlcv_csv, macd, rsi, sma
+from tmfusion.indicators import bollinger, cci, ema, macd, rsi, sma
+from tmfusion.inputs import compare_file_labels, label_bars, load_ohlcv_csv
 from tmfusion.rnn import (
-    Hyperparams,
     backward_arrays,
     build_model,
     save_checkpoint,
@@ -90,7 +86,7 @@ def test_criterion_01_indicator_oracle_equivalence():
 
 
 def cci_from_series(highs, lows, closes):
-    from tmfusion.indicators import OhlcvBar
+    from tmfusion.inputs import OhlcvBar
 
     day0 = dt.date(2021, 1, 1)
     bars = []
@@ -235,7 +231,7 @@ def test_criterion_06_labeling_fixture():
     assert by_date[dt.date(2020, 5, 2)] == 0  # 175.35 -> 175.33
     assert by_date[dt.date(2020, 5, 6)] == 0  # 177.09 -> 176.19
 
-    from tmfusion.indicators import OhlcvBar
+    from tmfusion.inputs import OhlcvBar
 
     pair = [
         OhlcvBar(dt.date(2020, 5, 2), 99.80, 100.0, 99.5, 99.80, 99.80),

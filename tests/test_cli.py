@@ -14,9 +14,10 @@ import pytest
 
 import tmfusion
 from tmfusion.cli import main, output_lock
+from tmfusion.config import Hyperparams
 from tmfusion.dataset import load_dataset
 from tmfusion.errors import TmfusionError
-from tmfusion.rnn import Hyperparams, build_model, load_checkpoint, save_checkpoint
+from tmfusion.rnn import build_model, load_checkpoint, save_checkpoint
 from tmfusion.rnn.checkpoint import Checkpoint
 from tmfusion import evaluate as ev
 
@@ -142,7 +143,8 @@ class TestFeatures:
         assert run_cli("features", "--config", str(cfg)) == 0
         ds = load_dataset(run_dir / "out" / "dataset")
         assert ds.header["numeric_width"] == 14
-        assert ds.report["feature_flags"] == ["market", "sentiment", "social"]
+        report = json.loads((run_dir / "out" / "dataset" / "build_report.json").read_text())
+        assert report["feature_flags"] == ["market", "sentiment", "social"]
 
     def test_text_only_dataset(self, tmp_path, rng):
         write_corpus(tmp_path, rng)
@@ -204,6 +206,16 @@ class TestTrain:
         checkpoint = run_dir / "out" / "checkpoint.json"
         first = checkpoint.read_bytes()
         (run_dir / "out" / "dataset" / "normalizer.json").write_text("{}")
+        assert run_cli("train", "--config", str(cfg)) == 0
+        assert checkpoint.read_bytes() == first
+
+    def test_corrupt_build_report_json_is_not_read(self, run_dir):
+        # build_report.json records the build for readers; no stage reads it back
+        cfg = prepare_dataset(run_dir)
+        assert run_cli("train", "--config", str(cfg)) == 0
+        checkpoint = run_dir / "out" / "checkpoint.json"
+        first = checkpoint.read_bytes()
+        (run_dir / "out" / "dataset" / "build_report.json").write_text("{")
         assert run_cli("train", "--config", str(cfg)) == 0
         assert checkpoint.read_bytes() == first
 
@@ -399,6 +411,49 @@ class TestCliContract:
         assert proc.returncode == -signal.SIGKILL
         assert (out / ".tmfusion.lock").exists()
         assert run_cli("ingest", "--config", str(cfg)) == 0
+
+    @pytest.mark.parametrize(
+        "argv, code, absent",
+        [
+            (["ingest"], 0, "numpy"),
+            (["report"], 0, "numpy"),
+            (["--help"], 0, "numpy"),
+            (["ingest", "--config", "bad_config.json"], 1, "numpy"),
+            (["features"], 0, "tmfusion.rnn"),
+        ],
+        ids=["ingest", "report", "help", "config-error", "features"],
+    )
+    def test_stage_imports_only_what_it_runs(self, run_dir, argv, code, absent):
+        cfg = run_dir / "config.json"
+        assert run_cli("ingest", "--config", str(cfg)) == 0
+        (run_dir / "out" / "report.json").write_text(json.dumps({
+            "schema_version": 1, "ticker": "AAPL", "daily_level": None, "daily_table": [],
+            "config": {}, "tweet_level": {
+                "accuracy": 0.5, "precision": 0.5, "recall": 0.5, "f1": 0.5,
+                "counts": {"tp": 1, "tn": 1, "fp": 1, "fn": 1},
+            },
+        }))
+        bad = json.loads(cfg.read_text())
+        bad["unknown_key"] = 1
+        (run_dir / "bad_config.json").write_text(json.dumps(bad))
+        if "--config" not in argv and argv != ["--help"]:
+            argv = argv + ["--config", str(cfg)]
+        script = (
+            "import sys\n"
+            "from tmfusion.cli import main\n"
+            "try:\n"
+            "    code = main(sys.argv[2:])\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(code, sys.argv[1] in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(tmfusion.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, absent, *argv],
+            cwd=run_dir, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == [str(code), "False"], (proc.stdout, proc.stderr)
 
     def test_out_override_used_and_echoed(self, run_dir, tmp_path):
         cfg = run_dir / "config.json"

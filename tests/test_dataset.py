@@ -14,15 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tmfusion.dataset as dataset_module
+from tmfusion.config import IndicatorConfig
 from tmfusion.dataset import (
     BuildConfig,
     BuildResult,
     NormalizerState,
     apply_normalizer,
     build_dataset,
-    compare_file_labels,
     fit_normalizer,
-    label_bars,
     load_dataset,
     numeric_width,
     read_header,
@@ -36,10 +35,10 @@ from tmfusion.errors import (
     JoinError,
     SchemaError,
 )
-from tmfusion.indicators import IndicatorConfig, OhlcvBar, load_ohlcv_csv, market_feature_matrix
+from tmfusion.indicators import market_feature_matrix
+from tmfusion.inputs import OhlcvBar, TweetRecord, compare_file_labels, label_bars, load_ohlcv_csv
 from tmfusion.social import (
     LexiconSentimentProvider,
-    TweetRecord,
     UserHistoryStore,
     sentiment_vector,
     tweet_score,
@@ -591,7 +590,7 @@ class TestArtifacts:
             assert (a.label, a.day, a.author, a.ticker) == (b.label, b.day, b.author, b.ticker)
         saved = json.loads((tmp_path / "ds" / "normalizer.json").read_text())
         np.testing.assert_array_equal(np.array(saved["mins"]), result.normalizer.mins)
-        assert loaded.report == result.report
+        assert json.loads((tmp_path / "ds" / "build_report.json").read_text()) == result.report
 
     def test_rebuild_byte_identical(self, rng, tmp_path):
         cfg, result = self.build_small(rng)

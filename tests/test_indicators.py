@@ -5,20 +5,10 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from tmfusion.config import IndicatorConfig
 from tmfusion.errors import InvalidArgumentError, NotReadyError, SchemaError
-from tmfusion.indicators import (
-    IndicatorConfig,
-    IndicatorSeries,
-    OhlcvBar,
-    bollinger,
-    cci,
-    ema,
-    load_ohlcv_csv,
-    macd,
-    market_feature_vector,
-    rsi,
-    sma,
-)
+from tmfusion.indicators import IndicatorSeries, bollinger, cci, ema, macd, rsi, sma
+from tmfusion.inputs import OhlcvBar, load_ohlcv_csv
 
 from .conftest import DATA_DIR, constant_bars, random_bars, random_walk
 from .oracles import (
@@ -26,6 +16,7 @@ from .oracles import (
     cci_oracle,
     ema_oracle,
     macd_oracle,
+    market_feature_vector,
     rsi_oracle,
     sma_oracle,
 )

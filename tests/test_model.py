@@ -8,10 +8,10 @@ import math
 import numpy as np
 import pytest
 
+from tmfusion.config import Hyperparams
 from tmfusion.dataset import Sample
 from tmfusion.errors import DivergedError, InvalidArgumentError, SchemaError
 from tmfusion.rnn import (
-    Hyperparams,
     backward_arrays,
     build_model,
     forward_arrays,

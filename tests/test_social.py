@@ -8,26 +8,23 @@ import numpy as np
 import pytest
 
 from tmfusion.errors import InvalidArgumentError, OrderingError, SchemaError
+from tmfusion.inputs import TweetRecord, load_tweets_jsonl, parse_timestamp
 from tmfusion.social import (
     LexiconSentimentProvider,
     SentimentVector,
-    TweetRecord,
     UserHistory,
     UserHistoryStore,
     author_rating,
-    load_tweets_jsonl,
-    parse_timestamp,
     recommendation_score,
     representativeness,
     sentiment_vector,
-    social_vector,
     tweet_score,
     update_user_history,
     user_history_vector,
 )
 
 from .conftest import DATA_DIR
-from .oracles import credibility_oracle, user_history_oracle
+from .oracles import credibility_oracle, social_vector, user_history_oracle
 
 UTC = dt.timezone.utc
 
