@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import datetime as dt
 import fcntl
 import json
 import logging
@@ -245,14 +246,14 @@ _CHECKPOINT_DATASET_KEYS = {
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     from . import evaluate as ev
-    from .dataset import load_test_samples
-    from .rnn import forward_arrays, load_checkpoint, samples_to_arrays
+    from .dataset import load_test_split
+    from .rnn import forward_split, load_checkpoint
 
     ckpt_path = Path(args.checkpoint) if args.checkpoint else cfg.out_dir / CHECKPOINT_NAME
     if not ckpt_path.exists():
         raise InvalidArgumentError(f"checkpoint {ckpt_path} does not exist; train first")
     ckpt = load_checkpoint(ckpt_path)
-    test, header = load_test_samples(cfg.out_dir / DATASET_DIR)
+    test, header = load_test_split(cfg.out_dir / DATASET_DIR)
     if not test:
         raise InvalidArgumentError("dataset has no test samples")
     for meta_key, header_key in _CHECKPOINT_DATASET_KEYS.items():
@@ -264,17 +265,17 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
                 f"but the dataset has {header[header_key]!r}"
             )
 
-    numeric, text, _ = samples_to_arrays(ckpt.model, test)
-    probs = forward_arrays(ckpt.model, numeric, text)
+    probs = forward_split(ckpt.model, test, ckpt.model.hyper.batch_size)
     preds = [1 if p >= 0.5 else 0 for p in probs.tolist()]
-    per_day = [(s.day, cls) for s, cls in zip(test, preds)]
-    labels = [s.label for s in test]
+    days = [dt.date.fromordinal(d) for d in test.days.tolist()]
+    labels = test.labels.tolist()
+    per_day = list(zip(days, preds))
     tweet_report = ev.metrics(ev.confusion(preds, labels))
 
     actual_by_day = {}
-    for s in test:
-        if actual_by_day.setdefault(s.day, s.label) != s.label:
-            raise SchemaError(f"inconsistent labels for day {s.day} in test artifact")
+    for day, label in zip(days, labels):
+        if actual_by_day.setdefault(day, label) != label:
+            raise SchemaError(f"inconsistent labels for day {day} in test artifact")
     daily_table = ev.daily_aggregate(per_day, actual_by_day)
     daily_report = ev.daily_metrics(daily_table)
 

@@ -7,11 +7,13 @@ chronological pass joins tweets to days and collects per-sample columns
 (day index, running author count, sentiment scored once per distinct text,
 credibility replayed from strictly-earlier tweets). Then the raw (N, width)
 matrix is filled block by block, widened to (N, steps, width) under a
-market lookback, and normalized once in place; each sample's numeric data
-is a row view into it. The 80/20 split keeps sample order.
+market lookback, and normalized once in place. Text becomes token ids into
+one embedding table of the words the dataset uses. The 80/20 split keeps
+sample order, and each split is held as columns (``Split``).
 
-Artifacts are written to a directory as two binary sample files plus the
-normalizer and a build report, all byte-stable for a fixed config.
+Artifacts are written to a directory as the two split files, the
+embedding table when text is flagged, the normalizer and a build report,
+all byte-stable for a fixed config.
 """
 
 from __future__ import annotations
@@ -20,16 +22,19 @@ import bisect
 import datetime as dt
 import hashlib
 import json
+import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .artifacts import atomic_write, canonical_json, write_json
 from .config import FEATURE_FLAGS, IndicatorConfig, normalize_feature_set
-from .errors import AssemblyError, InvalidArgumentError, JoinError, SchemaError
+from .errors import AssemblyError, InvalidArgumentError, JoinError, SchemaError, checked_object
 from .indicators import market_feature_matrix
 from .inputs import OhlcvBar, TweetRecord, label_bars
 from .social import (
@@ -41,7 +46,7 @@ from .social import (
     social_matrix,
     tweet_score,
 )
-from .text import EmbeddingTable, embed_sequence, load_stopwords, tokenize_clean
+from .text import EmbeddingTable, load_stopwords, tokenize_clean
 
 #: Numeric feature blocks in concatenation order, with their widths.
 BLOCK_WIDTHS = {"market": 5, "social": 6, "sentiment": 3, "credibility": 4}
@@ -50,17 +55,24 @@ NUMERIC_BLOCK_ORDER = FEATURE_FLAGS[:-1]
 TRAIN_FRACTION = 0.8
 
 DATASET_MAGIC = b"TMDS"
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
+#: The embedding table's file in a dataset directory; the splits' token ids index its rows.
+TABLE_NAME = "embedding.bin"
 
-#: Canonical description of the record layout; its digest ships in headers so
+#: Canonical description of the file layout; its digest ships in headers so
 #: readers can detect incompatible writers.
 SCHEMA_DESCRIPTOR = (
-    "tmds-v2: magic 'TMDS'; u32le format_version; u32le header_len; "
-    "canonical-json header {schema_hash, ticker, label_field, flags, "
-    "numeric_width, numeric_steps, max_len, embedding_dim, count}; records = "
-    "u8 label, u32le day_ordinal, u16le author_len, author_utf8, "
-    "numeric_steps*numeric_width f64le (row-major, oldest step first), "
-    "[max_len*embedding_dim f64le when text flagged]"
+    "tmds format 2: magic 'TMDS'; u32le format_version; u32le header_len; "
+    "canonical-json header, space-padded so the columns start 8-byte aligned; "
+    "columns end to end; u32le crc32 of every byte before it. "
+    "split header {schema_hash, ticker, label_field, flags, numeric_width, "
+    "numeric_steps, max_len, embedding_dim, vocab_size, count, authors (sorted, "
+    "distinct)}; split columns: numeric count*numeric_steps*numeric_width f64le "
+    "(row-major, oldest step first), day_ordinal count i32le, author_id count "
+    "i32le into authors, [token_id count*max_len i32le in [0, vocab_size] when "
+    "text flagged, 0 padding after the last token], label count u8. "
+    "table header {schema_hash, rows, embedding_dim}; table column "
+    "rows*embedding_dim f64le, row 0 the zero padding vector"
 )
 
 
@@ -150,7 +162,8 @@ class Sample:
     ``numeric`` is a (width,) vector for the default single-timestep build,
     or a (steps, width) matrix when a market lookback window is configured
     (oldest step first, the tweet's own day last; only the market block
-    varies across steps).
+    varies across steps). ``text`` is the (max_len, k) word-vector matrix,
+    zero rows past the sentence end. Indexing a ``Split`` builds one.
     """
 
     numeric: np.ndarray
@@ -163,6 +176,77 @@ class Sample:
     @property
     def numeric_steps(self) -> int:
         return 1 if self.numeric.ndim == 1 else int(self.numeric.shape[0])
+
+
+@dataclass(eq=False)
+class Split:
+    """One split of a dataset, held as columns; ``split[i]`` is a ``Sample`` view of row i.
+
+    - ``numeric``: (N, steps, width) float64;
+    - ``labels``: (N,) 0/1; ``days``: (N,) day ordinals;
+    - ``author_ids``: (N,) indices into ``authors``, sorted and distinct;
+    - with text, ``token_ids``: (N, max_len) int32 rows of ``table``, a
+      sentence's words first and id 0 padding after them, and ``table``:
+      the (vocab+1, k) float64 word vectors, row 0 zero. Both splits of a
+      dataset share one table. Without text both are None.
+    """
+
+    ticker: str
+    numeric: np.ndarray
+    labels: np.ndarray
+    days: np.ndarray
+    authors: list[str]
+    author_ids: np.ndarray
+    token_ids: np.ndarray | None = None
+    table: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, i: int) -> Sample:
+        return Sample(
+            numeric=self.numeric_rows[i],
+            text=None if self.token_ids is None else self.table[self.token_ids[i]],
+            label=int(self.labels[i]),
+            ticker=self.ticker,
+            day=dt.date.fromordinal(int(self.days[i])),
+            author=self.authors[self.author_ids[i]],
+        )
+
+    @property
+    def numeric_rows(self) -> np.ndarray:
+        """``numeric`` as the model takes it: (N, width) for one step, else (N, steps, width)."""
+        return self.numeric[:, 0] if self.numeric.shape[1] == 1 else self.numeric
+
+    @classmethod
+    def from_samples(cls, samples: Sequence[Sample]) -> "Split":
+        """The columns of a list of samples; every text row becomes a row of the table."""
+        if not samples:
+            raise InvalidArgumentError("need at least one sample")
+        numeric = np.stack([s.numeric for s in samples])
+        if numeric.ndim == 2:
+            numeric = numeric[:, None, :]
+        token_ids = table = None
+        if all(s.text is not None for s in samples):
+            text = np.stack([s.text for s in samples])
+            n, max_len, dim = text.shape
+            table = np.concatenate([np.zeros((1, dim)), text.reshape(-1, dim)])
+            token_ids = np.arange(1, n * max_len + 1, dtype=np.int32).reshape(n, max_len)
+        authors = sorted({s.author for s in samples})
+        index = {a: i for i, a in enumerate(authors)}
+        return cls(
+            ticker=samples[0].ticker,
+            numeric=numeric,
+            labels=np.array([s.label for s in samples], dtype=np.uint8),
+            days=np.array([s.day.toordinal() for s in samples], dtype=np.int32),
+            authors=authors,
+            author_ids=np.array([index[s.author] for s in samples], dtype=np.int32),
+            token_ids=token_ids,
+            table=table,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +283,8 @@ class BuildConfig:
 
 @dataclass
 class BuildResult:
-    train: list[Sample]
-    test: list[Sample]
+    train: Split
+    test: Split
     normalizer: NormalizerState
     max_len: int
     report: dict
@@ -210,6 +294,36 @@ def _join_day(bar_dates: list[dt.date], day: dt.date) -> int | None:
     """Index of the most recent trading day at or before the calendar day."""
     idx = bisect.bisect_right(bar_dates, day) - 1
     return idx if idx >= 0 else None
+
+
+def _token_ids(
+    texts: list[str], text_id: np.ndarray, n_train: int, stopwords, cfg: BuildConfig
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The (N, max_len) token ids of the samples, the table they index, and max_len.
+
+    Each distinct text is tokenized once; ``text_id`` maps each sample to
+    its entry of ``texts``. max_len is the longest training sentence unless
+    overridden, and longer sentences are cut to it. The vocabulary is the
+    sorted set of words the cut sentences use; word i of it has id i + 1
+    and table row i + 1, and id 0 pads a sentence at its end.
+    """
+    tokens = [tokenize_clean(text, stopwords) for text in texts]
+    max_len = cfg.max_len_override
+    if max_len is None:
+        lengths = np.array([len(t) for t in tokens], dtype=np.int64)
+        max_len = int(lengths[text_id[:n_train]].max(initial=0)) or 1
+    if max_len < 1:
+        raise InvalidArgumentError("max_len must be >= 1")
+    tokens = [t[:max_len] for t in tokens]
+    vocab = sorted({word for t in tokens for word in t})
+    index = {word: i for i, word in enumerate(vocab, start=1)}
+    rows = np.zeros((len(tokens), max_len), dtype=np.int32)
+    for row, words in zip(rows, tokens):
+        row[: len(words)] = [index[word] for word in words]
+    table = np.zeros((len(vocab) + 1, cfg.embedding.dim))
+    for i, word in enumerate(vocab, start=1):
+        table[i] = cfg.embedding.lookup(word)
+    return rows[text_id], table, max_len
 
 
 def build_dataset(
@@ -249,7 +363,8 @@ def build_dataset(
 
     store = UserHistoryStore()
     author_counts: dict[str, int] = {}
-    sentiment_ids: dict[str, int] = {}  # text -> index into `sentiments`
+    # distinct text -> index into `sentiments`, in order of first sample
+    sentiment_ids: dict[str, int] = {}
     sentiments: list[SentimentVector] = []
     drops = {"before_first_trading_day": 0, "no_label_for_day": 0, "indicator_warmup": 0}
 
@@ -300,14 +415,14 @@ def build_dataset(
     n = len(kept)
     n_train = int(n * cfg.train_fraction)
     day_idx = np.array(day_idx)
+    sentiment_id = np.array(sentiment_id)
 
-    tokens = None
+    token_ids = table = None
     max_len = 0
     if "text" in fs:
-        tokens = [tokenize_clean(t.text, stopwords) for t in kept]
-        max_len = max((len(t) for t in tokens[:n_train]), default=0) or 1
-        if cfg.max_len_override is not None:
-            max_len = cfg.max_len_override
+        token_ids, table, max_len = _token_ids(
+            list(sentiment_ids), sentiment_id, n_train, stopwords, cfg
+        )
 
     blocks = {
         "market": lambda: market_rows[day_idx],
@@ -344,19 +459,27 @@ def build_dataset(
         numeric = np.repeat(numeric[:, None, :], back.size, axis=1)
         numeric[:, :, : BLOCK_WIDTHS["market"]] = market_rows[day_idx[:, None] - back]
     apply_normalizer(normalizer, numeric, out=numeric)
+    numeric = numeric.reshape(n, cfg.market_lookback + 1, width)
 
-    samples = [
-        Sample(
-            numeric=numeric[i],
-            text=embed_sequence(tokens[i], cfg.embedding, max_len) if tokens is not None else None,
-            label=label_by_idx[day],
-            ticker=tweet.ticker,
-            day=bar_dates[day],
-            author=tweet.username,
+    labels = np.array(label_by_idx, dtype=np.uint8)[day_idx]
+    ordinals = np.array([d.toordinal() for d in bar_dates], dtype=np.int32)[day_idx]
+    names = [t.username for t in kept]
+
+    def split(rows: slice) -> Split:
+        authors = sorted(set(names[rows]))
+        index = {a: i for i, a in enumerate(authors)}
+        return Split(
+            ticker=cfg.ticker,
+            numeric=numeric[rows],
+            labels=labels[rows],
+            days=ordinals[rows],
+            authors=authors,
+            author_ids=np.array([index[a] for a in names[rows]], dtype=np.int32),
+            token_ids=None if token_ids is None else token_ids[rows],
+            table=table,
         )
-        for i, (tweet, day) in enumerate(zip(kept, day_idx.tolist()))
-    ]
-    train, test = samples[:n_train], samples[n_train:]
+
+    train, test = split(slice(0, n_train)), split(slice(n_train, n))
 
     report = {
         "schema_version": 1,
@@ -373,8 +496,8 @@ def build_dataset(
         "train_samples": n_train,
         "test_samples": n - n_train,
         "dropped": drops,
-        "first_sample_day": samples[0].day.isoformat(),
-        "last_sample_day": samples[-1].day.isoformat(),
+        "first_sample_day": bar_dates[day_idx[0]].isoformat(),
+        "last_sample_day": bar_dates[day_idx[-1]].isoformat(),
         "leakage_audit_hash": train_hash,
     }
     return BuildResult(train, test, normalizer, max_len, report)
@@ -384,60 +507,104 @@ def build_dataset(
 # Binary dataset artifact
 # ---------------------------------------------------------------------------
 
-
-def write_samples(
-    path: Path | str,
-    samples: list[Sample],
-    fs: frozenset[str],
-    ticker: str,
-    label_field: str,
-    max_len: int,
-    embedding_dim: int,
-    numeric_steps: int = 1,
-) -> None:
-    width = numeric_width(fs)
-    header = {
-        "schema_hash": schema_hash(),
-        "ticker": ticker,
-        "label_field": label_field,
-        "flags": sorted(fs),
-        "numeric_width": width,
-        "numeric_steps": numeric_steps,
-        "max_len": max_len,
-        "embedding_dim": embedding_dim,
-        "count": len(samples),
-    }
-    expected_shape = (width,) if numeric_steps == 1 else (numeric_steps, width)
-    header_bytes = canonical_json(header).encode("utf-8")
-    with atomic_write(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<I", DATASET_FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        for s in samples:
-            author = s.author.encode("utf-8")
-            fh.write(struct.pack("<BIH", s.label, s.day.toordinal(), len(author)))
-            fh.write(author)
-            if s.numeric.shape != expected_shape:
-                raise InvalidArgumentError(
-                    f"sample numeric shape {s.numeric.shape} != {expected_shape}"
-                )
-            fh.write(s.numeric.astype("<f8").tobytes())
-            if "text" in fs:
-                if s.text is None or s.text.shape != (max_len, embedding_dim):
-                    raise InvalidArgumentError("sample text matrix missing or misshaped")
-                fh.write(s.text.astype("<f8").tobytes())
-
-
 #: magic, u32le format version, u32le header length
 _PREAMBLE = struct.Struct("<4sII")
-_RECORD_HEAD = struct.Struct("<BIH")
-_HEADER_COUNTS = ("numeric_width", "numeric_steps", "max_len", "embedding_dim", "count")
+#: the trailing u32le crc32 of every byte before it
+_CRC = struct.Struct("<I")
+_MAX_ORDINAL = dt.date.max.toordinal()
+
+#: The JSON type of each key of a header; all of them are required.
+_SPLIT_TYPES = {
+    "schema_hash": (str,), "ticker": (str,), "label_field": (str,), "flags": (list,),
+    "authors": (list,),
+    **dict.fromkeys(
+        ("numeric_width", "numeric_steps", "max_len", "embedding_dim", "vocab_size", "count"),
+        (int,),
+    ),
+}
+_TABLE_TYPES = {"schema_hash": (str,), "rows": (int,), "embedding_dim": (int,)}
+#: Header facts the train and test files of one dataset share.
+_SHARED_KEYS = ("flags", "numeric_width", "numeric_steps", "max_len", "embedding_dim", "vocab_size")
 
 
-def _read_header(path: Path | str, fh) -> dict:
-    """Check the preamble and parse the header, leaving ``fh`` at the first record."""
-    size = os.fstat(fh.fileno()).st_size
+def _split_layout(header: dict) -> list[tuple[str, str, tuple[int, ...]]]:
+    """(name, dtype, shape) of each column of a split file, in file order."""
+    count = header["count"]
+    layout = [
+        ("numeric", "<f8", (count, header["numeric_steps"], header["numeric_width"])),
+        ("day_ordinal", "<i4", (count,)),
+        ("author_id", "<i4", (count,)),
+    ]
+    if "text" in header["flags"]:
+        layout.append(("token_id", "<i4", (count, header["max_len"])))
+    layout.append(("label", "u1", (count,)))
+    return layout
+
+
+def _table_layout(header: dict) -> list[tuple[str, str, tuple[int, ...]]]:
+    return [("table", "<f8", (header["rows"], header["embedding_dim"]))]
+
+
+def _write_file(path: Path | str, header: dict, layout, arrays) -> None:
+    """Write a TMDS file: preamble, header, one column per array of ``layout``, checksum.
+
+    The header is padded with spaces so that the columns start 8-byte
+    aligned. An array whose shape differs from its column's raises
+    ``InvalidArgumentError`` and leaves the previous file at ``path``.
+    """
+    head = canonical_json(header).encode("utf-8")
+    head += b" " * (-(_PREAMBLE.size + len(head)) % 8)
+    with atomic_write(path, "wb") as fh:
+        data = _PREAMBLE.pack(DATASET_MAGIC, DATASET_FORMAT_VERSION, len(head)) + head
+        fh.write(data)
+        crc = zlib.crc32(data)
+        for (name, dtype, shape), arr in zip(layout, arrays, strict=True):
+            if arr.shape != shape:
+                raise InvalidArgumentError(f"{name} shape {arr.shape} != {shape}")
+            data = np.ascontiguousarray(arr, dtype=dtype)  # no copy when it already is
+            fh.write(data)
+            crc = zlib.crc32(data, crc)
+        fh.write(_CRC.pack(crc))
+
+
+def write_split(path: Path | str, split: Split, fs: frozenset[str], label_field: str) -> None:
+    """Write one split as a TMDS file; with text, its token ids index ``split.table``."""
+    has_text = "text" in fs
+    if has_text and (split.token_ids is None or split.table is None):
+        raise InvalidArgumentError("text is flagged but the split has no token ids")
+    header = {
+        "schema_hash": schema_hash(),
+        "ticker": split.ticker,
+        "label_field": label_field,
+        "flags": sorted(fs),
+        "numeric_width": numeric_width(fs),
+        "numeric_steps": split.numeric.shape[1],
+        "max_len": split.token_ids.shape[1] if has_text else 0,
+        "embedding_dim": split.table.shape[1] if has_text else 0,
+        "vocab_size": split.table.shape[0] - 1 if has_text else 0,
+        "count": len(split),
+        "authors": split.authors,
+    }
+    arrays = [split.numeric, split.days, split.author_ids]
+    arrays += [split.token_ids] if has_text else []
+    _write_file(path, header, _split_layout(header), arrays + [split.labels])
+
+
+def write_table(path: Path | str, table: np.ndarray) -> None:
+    """Write a (rows, k) embedding table as a TMDS file."""
+    header = {"schema_hash": schema_hash(), "rows": table.shape[0], "embedding_dim": table.shape[1]}
+    _write_file(path, header, _table_layout(header), [table])
+
+
+def _open(path: Path | str):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot be read: {exc.strerror}") from exc
+
+
+def _read_header(path: Path | str, fh, size: int, types: dict) -> tuple[dict, int]:
+    """Check the preamble and parse the header; returns it and the offset of the first column."""
     preamble = fh.read(_PREAMBLE.size)
     if len(preamble) < _PREAMBLE.size:
         raise SchemaError(f"{path}: {size}-byte file is shorter than the preamble")
@@ -445,8 +612,12 @@ def _read_header(path: Path | str, fh) -> dict:
     if magic != DATASET_MAGIC:
         raise SchemaError(f"{path}: bad magic")
     if version != DATASET_FORMAT_VERSION:
-        raise SchemaError(f"{path}: unsupported format version {version}")
-    if _PREAMBLE.size + header_len > size:
+        raise SchemaError(
+            f"{path}: format version {version}, but this reader reads only version "
+            f"{DATASET_FORMAT_VERSION}; rebuild the dataset with the features subcommand"
+        )
+    offset = _PREAMBLE.size + header_len
+    if offset > size:
         raise SchemaError(f"{path}: header length {header_len} runs past the end of the file")
     try:
         header = json.loads(fh.read(header_len))
@@ -454,115 +625,144 @@ def _read_header(path: Path | str, fh) -> dict:
         raise SchemaError(f"{path}: header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("schema_hash") != schema_hash():
         raise SchemaError(f"{path}: schema hash mismatch")
-    if not (
-        all(type(header.get(k)) is int and header[k] >= 0 for k in _HEADER_COUNTS)
-        and isinstance(header.get("flags"), list)
-        and isinstance(header.get("ticker"), str)
-    ):
-        raise SchemaError(f"{path}: malformed header")
-    return header
+    checked_object(header, types, f"{path}: header", required=types)
+    for key, value in header.items():
+        if (type(value) is int and value < 0) or (
+            type(value) is list and not all(type(v) is str for v in value)
+        ):
+            raise SchemaError(f"{path}: malformed header: {key} {value!r}")
+    return header, offset
+
+
+def _read_file(path: Path | str, types: dict, layout_of) -> tuple[dict, list[np.ndarray]]:
+    """A whole TMDS file: its checked header and its columns, as laid out by ``layout_of(header)``.
+
+    The file must be exactly as long as the layout says and match its
+    checksum. The columns are views of one buffer the file is read into.
+    """
+    with _open(path) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header, offset = _read_header(path, fh, size, types)
+        layout = layout_of(header)
+        lengths = [np.dtype(dtype).itemsize * math.prod(shape) for _, dtype, shape in layout]
+        expected = offset + sum(lengths) + _CRC.size
+        if size != expected:
+            raise SchemaError(f"{path}: {size} bytes, but its header describes {expected}")
+        blob = np.empty(size, dtype=np.uint8)
+        fh.seek(0)
+        if fh.readinto(blob) != size:
+            raise SchemaError(f"{path}: the file changed while it was read")
+    (crc,) = _CRC.unpack(blob[-_CRC.size :].tobytes())
+    if zlib.crc32(blob[: -_CRC.size]) != crc:
+        raise SchemaError(f"{path}: checksum mismatch; the file is corrupt")
+    columns = []
+    for (_, dtype, shape), length in zip(layout, lengths):
+        columns.append(np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape))
+        offset += length
+    return header, columns
+
+
+def _check_range(path: Path | str, name: str, values: np.ndarray, low: int, high: int) -> None:
+    if values.size and (values.min() < low or values.max() > high):
+        raise SchemaError(f"{path}: a {name} lies outside [{low}, {high}]")
 
 
 def read_header(path: Path | str) -> dict:
-    """The header of a dataset file, reading no records."""
-    with open(path, "rb") as fh:
-        return _read_header(path, fh)
+    """The header of a split file, reading no columns."""
+    with _open(path) as fh:
+        return _read_header(path, fh, os.fstat(fh.fileno()).st_size, _SPLIT_TYPES)[0]
 
 
-def read_samples(path: Path | str) -> tuple[list[Sample], dict]:
-    with open(path, "rb") as fh:
-        header = _read_header(path, fh)
-        blob = fh.read()
+def read_split(path: Path | str) -> tuple[Split, dict]:
+    """A split file's columns and header, every id checked against what it indexes.
 
-    width, steps, max_len, dim, count = (header[k] for k in _HEADER_COUNTS)
-    has_text = "text" in header["flags"]
-    text_len = max_len * dim if has_text else 0
-    offset = 0
-    samples = []
-    for i in range(count):
-        if offset + _RECORD_HEAD.size > len(blob):
-            raise SchemaError(f"{path}: file ends inside record {i} of {count}")
-        label, day_ord, author_len = _RECORD_HEAD.unpack_from(blob, offset)
-        offset += _RECORD_HEAD.size
-        end = offset + author_len + 8 * (steps * width + text_len)
-        if end > len(blob):
-            raise SchemaError(f"{path}: file ends inside record {i} of {count}")
-        try:
-            author = blob[offset : offset + author_len].decode("utf-8")
-            day = dt.date.fromordinal(day_ord)
-        except ValueError as exc:
-            raise SchemaError(f"{path}: record {i}: {exc}") from exc
-        offset += author_len
-        numeric = np.frombuffer(
-            blob, dtype="<f8", count=steps * width, offset=offset
-        ).copy()
-        if steps > 1:
-            numeric = numeric.reshape(steps, width)
-        offset += 8 * steps * width
-        text = None
-        if has_text:
-            text = (
-                np.frombuffer(blob, dtype="<f8", count=text_len, offset=offset)
-                .reshape(max_len, dim)
-                .copy()
-            )
-        offset = end
-        samples.append(
-            Sample(
-                numeric=numeric,
-                text=text,
-                label=int(label),
-                ticker=header["ticker"],
-                day=day,
-                author=author,
-            )
-        )
-    if offset != len(blob):
-        raise SchemaError(
-            f"{path}: {len(blob) - offset} bytes after the {count} records the header counts"
-        )
-    return samples, header
+    With text the split's ``table`` is still None; ``load_dataset`` reads
+    the dataset's table and gives it to both splits.
+    """
+    header, columns = _read_file(path, _SPLIT_TYPES, _split_layout)
+    numeric, days, author_ids, *token_ids, labels = columns
+    authors = header["authors"]
+    if authors != sorted(set(authors)):
+        raise SchemaError(f"{path}: the author table is not sorted and distinct")
+    if header["numeric_steps"] < 1 or (token_ids and header["max_len"] < 1):
+        raise SchemaError(f"{path}: numeric_steps and, with text, max_len must be >= 1")
+    if not np.all(np.isfinite(numeric)):
+        raise SchemaError(f"{path}: numeric column has non-finite values")
+    _check_range(path, "day ordinal", days, 1, _MAX_ORDINAL)
+    _check_range(path, "author id", author_ids, 0, len(authors) - 1)
+    _check_range(path, "label", labels, 0, 1)
+    if token_ids:
+        _check_range(path, "token id", token_ids[0], 0, header["vocab_size"])
+    split = Split(
+        ticker=header["ticker"],
+        numeric=numeric,
+        labels=labels,
+        days=days,
+        authors=authors,
+        author_ids=author_ids,
+        token_ids=token_ids[0] if token_ids else None,
+    )
+    return split, header
+
+
+def read_table(path: Path | str) -> np.ndarray:
+    """A dataset's (vocab+1, k) embedding table; row 0 must be the zero padding vector."""
+    _, (table,) = _read_file(path, _TABLE_TYPES, _table_layout)
+    if table.shape[0] < 1 or np.any(table[0] != 0.0) or not np.all(np.isfinite(table)):
+        raise SchemaError(f"{path}: the table needs a zero row 0 and finite values")
+    return table
 
 
 def save_dataset(dirpath: Path | str, result: BuildResult, cfg: BuildConfig) -> None:
-    """Write train.bin, test.bin, normalizer.json, build_report.json."""
+    """Write train.bin, test.bin, the embedding table with text, normalizer.json, build_report.json."""
     out = Path(dirpath)
     out.mkdir(parents=True, exist_ok=True)
-    meta = dict(
-        fs=cfg.feature_set,
-        ticker=cfg.ticker,
-        label_field=cfg.label_field,
-        max_len=result.max_len,
-        embedding_dim=cfg.embedding.dim if cfg.embedding else 0,
-        numeric_steps=cfg.market_lookback + 1,
-    )
-    write_samples(out / "train.bin", result.train, **meta)
-    write_samples(out / "test.bin", result.test, **meta)
+    write_split(out / "train.bin", result.train, cfg.feature_set, cfg.label_field)
+    write_split(out / "test.bin", result.test, cfg.feature_set, cfg.label_field)
+    if "text" in cfg.feature_set:
+        write_table(out / TABLE_NAME, result.train.table)
+    else:
+        # a table left by an earlier text build of this directory
+        (out / TABLE_NAME).unlink(missing_ok=True)
     write_json(out / "normalizer.json", result.normalizer.to_json_dict())
     write_json(out / "build_report.json", result.report)
 
 
 @dataclass
 class LoadedDataset:
-    train: list[Sample]
-    test: list[Sample]
+    train: Split
+    test: Split
     header: dict
 
 
 def load_dataset(dirpath: Path | str) -> LoadedDataset:
-    """Both splits and their header; ``normalizer.json`` and ``build_report.json`` are not read."""
+    """Both splits and the train header; ``normalizer.json`` and ``build_report.json`` are not read."""
     out = Path(dirpath)
-    train, header = read_samples(out / "train.bin")
-    test, _ = load_test_samples(out)
+    train, header = read_split(out / "train.bin")
+    test, test_header = read_split(out / "test.bin")
+    _attach_table(out, header, test_header, train, test)
     return LoadedDataset(train, test, header)
 
 
-def load_test_samples(dirpath: Path | str) -> tuple[list[Sample], dict]:
-    """The test samples and their header; of train.bin only the header is read."""
+def load_test_split(dirpath: Path | str) -> tuple[Split, dict]:
+    """The test split and its header; of train.bin only the header is read."""
     out = Path(dirpath)
-    test, header = read_samples(out / "test.bin")
-    train_header = read_header(out / "train.bin")
-    shared = ("flags", "numeric_width", "numeric_steps", "max_len", "embedding_dim")
-    if {k: train_header[k] for k in shared} != {k: header[k] for k in shared}:
-        raise SchemaError(f"{dirpath}: train/test headers disagree")
+    test, header = read_split(out / "test.bin")
+    _attach_table(out, read_header(out / "train.bin"), header, test)
     return test, header
+
+
+def _attach_table(out: Path, train_header: dict, test_header: dict, *splits: Split) -> None:
+    """Check that the two headers agree, then give ``splits`` the table their ids index."""
+    if any(train_header[k] != test_header[k] for k in _SHARED_KEYS):
+        raise SchemaError(f"{out}: train/test headers disagree")
+    if "text" not in train_header["flags"]:
+        return
+    table = read_table(out / TABLE_NAME)
+    expected = (train_header["vocab_size"] + 1, train_header["embedding_dim"])
+    if table.shape != expected:
+        raise SchemaError(
+            f"{out / TABLE_NAME}: a {table.shape} table, but the splits index a {expected} one"
+        )
+    for split in splits:
+        split.table = table

@@ -24,6 +24,8 @@ LABEL_FIELDS = ("close", "open", "adj_close")
 
 _REQUIRED_TWEET_FIELDS = ("id", "username", "timestamp", "text", "ticker")
 _COUNTER_FIELDS = ("retweets", "favorites", "replies", "follower_count", "friends_count")
+#: Counters above this bound are rejected; the feature build turns them into float64.
+_MAX_COUNTER = 2**63 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +215,10 @@ def parse_timestamp(raw: str) -> dt.datetime:
     parsed = dt.datetime.fromisoformat(text)
     if parsed.tzinfo is None:
         return parsed.replace(tzinfo=dt.timezone.utc)
-    return parsed.astimezone(dt.timezone.utc)
+    try:
+        return parsed.astimezone(dt.timezone.utc)
+    except OverflowError as exc:  # an offset that moves the first or last day out of range
+        raise ValueError(f"timestamp {raw!r} is out of range in UTC") from exc
 
 
 def _tweet_from_json(obj: dict) -> TweetRecord:
@@ -223,7 +228,10 @@ def _tweet_from_json(obj: dict) -> TweetRecord:
     counters = {}
     for name in _COUNTER_FIELDS:
         value = obj.get(name, 0)
-        counters[name] = int(value)
+        # a JSON integer, as the config reader demands: no bool, float or string
+        if type(value) is not int or not 0 <= value <= _MAX_COUNTER:
+            raise ValueError(f"{name} must be an integer in [0, {_MAX_COUNTER}], got {value!r}")
+        counters[name] = value
     hashtags = obj.get("hashtags", [])
     if not isinstance(hashtags, list) or not all(isinstance(h, str) for h in hashtags):
         raise ValueError("hashtags must be a list of strings")
@@ -243,17 +251,18 @@ def _tweet_from_json(obj: dict) -> TweetRecord:
 def load_tweets_jsonl(path: str, lenient: bool = False) -> tuple[list[TweetRecord], list[Diagnostic]]:
     """Parse one TweetRecord JSON object per line.
 
-    Unknown fields are ignored. Malformed lines raise SchemaError with the
-    line number, or are skipped with a diagnostic when ``lenient``.
+    Unknown fields are ignored. Malformed lines, invalid UTF-8 among them,
+    raise SchemaError with the line number, or are skipped with a
+    diagnostic when ``lenient``.
     """
     tweets: list[TweetRecord] = []
     diagnostics: list[Diagnostic] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(raw.decode("utf-8"))
                 if not isinstance(obj, dict):
                     raise ValueError("line is not a JSON object")
                 tweets.append(_tweet_from_json(obj))

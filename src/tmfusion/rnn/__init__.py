@@ -8,4 +8,4 @@ from .model import (
     rng_streams,
     samples_to_arrays,
 )
-from .training import steps_per_epoch, train
+from .training import forward_split, steps_per_epoch, train

@@ -351,7 +351,8 @@ def backward(
     cache: dict,
     d_hs: np.ndarray,
     ws: dict[str, np.ndarray] | None = None,
-) -> np.ndarray:
+    input_grad: bool = True,
+) -> np.ndarray | None:
     """Backpropagate-through-time one layer.
 
     ``d_hs`` is the upstream gradient on every hidden output (T, B, N).
@@ -359,14 +360,18 @@ def backward(
     overwrites ``p.grad`` with the weight gradient (summed over batch and
     time, no regularization). With ``ws``, the layer's workspace dict, the
     input gradient lives in its buffers; pass the dict the forward used.
+    ``input_grad=False`` skips the input gradient, one GEMM per step, and
+    returns None: a model's first layer has no layer below to pass it to.
     """
     # no copy when d_hs is a transposed view of a feature-major array
     dhs = np.ascontiguousarray(np.asarray(d_hs, dtype=np.float64).transpose(0, 2, 1))
     xs = cache["xs"]
-    d_xs = workspace_array(ws, "d_xs", (xs.shape[0], p.input_dim, xs.shape[1]))
+    d_xs = None
+    if input_grad:
+        d_xs = workspace_array(ws, "d_xs", (xs.shape[0], p.input_dim, xs.shape[1]))
     p.grad.fill(0.0)
     _BACKWARD[p.kind](p, cache, dhs, d_xs, ws)
-    return d_xs.transpose(0, 2, 1)
+    return None if d_xs is None else d_xs.transpose(0, 2, 1)
 
 
 def _backward_simple(p, cache, dhs, d_xs, ws):
@@ -379,7 +384,8 @@ def _backward_simple(p, cache, dhs, d_xs, ws):
         dW += dpre @ xs[t]
         dU += dpre @ _dropped(_prev(cache, "h", t), mask).T
         db += dpre.sum(axis=1)
-        np.matmul(W.T, dpre, out=d_xs[t])
+        if d_xs is not None:
+            np.matmul(W.T, dpre, out=d_xs[t])
         carry = _dropped(U.T @ dpre, mask)
 
 
@@ -397,7 +403,8 @@ def _backward_indrnn(p, cache, dhs, d_xs, ws):
             db += dpre.sum(axis=1)
         dW += dpre @ xs[t]
         du += (dpre * _dropped(_prev(cache, "h", t), mask)).sum(axis=1)
-        np.matmul(W.T, dpre, out=d_xs[t])
+        if d_xs is not None:
+            np.matmul(W.T, dpre, out=d_xs[t])
         carry = _dropped(dpre * u, mask)
 
 
@@ -422,7 +429,8 @@ def _backward_lstm(p, cache, dhs, d_xs, ws):
         dW += da @ xs[t]
         dU += da @ _dropped(_prev(cache, "h", t), mask).T
         db += da.sum(axis=1)
-        np.matmul(W.T, da, out=d_xs[t])
+        if d_xs is not None:
+            np.matmul(W.T, da, out=d_xs[t])
         carry_h = _dropped(U.T @ da, mask)
 
 
@@ -450,7 +458,8 @@ def _backward_gru(p, cache, dhs, d_xs, ws):
         dU_zr += da_zr @ hd.T
         dU_h += dac @ (r * hd).T
         db += da.sum(axis=1)
-        np.matmul(W.T, da, out=d_xs[t])
+        if d_xs is not None:
+            np.matmul(W.T, da, out=d_xs[t])
         carry = dh * (1.0 - z) + _dropped(dhd, mask)
 
 

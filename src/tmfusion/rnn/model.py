@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import Hyperparams
-from ..dataset import Sample
+from ..dataset import Sample, Split
 from ..errors import InvalidArgumentError
 from .cells import (
     CellParams,
@@ -347,7 +347,8 @@ def backward_arrays(
         d_hs = seed.transpose(0, 2, 1)
         for i in range(len(layers) - 1, -1, -1):
             d_hs = cell_backward(
-                layers[i], caches[i], d_hs, ws=_layer_ws(workspace, branch_name, i)
+                layers[i], caches[i], d_hs, ws=_layer_ws(workspace, branch_name, i),
+                input_grad=i > 0,
             )
 
     model.grad += model.hyper.l2 * model.theta
@@ -355,22 +356,27 @@ def backward_arrays(
 
 
 # ---------------------------------------------------------------------------
-# Sample-level interface
+# Splits and sample lists
 # ---------------------------------------------------------------------------
 
 
+def model_split(model: ModelSpec, samples: Split | list[Sample]) -> Split:
+    """``samples`` as a split, which must carry text when ``model`` has a text branch."""
+    split = samples if isinstance(samples, Split) else Split.from_samples(samples)
+    if model.text_layers and split.token_ids is None:
+        raise InvalidArgumentError("model expects text matrices but samples lack them")
+    return split
+
+
 def samples_to_arrays(
-    model: ModelSpec, samples: list[Sample]
+    model: ModelSpec, samples: Split | list[Sample]
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
-    if not samples:
-        raise InvalidArgumentError("need at least one sample")
-    numeric = None
-    text = None
-    if model.numeric_layers:
-        numeric = np.stack([s.numeric for s in samples])
-    if model.text_layers:
-        if any(s.text is None for s in samples):
-            raise InvalidArgumentError("model expects text matrices but samples lack them")
-        text = np.stack([s.text for s in samples])
-    labels = np.array([s.label for s in samples], dtype=np.float64)
-    return numeric, text, labels
+    """The whole (numeric, text, labels) arrays of ``samples`` for the branches ``model`` has.
+
+    The text is one (N, max_len, k) array, which training and evaluation
+    never build: they gather each batch's text from the table instead.
+    """
+    split = model_split(model, samples)
+    numeric = split.numeric_rows if model.numeric_layers else None
+    text = split.table[split.token_ids] if model.text_layers else None
+    return numeric, text, split.labels.astype(np.float64)

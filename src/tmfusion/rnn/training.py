@@ -15,6 +15,8 @@ logged into the checkpoint. A non-finite loss aborts with the epoch number.
 A run allocates its working memory once: the batch gathers, the cell caches
 and the per-epoch validation forward (in chunks of at most ``batch_size``
 rows) all reuse the buffers of one workspace (see ``backward_arrays``).
+Text is gathered per batch from the split's embedding table by token id,
+so no (N, max_len, k) array of a whole split is ever built.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ import math
 
 import numpy as np
 
-from ..dataset import Sample
+from ..dataset import Sample, Split
 from ..errors import DivergedError, InvalidArgumentError
 from .checkpoint import Checkpoint
 from .cells import workspace_array
-from .model import ModelSpec, backward_arrays, forward_arrays, rng_streams, samples_to_arrays
+from .model import ModelSpec, backward_arrays, forward_arrays, model_split, rng_streams
 
 
 def steps_per_epoch(n_samples: int, batch_size: int) -> int:
@@ -38,52 +40,70 @@ def _correct(probs: np.ndarray, labels: np.ndarray) -> int:
     return int(np.sum((probs >= 0.5).astype(np.float64) == labels))
 
 
-def _accuracy(model, numeric, text, labels, chunk: int, workspace: dict | None) -> float:
-    """Accuracy of dropout-free forwards over chunks of at most ``chunk`` rows."""
-    correct = 0
-    for start in range(0, labels.shape[0], chunk):
+def _gather(table: np.ndarray | None, idx: np.ndarray, ws: dict, name: str) -> np.ndarray | None:
+    """Rows ``idx`` (of any shape) of ``table``, copied into the workspace buffer ``name``."""
+    if table is None:
+        return None
+    out = workspace_array(ws, name, idx.shape + table.shape[1:])
+    # mode="raise" would gather into a temporary first; the indices are row
+    # numbers of the split and token ids the dataset reader bounds-checked
+    return np.take(table, idx, axis=0, out=out, mode="clip")
+
+
+def _text(model: ModelSpec, split: Split, rows, ws: dict) -> np.ndarray | None:
+    """The word vectors of ``split``'s rows ``rows``, gathered into ``ws``, if the model reads text."""
+    return _gather(split.table, split.token_ids[rows], ws, "text") if model.text_layers else None
+
+
+def forward_split(
+    model: ModelSpec, samples: Split | list[Sample], chunk: int, workspace: dict | None = None
+) -> np.ndarray:
+    """Dropout-free probabilities of every row of ``samples``, ``chunk`` rows per forward.
+
+    ``workspace`` is as for ``backward_arrays``; without one, the chunks
+    share a fresh one.
+    """
+    split = model_split(model, samples)
+    workspace = {} if workspace is None else workspace
+    batch_ws = workspace.setdefault("batch", {})
+    numeric = split.numeric_rows if model.numeric_layers else None
+    probs = np.empty(len(split))
+    for start in range(0, len(split), chunk):
         rows = slice(start, start + chunk)
-        probs = forward_arrays(
+        probs[rows] = forward_arrays(
             model,
-            numeric[rows] if numeric is not None else None,
-            text[rows] if text is not None else None,
+            None if numeric is None else numeric[rows],
+            _text(model, split, rows, batch_ws),
             workspace=workspace,
         )
-        correct += _correct(probs, labels[rows])
-    return correct / labels.shape[0]
-
-
-def _gather(arr: np.ndarray | None, idx: np.ndarray, ws: dict, name: str) -> np.ndarray | None:
-    """Rows ``idx`` of ``arr``, copied into the workspace buffer ``name``."""
-    if arr is None:
-        return None
-    out = workspace_array(ws, name, (len(idx),) + arr.shape[1:])
-    # mode="raise" would gather into a temporary first; idx is a permutation slice
-    return np.take(arr, idx, axis=0, out=out, mode="clip")
+    return probs
 
 
 def train(
     model: ModelSpec,
-    train_samples: list[Sample],
-    valid_samples: list[Sample],
+    train_samples: Split | list[Sample],
+    valid_samples: Split | list[Sample],
     meta: dict | None = None,
 ) -> Checkpoint:
     """Train ``model`` in place and return a checkpoint wrapping it.
 
-    The samples are stacked into arrays once. Each step's ``backward_arrays``
-    leaves the gradient in ``model.grad``, and the momentum update is three
-    whole-vector operations on ``model.theta`` and one velocity vector of
-    the same layout. The validation accuracy logged each epoch comes from
-    dropout-free forwards over ``valid_samples`` in chunks of at most
-    ``batch_size`` rows.
+    Each step gathers its batch from the training split into the workspace,
+    and its ``backward_arrays`` leaves the gradient in ``model.grad``; the
+    momentum update is three whole-vector operations on ``model.theta`` and
+    one velocity vector of the same layout. The validation accuracy logged
+    each epoch comes from ``forward_split`` over ``valid_samples`` in chunks
+    of at most ``batch_size`` rows.
     """
     if not train_samples or not valid_samples:
         raise InvalidArgumentError("train and validation sets must be non-empty")
     hyper = model.hyper
     _, train_rng = rng_streams(hyper.seed)
 
-    numeric, text, labels = samples_to_arrays(model, train_samples)
-    valid = samples_to_arrays(model, valid_samples)
+    train_split = model_split(model, train_samples)
+    valid_split = model_split(model, valid_samples)
+    numeric = train_split.numeric_rows if model.numeric_layers else None
+    labels = train_split.labels.astype(np.float64)
+    valid_labels = valid_split.labels.astype(np.float64)
     n = labels.shape[0]
     velocity = np.zeros_like(model.theta)
     workspace: dict = {}
@@ -99,7 +119,7 @@ def train(
             loss, probs = backward_arrays(
                 model,
                 _gather(numeric, idx, batch_ws, "numeric"),
-                _gather(text, idx, batch_ws, "text"),
+                _text(model, train_split, idx, batch_ws),
                 labels[idx],
                 rng=train_rng,
                 workspace=workspace,
@@ -112,12 +132,13 @@ def train(
             model.theta += velocity
             losses.append(loss)
             correct += _correct(probs, labels[idx])
+        valid_probs = forward_split(model, valid_split, hyper.batch_size, workspace)
         log.append(
             {
                 "epoch": epoch,
                 "loss": float(np.mean(losses)),
                 "accuracy": correct / n,
-                "valid_accuracy": _accuracy(model, *valid, hyper.batch_size, workspace),
+                "valid_accuracy": _correct(valid_probs, valid_labels) / len(valid_split),
             }
         )
     return Checkpoint(model=model, training_log=log, meta=dict(meta or {}))

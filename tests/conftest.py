@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import datetime as dt
+import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -178,3 +180,18 @@ def cell_with_blocks(kind: str, input_dim: int, hidden_dim: int, blocks: dict,
     for name, view in cell.blocks.items():
         view[...] = blocks[name]
     return cell
+
+
+def write_v1_split(path) -> None:
+    """A one-record split file in the version 1 layout: a row of records
+    carrying their author name and numeric values inline."""
+    header = json.dumps({
+        "schema_hash": "0" * 64, "ticker": "AAPL", "label_field": "close",
+        "flags": ["sentiment"], "numeric_width": 3, "numeric_steps": 1, "max_len": 0,
+        "embedding_dim": 0, "count": 1,
+    }).encode()
+    record = (
+        struct.pack("<BIH", 1, dt.date(2021, 1, 4).toordinal(), 1) + b"u"
+        + struct.pack("<3d", 0.1, 0.2, 0.3)
+    )
+    path.write_bytes(b"TMDS" + struct.pack("<II", 1, len(header)) + header + record)

@@ -7,7 +7,7 @@ import pytest
 
 from tmfusion.artifacts import atomic_write, write_json
 from tmfusion.config import IndicatorConfig
-from tmfusion.dataset import BuildConfig, build_dataset, save_dataset, write_samples
+from tmfusion.dataset import BuildConfig, build_dataset, save_dataset, write_split
 from tmfusion.errors import InvalidArgumentError
 
 from .conftest import synthetic_tweets, weekday_bars
@@ -57,14 +57,9 @@ def test_write_samples_failing_mid_file_keeps_previous_split(tmp_path, rng):
     previous = train_bin.read_bytes()
     names = sorted(p.name for p in tmp_path.iterdir())
 
-    # a misshaped record halfway through the split makes the writer raise
-    samples = list(result.train)
-    half = len(samples) // 2
-    samples[half] = dataclasses.replace(samples[half], numeric=np.zeros(3))
+    # a misshaped column after the header has been written makes the writer raise
+    misshaped = dataclasses.replace(result.train, numeric=np.zeros((len(result.train), 1, 3)))
     with pytest.raises(InvalidArgumentError, match="numeric shape"):
-        write_samples(
-            train_bin, samples, cfg.feature_set, cfg.ticker, cfg.label_field,
-            result.max_len, embedding_dim=0,
-        )
+        write_split(train_bin, misshaped, cfg.feature_set, cfg.label_field)
     assert train_bin.read_bytes() == previous
     assert sorted(p.name for p in tmp_path.iterdir()) == names

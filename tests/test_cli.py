@@ -21,7 +21,7 @@ from tmfusion.rnn import build_model, load_checkpoint, save_checkpoint
 from tmfusion.rnn.checkpoint import Checkpoint
 from tmfusion import evaluate as ev
 
-from .conftest import DATA_DIR, synthetic_tweets, weekday_bars
+from .conftest import DATA_DIR, synthetic_tweets, weekday_bars, write_v1_split
 
 SMALL_INDICATORS = {
     "ma_period": 3, "rsi_period": 3, "macd_fast": 2, "macd_slow": 4,
@@ -219,6 +219,15 @@ class TestTrain:
         assert run_cli("train", "--config", str(cfg)) == 0
         assert checkpoint.read_bytes() == first
 
+    def test_v1_dataset_exits_1_naming_the_version(self, run_dir, capsys):
+        cfg = prepare_dataset(run_dir)
+        write_v1_split(run_dir / "out" / "dataset" / "train.bin")
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "train.bin: format version 1" in err
+        assert "Traceback" not in err
+
     def test_sweep_writes_six_monotone_rows(self, run_dir):
         cfg = prepare_dataset(run_dir)
         assert run_cli("train", "--config", str(cfg), "--sweep-batch") == 0
@@ -310,6 +319,29 @@ class TestEvaluate:
         assert run_cli("evaluate", "--config", str(cfg)) == 1
         assert "feature_flags" in capsys.readouterr().err
         assert not (run_dir / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("damage", ["missing", "flipped byte", "v1 test.bin"])
+    def test_damaged_text_dataset_exits_1(self, tmp_path, rng, capsys, damage):
+        write_corpus(tmp_path, rng)
+        cfg = write_config(tmp_path, feature_set=["text", "sentiment"])
+        prepare_dataset(tmp_path)
+        assert run_cli("train", "--config", str(cfg)) == 0
+        dataset = tmp_path / "out" / "dataset"
+        table = dataset / "embedding.bin"
+        if damage == "missing":
+            table.unlink()
+        elif damage == "flipped byte":
+            blob = bytearray(table.read_bytes())
+            blob[-20] ^= 0x01
+            table.write_bytes(bytes(blob))
+        else:
+            write_v1_split(dataset / "test.bin")
+        capsys.readouterr()
+        assert run_cli("evaluate", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert ("test.bin" if damage.startswith("v1") else "embedding.bin") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_reads_only_the_header_of_train_bin(self, run_dir):
         cfg = prepare_dataset(run_dir)

@@ -6,6 +6,8 @@ import datetime as dt
 import hashlib
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ import tmfusion.dataset as dataset_module
 from tmfusion.config import IndicatorConfig
 from tmfusion.dataset import (
     BuildConfig,
-    BuildResult,
     NormalizerState,
     apply_normalizer,
     build_dataset,
@@ -25,9 +26,11 @@ from tmfusion.dataset import (
     load_dataset,
     numeric_width,
     read_header,
-    read_samples,
+    read_split,
+    read_table,
     save_dataset,
     schema_hash,
+    write_split,
 )
 from tmfusion.errors import (
     AssemblyError,
@@ -43,9 +46,9 @@ from tmfusion.social import (
     sentiment_vector,
     tweet_score,
 )
-from tmfusion.text import EmbeddingTable
+from tmfusion.text import EmbeddingTable, embed_sequence, load_stopwords, tokenize_clean
 
-from .conftest import DATA_DIR, random_bars, synthetic_tweets, weekday_bars
+from .conftest import DATA_DIR, random_bars, synthetic_tweets, weekday_bars, write_v1_split
 from .oracles import credibility_oracle, minmax_oracle
 
 UTC = dt.timezone.utc
@@ -195,8 +198,8 @@ class TestNormalizer:
     def test_json_round_trip(self, rng, tmp_path):
         """``save_dataset``'s normalizer.json holds the fitted extrema exactly."""
         state = fit_normalizer(rng.normal(0, 2, size=(10, 3)))
-        result = BuildResult(train=[], test=[], normalizer=state, max_len=0, report={})
         cfg = BuildConfig(ticker="AAPL", feature_set=frozenset({"sentiment"}))
+        result = dataclasses.replace(build_dataset(*small_corpus(rng), cfg), normalizer=state)
         save_dataset(tmp_path, result, cfg)
         saved = json.loads((tmp_path / "normalizer.json").read_text())
         np.testing.assert_array_equal(np.array(saved["mins"]), state.mins)
@@ -251,7 +254,7 @@ class TestAssemble:
 
     def test_market_only(self, rng):
         result = self.build(*small_corpus(rng), frozenset({"market"}))
-        for s in result.train + result.test:
+        for s in [*result.train, *result.test]:
             assert s.numeric.shape == (5,)
             assert s.text is None
 
@@ -260,7 +263,7 @@ class TestAssemble:
             *small_corpus(rng), FULL_NUMERIC | {"text"},
             embedding=EmbeddingTable.hashed(dim=4, seed=0), max_len_override=6,
         )
-        for s in result.train + result.test:
+        for s in [*result.train, *result.test]:
             assert s.numeric.shape == (18,)
             assert s.text is not None and s.text.shape == (6, 4)
 
@@ -270,7 +273,7 @@ class TestAssemble:
             embedding=EmbeddingTable.hashed(dim=4, seed=0), max_len_override=3,
         )
         assert result.normalizer.width == 0
-        for s in result.train + result.test:
+        for s in [*result.train, *result.test]:
             assert s.numeric.shape == (0,)
             assert s.text.shape == (3, 4)
 
@@ -296,7 +299,7 @@ class TestAssemble:
         tweets, bars = small_corpus(rng, n_tweets=120)
         result = self.build(tweets, bars, FULL_NUMERIC)
         raw = reference_raw_rows(tweets, bars, FULL_NUMERIC)
-        samples = result.train + result.test
+        samples = [*result.train, *result.test]
         assert len(samples) == len(raw)
         n_train = len(result.train)
         expected_hash = hashlib.sha256(
@@ -308,13 +311,36 @@ class TestAssemble:
         for s, row in zip(samples, raw):
             np.testing.assert_array_equal(s.numeric, apply_normalizer(result.normalizer, row))
 
+    @pytest.mark.parametrize("max_len", [None, 2])
+    def test_text_matches_per_sample_embedding(self, rng, max_len):
+        """Each sample's text, gathered from the table by token id, is bit for
+        bit the matrix the per-sample lookup builds: same vectors, same end
+        padding, same cut."""
+        tweets, bars = small_corpus(rng)
+        table = EmbeddingTable.hashed(dim=4, seed=0)
+        result = self.build(
+            tweets, bars, frozenset({"text"}), embedding=table, max_len_override=max_len
+        )
+        dates = [b.date for b in bars]
+        kept = [
+            t for t in sorted(tweets, key=lambda t: t.timestamp)
+            if 0 <= bisect.bisect_right(dates, t.timestamp.date()) - 1 < len(bars) - 1
+        ]
+        samples = [*result.train, *result.test]
+        assert len(samples) == len(kept)
+        assert result.train.table.shape[0] - 1 < len(samples) * result.max_len
+        stopwords = load_stopwords()
+        for s, t in zip(samples, kept):
+            expected = embed_sequence(tokenize_clean(t.text, stopwords), table, result.max_len)
+            assert s.text.tobytes() == expected.tobytes()
+
     def test_deterministic(self, rng):
         tweets, bars = small_corpus(rng)
         kwargs = dict(embedding=EmbeddingTable.hashed(dim=4, seed=0))
         a = self.build(tweets, bars, FULL_NUMERIC | {"text"}, **kwargs)
         b = self.build(tweets, bars, FULL_NUMERIC | {"text"}, **kwargs)
         assert a.report == b.report
-        for x, y in zip(a.train + a.test, b.train + b.test):
+        for x, y in zip([*a.train, *a.test], [*b.train, *b.test]):
             np.testing.assert_array_equal(x.numeric, y.numeric)
             np.testing.assert_array_equal(x.text, y.text)
 
@@ -357,7 +383,7 @@ class TestBuildDataset:
 
     def test_chronological_order_preserved(self, rng):
         _, _, result = self.build(rng)
-        days = [s.day for s in result.train + result.test]
+        days = [s.day for s in [*result.train, *result.test]]
         assert days == sorted(days)
 
     def test_weekend_tweets_join_prior_trading_day(self, rng):
@@ -406,7 +432,7 @@ class TestBuildDataset:
                 continue  # before history, or joined to the unlabeled final bar
             score = tweet_score(provider.score(t.text).label, label_by_date[prior[-1]])
             joined.append((t, score))
-        samples = result.train + result.test
+        samples = [*result.train, *result.test]
         assert len(samples) == len(joined)
         for i, sample in enumerate(samples):
             tweet, _ = joined[i]
@@ -442,7 +468,7 @@ class TestBuildDataset:
         cfg = BuildConfig(ticker="AAPL", feature_set=MSE, indicators=SMALL_IND)
         second = build_dataset(tweets, bars, cfg)
         assert first.report == second.report
-        for a, b in zip(first.train + first.test, second.train + second.test):
+        for a, b in zip([*first.train, *first.test], [*second.train, *second.test]):
             np.testing.assert_array_equal(a.numeric, b.numeric)
 
     def test_empty_join_raises(self):
@@ -495,7 +521,7 @@ class TestBuildDataset:
         )
         result = build_dataset(tweets, bars, cfg)
         assert result.max_len >= 1
-        for s in result.train + result.test:
+        for s in [*result.train, *result.test]:
             assert s.text.shape == (result.max_len, 3)
 
     def test_text_flag_requires_embedding(self):
@@ -513,7 +539,7 @@ class TestBuildDataset:
         )
         result = build_dataset(tweets, bars, cfg)
         assert result.max_len == 2
-        for s in result.train + result.test:
+        for s in [*result.train, *result.test]:
             assert s.text.shape == (2, 3)
 
     def test_empty_feature_set_rejected(self):
@@ -533,7 +559,7 @@ class TestBuildDataset:
 
         market_rows, _ = market_feature_matrix(bars, SMALL_IND)
         date_to_idx = {b.date: i for i, b in enumerate(bars)}
-        for s in result.train + result.test:
+        for s in [*result.train, *result.test]:
             assert s.numeric.shape == (3, 14)
             assert s.numeric_steps == 3
             # the final step must match the current day's market block
@@ -601,11 +627,60 @@ class TestArtifacts:
             b = hashlib.sha256((tmp_path / "b" / name).read_bytes()).hexdigest()
             assert a == b, name
 
+    def test_v1_file_names_its_version(self, tmp_path):
+        p = tmp_path / "train.bin"
+        write_v1_split(p)
+        with pytest.raises(SchemaError, match="train.bin: format version 1"):
+            read_split(p)
+        with pytest.raises(SchemaError, match="format version 1"):
+            read_header(p)
+
+    @pytest.mark.parametrize("column, value", [
+        ("labels", 2), ("days", 0), ("author_ids", -1), ("author_ids", "len"),
+        ("token_ids", -1), ("token_ids", "len"),
+    ])
+    def test_out_of_range_id_rejected(self, rng, tmp_path, column, value):
+        """A checksum-valid file whose ids point outside what they index is
+        refused, so no gather ever clamps one."""
+        cfg, result = self.build_small(rng, with_text=True)
+        split = result.test
+        bound = {"author_ids": len(split.authors), "token_ids": split.table.shape[0]}
+        bad = getattr(split, column).copy()
+        bad.flat[-1] = bound[column] if value == "len" else value
+        p = tmp_path / "test.bin"
+        write_split(p, dataclasses.replace(split, **{column: bad}), cfg.feature_set, "close")
+        with pytest.raises(SchemaError, match="test.bin: a .* lies outside"):
+            read_split(p)
+
+    def test_table_must_match_the_splits(self, rng, tmp_path):
+        cfg, result = self.build_small(rng, with_text=True)
+        save_dataset(tmp_path / "ds", result, cfg)
+        table_path = tmp_path / "ds" / dataset_module.TABLE_NAME
+        dataset_module.write_table(table_path, result.train.table[:-1])
+        with pytest.raises(SchemaError, match=dataset_module.TABLE_NAME):
+            load_dataset(tmp_path / "ds")
+        table_path.unlink()
+        with pytest.raises(SchemaError, match="cannot be read"):
+            load_dataset(tmp_path / "ds")
+
+    def test_splits_share_one_table(self, rng, tmp_path):
+        cfg, result = self.build_small(rng, with_text=True)
+        save_dataset(tmp_path / "ds", result, cfg)
+        loaded = load_dataset(tmp_path / "ds")
+        assert loaded.train.table is loaded.test.table
+        np.testing.assert_array_equal(loaded.train.table, result.train.table)
+        assert not loaded.train.table[0].any()
+        # numeric-only datasets write no table
+        cfg, result = self.build_small(rng)
+        save_dataset(tmp_path / "ds", result, cfg)
+        assert not (tmp_path / "ds" / dataset_module.TABLE_NAME).exists()
+        assert load_dataset(tmp_path / "ds").test.table is None
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "train.bin"
         p.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(SchemaError):
-            read_samples(p)
+            read_split(p)
 
     def test_every_truncation_rejected(self, rng, tmp_path):
         cfg, result = self.build_small(rng, with_text=True)
@@ -616,20 +691,20 @@ class TestArtifacts:
         for size in range(len(blob)):
             cut.write_bytes(blob[:size])
             with pytest.raises(SchemaError, match="cut.bin"):
-                read_samples(cut)
+                read_split(cut)
             if size < header_end:
                 with pytest.raises(SchemaError, match="cut.bin"):
                     read_header(cut)
         cut.write_bytes(blob)
-        samples, header = read_samples(cut)
-        assert len(samples) == header["count"] == len(result.test)
+        split, header = read_split(cut)
+        assert len(split) == header["count"] == len(result.test)
         assert read_header(cut) == header
 
     def test_header_read_skips_records(self, rng, tmp_path):
         cfg, result = self.build_small(rng)
         save_dataset(tmp_path / "ds", result, cfg)
         p = tmp_path / "ds" / "train.bin"
-        _, header = read_samples(p)
+        _, header = read_split(p)
         blob = p.read_bytes()
         p.write_bytes(blob[: 12 + int.from_bytes(blob[8:12], "little")])
         assert read_header(p) == header
@@ -637,13 +712,15 @@ class TestArtifacts:
     def test_malformed_header_rejected(self, tmp_path):
         p = tmp_path / "train.bin"
         counts_wrong = {"schema_hash": schema_hash(), "flags": [], "ticker": "AAPL",
-                        "numeric_width": -1, "numeric_steps": 1, "max_len": 0,
-                        "embedding_dim": 0, "count": 0}
+                        "label_field": "close", "numeric_width": -1, "numeric_steps": 1,
+                        "max_len": 0, "embedding_dim": 0, "vocab_size": 0, "count": 0,
+                        "authors": []}
+        version = dataset_module.DATASET_FORMAT_VERSION
         for header in (b"not json", b'{"schema_hash": "0"}', b"[]",
                        json.dumps(counts_wrong).encode()):
-            p.write_bytes(b"TMDS" + struct.pack("<II", 1, len(header)) + header)
+            p.write_bytes(b"TMDS" + struct.pack("<II", version, len(header)) + header)
             with pytest.raises(SchemaError, match="train.bin"):
-                read_samples(p)
+                read_split(p)
 
     def test_trailing_bytes_rejected(self, rng, tmp_path):
         cfg, result = self.build_small(rng)
@@ -651,7 +728,7 @@ class TestArtifacts:
         p = tmp_path / "ds" / "train.bin"
         p.write_bytes(p.read_bytes() + b"junk")
         with pytest.raises(SchemaError):
-            read_samples(p)
+            read_split(p)
 
     def test_numeric_width_helper(self):
         assert numeric_width(frozenset({"market"})) == 5
@@ -669,6 +746,61 @@ class TestArtifacts:
         save_dataset(tmp_path / "ds", result, cfg)
         loaded = load_dataset(tmp_path / "ds")
         assert loaded.header["numeric_steps"] == 3
-        for a, b in zip(loaded.train + loaded.test, result.train + result.test):
+        for a, b in zip([*loaded.train, *loaded.test], [*result.train, *result.test]):
             assert a.numeric.shape == (3, 14)
             np.testing.assert_array_equal(a.numeric, b.numeric)
+
+
+DATASET_FILES = ("train.bin", "test.bin", dataset_module.TABLE_NAME)
+
+
+def file_arrays(path: Path) -> list:
+    """Everything a reader returns for one dataset file, for comparison."""
+    if path.name == dataset_module.TABLE_NAME:
+        return [read_table(path)]
+    split, header = read_split(path)
+    return [split.numeric, split.labels, split.days, split.author_ids, split.token_ids,
+            split.authors, header]
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory) -> dict:
+    """The bytes and the read-back arrays of each file of a small text dataset."""
+    rng = np.random.default_rng(5)
+    bars = weekday_bars(rng, 8)
+    tweets = synthetic_tweets(rng, [b.date for b in bars], 8, n_authors=3)
+    cfg = BuildConfig(
+        ticker="AAPL", feature_set=frozenset({"sentiment", "text"}),
+        embedding=EmbeddingTable.hashed(dim=2, seed=0), max_len_override=3,
+    )
+    out = tmp_path_factory.mktemp("tiny")
+    save_dataset(out, build_dataset(tweets, bars, cfg), cfg)
+    return {name: ((out / name).read_bytes(), file_arrays(out / name)) for name in DATASET_FILES}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(DATASET_FILES), data=st.data())
+def test_damaged_file_reads_back_or_is_rejected(tiny_dataset, name, data):
+    """Any truncation or single-byte change of a split or table file either
+    reads back the very same arrays or raises SchemaError naming the file;
+    never another exception, and never an id outside what it indexes."""
+    blob, expected = tiny_dataset[name]
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="size")]
+    else:
+        pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]), label="byte")
+        damaged = blob[:pos] + bytes([byte]) + blob[pos + 1 :]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(damaged)
+        try:
+            got = file_arrays(path)
+        except SchemaError as exc:
+            assert name in str(exc)
+            return
+    for a, b in zip(got, expected):
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert a == b

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tmfusion.config import Hyperparams
-from tmfusion.dataset import Sample
+from tmfusion.dataset import BuildConfig, Sample, build_dataset
 from tmfusion.errors import DivergedError, InvalidArgumentError, SchemaError
 from tmfusion.rnn import (
     backward_arrays,
@@ -25,7 +25,9 @@ from tmfusion.rnn import (
 from tmfusion.rnn.cells import CELL_KINDS, sigmoid
 from tmfusion.rnn.checkpoint import Checkpoint
 
-from .conftest import linear_rule_samples
+from tmfusion.text import EmbeddingTable
+
+from .conftest import linear_rule_samples, synthetic_tweets, weekday_bars
 from .oracles import gru_oracle, indrnn_oracle, loss_reference, lstm_oracle
 
 SMALL = Hyperparams(
@@ -356,6 +358,24 @@ class TestTrain:
         probs = forward_arrays(model, numeric, None)
         correct = int(np.sum((probs >= 0.5).astype(np.float64) == labels))
         assert ckpt.training_log[-1]["valid_accuracy"] == correct / len(te)
+
+    def test_split_and_its_sample_list_train_identically(self, rng):
+        """Training on a built split, which gathers text from the table by
+        token id, and on the list of its row views give the same weights."""
+        bars = weekday_bars(rng, 20)
+        tweets = synthetic_tweets(rng, [b.date for b in bars], 60)
+        cfg = BuildConfig(
+            ticker="AAPL", feature_set=frozenset({"sentiment", "social", "text"}),
+            embedding=EmbeddingTable.hashed(dim=3, seed=2),
+        )
+        result = build_dataset(tweets, bars, cfg)
+        runs = []
+        for tr, te in ((result.train, result.test), (list(result.train), list(result.test))):
+            hyper = Hyperparams(epochs=2, layers=2, hidden_units=4, batch_size=8, seed=3)
+            model = build_model("fused", "lstm", hyper, numeric_dim=9, text_dim=3)
+            ckpt = train(model, tr, te)
+            runs.append((model.theta.tobytes(), ckpt.training_log))
+        assert runs[0] == runs[1]
 
     def test_learns_separable_data(self, rng):
         tr, te = linear_rule_samples(rng, n=600, width=6)

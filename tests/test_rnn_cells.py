@@ -257,6 +257,25 @@ def test_cell_backward_with_recurrent_mask(rng):
             assert_backward_matches_finite_differences(p, xs, coeffs, rec_mask=mask)
 
 
+@pytest.mark.parametrize("kind", CELL_KINDS)
+@pytest.mark.parametrize("literal", [False, True])
+def test_cell_backward_without_input_grad(rng, kind, literal):
+    """Skipping the input gradient leaves the weight gradient bit-identical
+    and allocates no input-gradient buffer."""
+    p = random_cell(kind, rng, m=3, n=4, literal=literal)
+    xs = rng.normal(0, 1, size=(5, 2, 3))
+    coeffs = rng.normal(0, 1, size=(5, 2, 4))
+    mask = (rng.random((2, 4)) < 0.5).astype(np.float64) / 0.5
+    _, cache = cell_forward(p, xs, rec_mask=mask)
+    assert cell_backward(p, cache, coeffs) is not None
+    full = p.grad.copy()
+    ws: dict = {}
+    _, cache = cell_forward(p, xs, rec_mask=mask, ws=ws)
+    assert cell_backward(p, cache, coeffs, ws=ws, input_grad=False) is None
+    assert "d_xs" not in ws
+    assert p.grad.tobytes() == full.tobytes()
+
+
 class TestSigmoid:
     def test_saturates_without_warning(self):
         x = np.linspace(-1e3, 1e3, 20001)

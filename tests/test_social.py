@@ -3,11 +3,15 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tmfusion.errors import InvalidArgumentError, OrderingError, SchemaError
+from tmfusion.errors import InvalidArgumentError, OrderingError, SchemaError, TmfusionError
 from tmfusion.inputs import TweetRecord, load_tweets_jsonl, parse_timestamp
 from tmfusion.social import (
     LexiconSentimentProvider,
@@ -323,6 +327,67 @@ class TestTweetIngestion:
         tweets, diags = load_tweets_jsonl(str(p), lenient=True)
         assert [t.id for t in tweets] == ["42", "44"]
         assert [d.line for d in diags] == [2, 3]
+
+    @pytest.mark.parametrize("raw", [
+        "Infinity", "-Infinity", "NaN", "1e400", "2.9", "3.0", "true", "false", '"5"', "null",
+        "[1]", "-1", pytest.param("1" + "0" * 400, id="10**400"),
+    ])
+    def test_counter_must_be_a_json_integer(self, tmp_path, raw):
+        p = tmp_path / "tweets.jsonl"
+        bad = self.valid_line(id="43", favorites="X").replace('"X"', raw)
+        self.write_jsonl(p, [bad])
+        with pytest.raises(SchemaError, match="line 1: favorites"):
+            load_tweets_jsonl(str(p))
+        self.write_jsonl(p, [self.valid_line(), bad])
+        tweets, diags = load_tweets_jsonl(str(p), lenient=True)
+        assert [t.id for t in tweets] == ["42"]
+        assert [d.line for d in diags] == [2]
+        assert "favorites" in diags[0].message
+
+    def test_invalid_utf8_line_rejected(self, tmp_path):
+        p = tmp_path / "tweets.jsonl"
+        p.write_bytes(self.valid_line().encode() + b"\n" + b'{"id": "\xff"}\n')
+        with pytest.raises(SchemaError, match="line 2"):
+            load_tweets_jsonl(str(p))
+        tweets, diags = load_tweets_jsonl(str(p), lenient=True)
+        assert len(tweets) == 1 and [d.line for d in diags] == [2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=st.one_of(
+        st.binary(max_size=60).filter(lambda b: b"\n" not in b),
+        st.builds(
+            lambda obj, ascii_only: json.dumps(obj, ensure_ascii=ascii_only).encode(),
+            st.dictionaries(
+                st.sampled_from([
+                    "id", "username", "timestamp", "text", "ticker", "retweets", "favorites",
+                    "replies", "follower_count", "friends_count", "hashtags",
+                ]),
+                st.one_of(
+                    st.sampled_from([
+                        "2021-09-22T14:30:00Z", "0001-01-01T00:00:00+01:00",
+                        "9999-12-31T23:59:59-01:00", "2021-02-30T00:00:00",
+                    ]),
+                    st.recursive(
+                        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                        lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                        max_leaves=6,
+                    ),
+                ),
+            ),
+            st.booleans(),
+        ),
+    ))
+    def test_any_line_parses_or_raises_tmfusion_error(self, line):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "tweets.jsonl"
+            p.write_bytes(line + b"\n")
+            try:
+                load_tweets_jsonl(str(p))
+            except TmfusionError:
+                pass
+            tweets, diags = load_tweets_jsonl(str(p), lenient=True)
+            assert len(tweets) + len(diags) <= 1
 
     def test_timestamp_offsets_normalised(self):
         t = parse_timestamp("2021-09-22T16:30:00+02:00")
