@@ -1,18 +1,34 @@
-"""Atomic artifact writes: a file is replaced whole or not at all.
+"""Artifact I/O: atomic writes, the TMDS binary framing and strict text reads.
 
 Every artifact is written to a temporary file beside its final path and
 renamed over it with ``os.replace`` once complete, so a run that fails or
 is killed mid-write leaves the previous artifact intact and no partial
 file under the artifact's name. Nothing is fsynced: a rename survives a
 killed process, not necessarily a power loss.
+
+Nothing here imports numpy: ``tmfusion ingest`` writes its TMDS file and
+reads its text inputs without it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
+import struct
+import zlib
 from pathlib import Path
+from typing import Iterable
+
+from .errors import SchemaError
+
+DATASET_MAGIC = b"TMDS"
+DATASET_FORMAT_VERSION = 2
+#: magic, u32le format version, u32le header length
+PREAMBLE = struct.Struct("<4sII")
+#: the trailing u32le crc32 of every byte before it
+CRC = struct.Struct("<I")
 
 
 @contextlib.contextmanager
@@ -43,3 +59,48 @@ def write_json(path: str | Path, obj) -> None:
     """Write ``obj`` atomically as canonical JSON."""
     with atomic_write(path) as fh:
         fh.write(canonical_json(obj))
+
+
+def write_tmds(path: str | Path, header: dict, columns: Iterable) -> None:
+    """Write a TMDS file atomically: preamble, header, columns, checksum.
+
+    The header is canonical JSON, padded with spaces so that the columns
+    start 8-byte aligned. Each column is a little-endian, C-contiguous
+    buffer, written end to end after the header. The file ends with the
+    CRC-32 of every byte before it. If ``columns`` raises, the previous
+    file at ``path`` stays.
+    """
+    head = canonical_json(header).encode("utf-8")
+    head += b" " * (-(PREAMBLE.size + len(head)) % 8)
+    with atomic_write(path, "wb") as fh:
+        data = PREAMBLE.pack(DATASET_MAGIC, DATASET_FORMAT_VERSION, len(head)) + head
+        fh.write(data)
+        crc = zlib.crc32(data)
+        for column in columns:
+            fh.write(column)
+            crc = zlib.crc32(column, crc)
+        fh.write(CRC.pack(crc))
+
+
+def source_digest(path: str | Path) -> dict:
+    """The byte size and SHA-256 of a file, as a TMDS header records its source."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return {"source_bytes": size, "source_sha256": digest.hexdigest()}
+
+
+def read_text(path: str | Path) -> str:
+    """A text file's contents decoded as UTF-8, a leading byte-order mark dropped.
+
+    Bytes that are not UTF-8 raise ``SchemaError`` naming the file and the
+    line they are on.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from exc

@@ -9,9 +9,14 @@ Subcommands hold an exclusive ``flock`` on a lock file inside the output
 directory while they run; concurrent writers to one directory are refused,
 and a run killed mid-stage leaves no lock behind.
 
+The tweets are parsed once: ``ingest`` writes them as columns to
+``tweets.bin``, and ``features`` reads that file and never the JSON lines.
+
 Only numpy-free modules are imported at the top; each subcommand imports
 the numeric modules it runs. So ``ingest``, ``report``, ``--help`` and a
 config error never load numpy, and ``features`` never loads the model.
+``main`` caps BLAS at one thread before any of them loads numpy, unless
+the environment already says otherwise.
 """
 
 from __future__ import annotations
@@ -28,10 +33,17 @@ import os
 import sys
 from pathlib import Path
 
-from .artifacts import atomic_write, write_json
+from .artifacts import atomic_write, read_text, source_digest, write_json
 from .config import BATCH_SWEEP_SIZES, Hyperparams, RunConfig, load_run_config
 from .errors import InvalidArgumentError, SchemaError, TmfusionError, checked_object
-from .inputs import compare_file_labels, label_bars, load_ohlcv_csv, load_tweets_jsonl
+from .inputs import (
+    TWEETS_NAME,
+    compare_file_labels,
+    ingest_tweets,
+    label_bars,
+    load_ohlcv_csv,
+    write_tweets,
+)
 
 logger = logging.getLogger("tmfusion.cli")
 
@@ -68,7 +80,8 @@ def output_lock(out_dir: Path):
 
 def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
     ohlcv = load_ohlcv_csv(str(cfg.ohlcv_csv), lenient=args.lenient)
-    tweets, tweet_diags = load_tweets_jsonl(str(cfg.tweets_jsonl), lenient=args.lenient)
+    tweets, tweet_diags = ingest_tweets(str(cfg.tweets_jsonl), lenient=args.lenient)
+    write_tweets(cfg.out_dir / TWEETS_NAME, tweets, source_digest(cfg.tweets_jsonl))
 
     label_mismatches: list[str] = []
     if ohlcv.file_labels and len(ohlcv.bars) >= 2:
@@ -76,7 +89,7 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
             label_bars(ohlcv.bars, cfg.label_field), ohlcv.file_labels
         )
 
-    ticker_tweets = sum(1 for t in tweets if t.ticker == cfg.ticker)
+    ticker_tweets = tweets.ticker_count(cfg.ticker)
     manifest = {
         "schema_version": 1,
         "config": cfg.echo(),
@@ -88,7 +101,7 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
             "label_mismatches": label_mismatches,
         },
         "tweets": {
-            "count": len(tweets),
+            "count": tweets.count,
             "ticker_count": ticker_tweets,
             "rejected": [{"line": d.line, "reason": d.message} for d in tweet_diags],
         },
@@ -98,10 +111,10 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
         logger.warning("skipped %s", d)
     if label_mismatches:
         logger.warning("label column disagrees with the labeling rule on %s", label_mismatches)
-    if not tweets:
+    if not tweets.count:
         logger.warning("tweet file %s produced no records", cfg.tweets_jsonl)
     print(
-        f"ingest: {len(ohlcv.bars)} bars, {len(tweets)} tweets "
+        f"ingest: {len(ohlcv.bars)} bars, {tweets.count} tweets "
         f"({ticker_tweets} for {cfg.ticker}), "
         f"{len(ohlcv.diagnostics) + len(tweet_diags)} rejected lines"
     )
@@ -138,14 +151,16 @@ def _build_config(cfg: RunConfig):
 
 
 def cmd_features(cfg: RunConfig, args: argparse.Namespace) -> int:
-    from .dataset import build_dataset, save_dataset
+    from .dataset import build_dataset, read_tweets, save_dataset
 
-    if not (cfg.out_dir / MANIFEST_NAME).exists():
-        raise InvalidArgumentError(
-            f"no ingest manifest in {cfg.out_dir}; run the ingest subcommand first"
-        )
+    for name in (MANIFEST_NAME, TWEETS_NAME):
+        if not (cfg.out_dir / name).exists():
+            raise InvalidArgumentError(
+                f"no {name} in {cfg.out_dir}; run the ingest subcommand first"
+            )
     ohlcv = load_ohlcv_csv(str(cfg.ohlcv_csv), lenient=args.lenient)
-    tweets, _ = load_tweets_jsonl(str(cfg.tweets_jsonl), lenient=args.lenient)
+    # the tweets as ingest parsed them; --lenient here covers the CSV only
+    tweets = read_tweets(cfg.out_dir / TWEETS_NAME, cfg.tweets_jsonl)
     build_cfg = _build_config(cfg)
     result = build_dataset(tweets, ohlcv.bars, build_cfg)
     result.report["config"] = cfg.echo()
@@ -320,7 +335,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not report_path.exists():
         raise InvalidArgumentError(f"no report at {report_path}; run the evaluate subcommand first")
     try:
-        obj = json.loads(report_path.read_text(encoding="utf-8"))
+        obj = json.loads(read_text(report_path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{report_path}: not valid JSON: {exc}") from exc
     checked_object(obj, _REPORT_TYPES, str(report_path), required=_REPORT_TYPES)
@@ -340,7 +355,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     sweep_path = cfg.out_dir / SWEEP_NAME
     if sweep_path.exists():
-        print(sweep_path.read_text(encoding="utf-8").strip())
+        print(read_text(sweep_path).strip())
     return 0
 
 
@@ -387,7 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: BLAS thread variables set to one before numpy loads, unless already set.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv: list[str] | None = None) -> int:
+    # The stages' matrices are small: a second BLAS thread buys little wall
+    # time, burns a second core and slows down badly when that core is busy.
+    for name in BLAS_THREAD_VARIABLES:
+        os.environ.setdefault(name, "1")
     level_name = os.environ.get("TMF_LOG", "WARNING").upper()
     logging.basicConfig(
         level=getattr(logging, level_name, logging.WARNING),

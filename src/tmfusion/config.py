@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .artifacts import read_text
 from .errors import InvalidArgumentError, SchemaError, checked_object, field_types
 
 CELL_CHOICES = ("indrnn", "lstm", "gru", "simple")
@@ -169,7 +170,7 @@ def load_run_config(path: str, seed_override: int | None = None,
     """
     cfg_path = Path(path)
     try:
-        obj = json.loads(cfg_path.read_text(encoding="utf-8"))
+        obj = json.loads(read_text(cfg_path))
     except FileNotFoundError:
         raise InvalidArgumentError(f"config file {path} does not exist")
     except json.JSONDecodeError as exc:

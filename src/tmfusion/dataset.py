@@ -2,10 +2,12 @@
 
 A sample is one tweet joined to its trading day's market features and the
 next trading day's up/down label, with the numeric feature blocks min-max
-normalized against the training split only. The build is columnar: one
-chronological pass joins tweets to days and collects per-sample columns
-(day index, running author count, sentiment scored once per distinct text,
-credibility replayed from strictly-earlier tweets). Then the raw (N, width)
+normalized against the training split only. The build works on the
+tweets as columns (``TweetColumns``, read from the tweet file ingest
+writes) with array operations: a stable sort by timestamp, one
+``searchsorted`` join to trading days, masks for the drops, sentiment and
+token ids once per distinct text, and running author counts and
+credibility from one stable per-author sort. Then the raw (N, width)
 matrix is filled block by block, widened to (N, steps, width) under a
 market lookback, and normalized once in place. Text becomes token ids into
 one embedding table of the words the dataset uses. The 80/20 split keeps
@@ -18,7 +20,6 @@ all byte-stable for a fixed config.
 
 from __future__ import annotations
 
-import bisect
 import datetime as dt
 import hashlib
 import json
@@ -32,19 +33,34 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import atomic_write, canonical_json, write_json
+from .artifacts import (
+    CRC,
+    DATASET_FORMAT_VERSION,
+    DATASET_MAGIC,
+    PREAMBLE,
+    source_digest,
+    write_json,
+    write_tmds,
+)
 from .config import FEATURE_FLAGS, IndicatorConfig, normalize_feature_set
 from .errors import AssemblyError, InvalidArgumentError, JoinError, SchemaError, checked_object
 from .indicators import market_feature_matrix
-from .inputs import OhlcvBar, TweetRecord, label_bars
+from .inputs import (
+    COUNTER_FIELDS,
+    MAX_COUNTER,
+    TWEET_TABLES,
+    OhlcvBar,
+    TweetColumnBuilder,
+    TweetRecord,
+    label_bars,
+    tweet_layout,
+    tweets_schema_hash,
+)
 from .social import (
     LexiconSentimentProvider,
     SentimentProvider,
-    SentimentVector,
-    UserHistoryStore,
     sentiment_vector,
     social_matrix,
-    tweet_score,
 )
 from .text import EmbeddingTable, load_stopwords, tokenize_clean
 
@@ -54,8 +70,6 @@ NUMERIC_BLOCK_ORDER = FEATURE_FLAGS[:-1]
 
 TRAIN_FRACTION = 0.8
 
-DATASET_MAGIC = b"TMDS"
-DATASET_FORMAT_VERSION = 2
 #: The embedding table's file in a dataset directory; the splits' token ids index its rows.
 TABLE_NAME = "embedding.bin"
 
@@ -249,6 +263,43 @@ class Split:
         )
 
 
+@dataclass(eq=False)
+class TweetColumns:
+    """Tweets as columns, as the tweet file holds them.
+
+    - ``timestamps``: (N,) int64 UTC microseconds since 1970-01-01;
+    - ``counters``: (N, 5) int64, in ``inputs.COUNTER_FIELDS`` order;
+    - ``ticker_ids``, ``author_ids``, ``text_ids``: (N,) int32 indices into
+      ``tickers``, ``authors`` and ``texts``, each sorted and distinct.
+    """
+
+    timestamps: np.ndarray
+    counters: np.ndarray
+    ticker_ids: np.ndarray
+    author_ids: np.ndarray
+    text_ids: np.ndarray
+    tickers: list[str]
+    authors: list[str]
+    texts: list[str]
+
+    def __len__(self) -> int:
+        return self.timestamps.shape[0]
+
+    @classmethod
+    def from_records(cls, records: Sequence[TweetRecord]) -> "TweetColumns":
+        """The columns of parsed tweets, laid out as ingest writes them."""
+        builder = TweetColumnBuilder()
+        for t in records:
+            counters = tuple(getattr(t, name) for name in COUNTER_FIELDS)
+            if None in counters:
+                raise AssemblyError(f"block 'social' has missing values: a counter of tweet {t.id}")
+            builder.append((t.id, t.username, t.timestamp, t.text, t.ticker, counters, t.hashtags))
+        tables, data = builder.finish()
+        layout = tweet_layout({"count": builder.count})
+        arrays = [np.frombuffer(col, dtype).reshape(shape) for col, (_, dtype, shape) in zip(data, layout)]
+        return cls(*arrays, **tables)
+
+
 # ---------------------------------------------------------------------------
 # Dataset build
 # ---------------------------------------------------------------------------
@@ -290,10 +341,9 @@ class BuildResult:
     report: dict
 
 
-def _join_day(bar_dates: list[dt.date], day: dt.date) -> int | None:
-    """Index of the most recent trading day at or before the calendar day."""
-    idx = bisect.bisect_right(bar_dates, day) - 1
-    return idx if idx >= 0 else None
+#: Microseconds per day, and the ordinal of the day tweet timestamps count from.
+_US_PER_DAY = 86_400_000_000
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
 def _token_ids(
@@ -326,24 +376,71 @@ def _token_ids(
     return rows[text_id], table, max_len
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """For each position of ``keys``, the index where its run of equal keys starts."""
+    n = keys.shape[0]
+    starts = np.ones(n, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return np.maximum.accumulate(np.where(starts, np.arange(n), 0))
+
+
+def _author_history(
+    author_id: np.ndarray, stamps: np.ndarray, hit: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's running author count and credibility vector, samples in time order.
+
+    The count includes the sample itself. The credibility vector
+    [hits, misses, recommendation, representativeness] folds in only the
+    author's samples with strictly earlier timestamps, so two samples of
+    one author sharing a timestamp never see each other's score: the hit
+    and miss counts are the exclusive cumulative counts at the first sample
+    of the sample's (author, timestamp) run.
+    """
+    n = author_id.shape[0]
+    by_author = np.argsort(author_id, kind="stable")  # each author's samples stay in time order
+    first = _run_starts(author_id[by_author])
+    # a run of equal timestamps within one author's samples
+    run = np.maximum(first, _run_starts(stamps[by_author]))
+    position = np.arange(n)
+    hits_before = np.cumsum(hit[by_author], dtype=np.int64)
+    hits_before -= hit[by_author]
+    hits = hits_before[run] - hits_before[first]
+    total = run - first
+
+    counts = np.empty(n, dtype=np.int64)
+    counts[by_author] = position - first + 1
+    rating = np.divide(hits, total, out=np.zeros(n), where=total > 0)
+    distinct, inverse = np.unique(hits, return_inverse=True)
+    # math.log10 per distinct count, as the per-author recommendation_score takes it
+    recommendation = np.array([0.0 if h == 0 else 1.0 + math.log10(h) for h in distinct.tolist()])
+    credibility = np.empty((n, BLOCK_WIDTHS["credibility"]))
+    credibility[by_author] = np.column_stack(
+        (hits, total - hits, recommendation[inverse], (rating + hits) / 2.0)
+    )
+    return counts, credibility
+
+
 def build_dataset(
-    tweets: list[TweetRecord], bars: list[OhlcvBar], cfg: BuildConfig
+    tweets: TweetColumns | Sequence[TweetRecord], bars: list[OhlcvBar], cfg: BuildConfig
 ) -> BuildResult:
     """Join tweets to market days, replay author histories, split, normalize.
 
     Tweets are processed in timestamp order (ties keep input order). Each
-    joins to the most recent trading day at or before its calendar day and
-    takes that day's next-day label. Credibility sees only strictly earlier
-    tweets. The 80/20 split is chronological by sample index; the normalizer
-    and the text max-length come from the training split alone.
+    joins to the most recent trading day at or before its UTC calendar day
+    and takes that day's next-day label. Credibility sees only strictly
+    earlier tweets. The 80/20 split is chronological by sample index; the
+    normalizer and the text max-length come from the training split alone.
+    A list of records is first laid out as columns.
     """
+    if not isinstance(tweets, TweetColumns):
+        tweets = TweetColumns.from_records(tweets)
     fs = cfg.feature_set
     if len(bars) < 2:
         raise InvalidArgumentError("need at least 2 bars")
 
-    labeled = label_bars(bars, cfg.label_field)
+    labels_by_day = np.array([lb.label for lb in label_bars(bars, cfg.label_field)], dtype=np.uint8)
     bar_dates = [b.date for b in bars]
-    label_by_idx = [lb.label for lb in labeled]
+    bar_ordinals = np.array([d.toordinal() for d in bar_dates], dtype=np.int64)
 
     market_rows = None
     first_defined = 0
@@ -355,80 +452,53 @@ def build_dataset(
         load_stopwords() if "text" in fs else frozenset()
     )
 
-    ordered = sorted(
-        (t for t in tweets if t.ticker == cfg.ticker),
-        key=lambda t: t.timestamp,
-    )
-    ticker_mismatch = len(tweets) - len(ordered)
+    ticker = tweets.tickers.index(cfg.ticker) if cfg.ticker in tweets.tickers else -1
+    rows = np.flatnonzero(tweets.ticker_ids == ticker)
+    rows = rows[np.argsort(tweets.timestamps[rows], kind="stable")]
+    ticker_mismatch = len(tweets) - rows.size
 
-    store = UserHistoryStore()
-    author_counts: dict[str, int] = {}
-    # distinct text -> index into `sentiments`, in order of first sample
-    sentiment_ids: dict[str, int] = {}
-    sentiments: list[SentimentVector] = []
-    drops = {"before_first_trading_day": 0, "no_label_for_day": 0, "indicator_warmup": 0}
-
-    # the join collects one column entry per sample; blocks are built after it
-    kept: list[TweetRecord] = []
-    day_idx: list[int] = []
-    author_count: list[int] = []
-    sentiment_id: list[int] = []
-    credibility = (
-        np.empty((len(ordered), BLOCK_WIDTHS["credibility"])) if "credibility" in fs else None
-    )
-
-    for tweet in ordered:
-        day = _join_day(bar_dates, tweet.timestamp.date())
-        if day is None:
-            drops["before_first_trading_day"] += 1
-            continue
-        if day >= len(label_by_idx):
-            # joined to the final bar, whose next-day label does not exist yet
-            drops["no_label_for_day"] += 1
-            continue
-        if "market" in fs and day - cfg.market_lookback < first_defined:
-            # every lookback step must be past the indicator warmup
-            drops["indicator_warmup"] += 1
-            continue
-
-        k = sentiment_ids.get(tweet.text)
-        if k is None:
-            k = sentiment_ids[tweet.text] = len(sentiments)
-            sentiments.append(sentiment_vector(tweet.text, provider))
-        if credibility is not None:
-            credibility[len(kept)] = store.observe(tweet.username, tweet.timestamp)
-            store.record(
-                tweet.username, tweet.timestamp, tweet_score(sentiments[k].label, label_by_idx[day])
-            )
-        author_counts[tweet.username] = author_counts.get(tweet.username, 0) + 1
-
-        kept.append(tweet)
-        day_idx.append(day)
-        author_count.append(author_counts[tweet.username])
-        sentiment_id.append(k)
-
-    if not kept:
+    stamps = tweets.timestamps[rows]
+    day = np.searchsorted(bar_ordinals, stamps // _US_PER_DAY + _EPOCH_ORDINAL, side="right") - 1
+    before = day < 0
+    # joined to the final bar, whose next-day label does not exist yet
+    unlabeled = day >= labels_by_day.size
+    # every lookback step must be past the indicator warmup
+    warmup = (day - cfg.market_lookback < first_defined) & ~before & ~unlabeled
+    drops = {
+        "before_first_trading_day": int(before.sum()),
+        "no_label_for_day": int(unlabeled.sum()),
+        "indicator_warmup": int(warmup.sum()),
+    }
+    kept = ~(before | unlabeled | warmup)
+    rows, stamps, day_idx = rows[kept], stamps[kept], day[kept]
+    if rows.size == 0:
         raise JoinError(
             f"no usable samples: tweets and bars for {cfg.ticker!r} share no labeled dates"
         )
 
-    n = len(kept)
+    n = rows.size
     n_train = int(n * cfg.train_fraction)
-    day_idx = np.array(day_idx)
-    sentiment_id = np.array(sentiment_id)
+    labels = labels_by_day[day_idx]
+    author_id = tweets.author_ids[rows]
+
+    # the distinct texts of the samples, each scored and tokenized once
+    distinct, text_id = np.unique(tweets.text_ids[rows], return_inverse=True)
+    texts = [tweets.texts[i] for i in distinct.tolist()]
+    sentiments = [sentiment_vector(text, provider) for text in texts]
+    # a sentiment call hits when its direction class (negative 0, else 1) is the label
+    said_up = np.array([s.label != -1 for s in sentiments])[text_id]
+    author_count, credibility = _author_history(author_id, stamps, said_up == (labels == 1))
 
     token_ids = table = None
     max_len = 0
     if "text" in fs:
-        token_ids, table, max_len = _token_ids(
-            list(sentiment_ids), sentiment_id, n_train, stopwords, cfg
-        )
+        token_ids, table, max_len = _token_ids(texts, text_id, n_train, stopwords, cfg)
 
     blocks = {
         "market": lambda: market_rows[day_idx],
-        "social": lambda: social_matrix(kept, author_count),
-        "sentiment": lambda: np.array([s.as_array() for s in sentiments])[sentiment_id],
-        "credibility": lambda: credibility[:n],
+        "social": lambda: social_matrix(tweets.counters[rows], author_count),
+        "sentiment": lambda: np.array([s.as_array() for s in sentiments])[text_id],
+        "credibility": lambda: credibility,
     }
     width = numeric_width(fs)
     numeric = np.empty((n, width))  # raw rows until normalized in place below
@@ -448,9 +518,9 @@ def build_dataset(
         normalizer = fit_normalizer(numeric[:n_train])
     else:
         normalizer = NormalizerState(np.zeros(0), np.zeros(0))
-    train_hash = hashlib.sha256(
-        struct.pack("<I", n_train) + numeric[:n_train].astype("<f8").tobytes()
-    ).hexdigest()
+    # hashed in place: the rows are C-contiguous float64 already
+    train_hash = hashlib.sha256(struct.pack("<I", n_train))
+    train_hash.update(np.ascontiguousarray(numeric[:n_train], dtype="<f8"))
 
     if cfg.market_lookback > 0:
         # prior steps substitute earlier days' market block; the normalizer
@@ -461,21 +531,18 @@ def build_dataset(
     apply_normalizer(normalizer, numeric, out=numeric)
     numeric = numeric.reshape(n, cfg.market_lookback + 1, width)
 
-    labels = np.array(label_by_idx, dtype=np.uint8)[day_idx]
-    ordinals = np.array([d.toordinal() for d in bar_dates], dtype=np.int32)[day_idx]
-    names = [t.username for t in kept]
+    ordinals = bar_ordinals.astype(np.int32)[day_idx]
 
-    def split(rows: slice) -> Split:
-        authors = sorted(set(names[rows]))
-        index = {a: i for i, a in enumerate(authors)}
+    def split(part: slice) -> Split:
+        present, ids = np.unique(author_id[part], return_inverse=True)
         return Split(
             ticker=cfg.ticker,
-            numeric=numeric[rows],
-            labels=labels[rows],
-            days=ordinals[rows],
-            authors=authors,
-            author_ids=np.array([index[a] for a in names[rows]], dtype=np.int32),
-            token_ids=None if token_ids is None else token_ids[rows],
+            numeric=numeric[part],
+            labels=labels[part],
+            days=ordinals[part],
+            authors=[tweets.authors[i] for i in present.tolist()],
+            author_ids=ids.astype(np.int32),
+            token_ids=None if token_ids is None else token_ids[part],
             table=table,
         )
 
@@ -498,7 +565,7 @@ def build_dataset(
         "dropped": drops,
         "first_sample_day": bar_dates[day_idx[0]].isoformat(),
         "last_sample_day": bar_dates[day_idx[-1]].isoformat(),
-        "leakage_audit_hash": train_hash,
+        "leakage_audit_hash": train_hash.hexdigest(),
     }
     return BuildResult(train, test, normalizer, max_len, report)
 
@@ -507,11 +574,10 @@ def build_dataset(
 # Binary dataset artifact
 # ---------------------------------------------------------------------------
 
-#: magic, u32le format version, u32le header length
-_PREAMBLE = struct.Struct("<4sII")
-#: the trailing u32le crc32 of every byte before it
-_CRC = struct.Struct("<I")
 _MAX_ORDINAL = dt.date.max.toordinal()
+#: The tweet timestamps a datetime can hold, in UTC microseconds since 1970-01-01.
+_MIN_US = (1 - _EPOCH_ORDINAL) * _US_PER_DAY
+_MAX_US = (_MAX_ORDINAL + 1 - _EPOCH_ORDINAL) * _US_PER_DAY - 1
 
 #: The JSON type of each key of a header; all of them are required.
 _SPLIT_TYPES = {
@@ -523,6 +589,10 @@ _SPLIT_TYPES = {
     ),
 }
 _TABLE_TYPES = {"schema_hash": (str,), "rows": (int,), "embedding_dim": (int,)}
+_TWEETS_TYPES = {
+    "schema_hash": (str,), "source_sha256": (str,), "source_bytes": (int,), "count": (int,),
+    **dict.fromkeys(TWEET_TABLES, (list,)),
+}
 #: Header facts the train and test files of one dataset share.
 _SHARED_KEYS = ("flags", "numeric_width", "numeric_steps", "max_len", "embedding_dim", "vocab_size")
 
@@ -546,25 +616,19 @@ def _table_layout(header: dict) -> list[tuple[str, str, tuple[int, ...]]]:
 
 
 def _write_file(path: Path | str, header: dict, layout, arrays) -> None:
-    """Write a TMDS file: preamble, header, one column per array of ``layout``, checksum.
+    """Write a TMDS file with one column per array of ``layout``.
 
-    The header is padded with spaces so that the columns start 8-byte
-    aligned. An array whose shape differs from its column's raises
+    An array whose shape differs from its column's raises
     ``InvalidArgumentError`` and leaves the previous file at ``path``.
     """
-    head = canonical_json(header).encode("utf-8")
-    head += b" " * (-(_PREAMBLE.size + len(head)) % 8)
-    with atomic_write(path, "wb") as fh:
-        data = _PREAMBLE.pack(DATASET_MAGIC, DATASET_FORMAT_VERSION, len(head)) + head
-        fh.write(data)
-        crc = zlib.crc32(data)
+
+    def columns():
         for (name, dtype, shape), arr in zip(layout, arrays, strict=True):
             if arr.shape != shape:
                 raise InvalidArgumentError(f"{name} shape {arr.shape} != {shape}")
-            data = np.ascontiguousarray(arr, dtype=dtype)  # no copy when it already is
-            fh.write(data)
-            crc = zlib.crc32(data, crc)
-        fh.write(_CRC.pack(crc))
+            yield np.ascontiguousarray(arr, dtype=dtype)  # no copy when it already is
+
+    write_tmds(path, header, columns())
 
 
 def write_split(path: Path | str, split: Split, fs: frozenset[str], label_field: str) -> None:
@@ -603,12 +667,15 @@ def _open(path: Path | str):
         raise SchemaError(f"{path}: cannot be read: {exc.strerror}") from exc
 
 
-def _read_header(path: Path | str, fh, size: int, types: dict) -> tuple[dict, int]:
-    """Check the preamble and parse the header; returns it and the offset of the first column."""
-    preamble = fh.read(_PREAMBLE.size)
-    if len(preamble) < _PREAMBLE.size:
+def _read_header(path: Path | str, fh, size: int, types: dict, digest: str) -> tuple[dict, int]:
+    """Check the preamble and parse the header; returns it and the offset of the first column.
+
+    ``digest`` is the schema hash the header must carry.
+    """
+    preamble = fh.read(PREAMBLE.size)
+    if len(preamble) < PREAMBLE.size:
         raise SchemaError(f"{path}: {size}-byte file is shorter than the preamble")
-    magic, version, header_len = _PREAMBLE.unpack(preamble)
+    magic, version, header_len = PREAMBLE.unpack(preamble)
     if magic != DATASET_MAGIC:
         raise SchemaError(f"{path}: bad magic")
     if version != DATASET_FORMAT_VERSION:
@@ -616,14 +683,14 @@ def _read_header(path: Path | str, fh, size: int, types: dict) -> tuple[dict, in
             f"{path}: format version {version}, but this reader reads only version "
             f"{DATASET_FORMAT_VERSION}; rebuild the dataset with the features subcommand"
         )
-    offset = _PREAMBLE.size + header_len
+    offset = PREAMBLE.size + header_len
     if offset > size:
         raise SchemaError(f"{path}: header length {header_len} runs past the end of the file")
     try:
         header = json.loads(fh.read(header_len))
     except ValueError as exc:
         raise SchemaError(f"{path}: header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("schema_hash") != schema_hash():
+    if not isinstance(header, dict) or header.get("schema_hash") != digest:
         raise SchemaError(f"{path}: schema hash mismatch")
     checked_object(header, types, f"{path}: header", required=types)
     for key, value in header.items():
@@ -634,26 +701,30 @@ def _read_header(path: Path | str, fh, size: int, types: dict) -> tuple[dict, in
     return header, offset
 
 
-def _read_file(path: Path | str, types: dict, layout_of) -> tuple[dict, list[np.ndarray]]:
+def _read_file(
+    path: Path | str, types: dict, layout_of, digest: str | None = None
+) -> tuple[dict, list[np.ndarray]]:
     """A whole TMDS file: its checked header and its columns, as laid out by ``layout_of(header)``.
 
-    The file must be exactly as long as the layout says and match its
-    checksum. The columns are views of one buffer the file is read into.
+    The header must carry the schema hash ``digest``, the dataset files'
+    by default. The file must be exactly as long as the layout says and
+    match its checksum. The columns are views of one buffer the file is
+    read into.
     """
     with _open(path) as fh:
         size = os.fstat(fh.fileno()).st_size
-        header, offset = _read_header(path, fh, size, types)
+        header, offset = _read_header(path, fh, size, types, digest or schema_hash())
         layout = layout_of(header)
         lengths = [np.dtype(dtype).itemsize * math.prod(shape) for _, dtype, shape in layout]
-        expected = offset + sum(lengths) + _CRC.size
+        expected = offset + sum(lengths) + CRC.size
         if size != expected:
             raise SchemaError(f"{path}: {size} bytes, but its header describes {expected}")
         blob = np.empty(size, dtype=np.uint8)
         fh.seek(0)
         if fh.readinto(blob) != size:
             raise SchemaError(f"{path}: the file changed while it was read")
-    (crc,) = _CRC.unpack(blob[-_CRC.size :].tobytes())
-    if zlib.crc32(blob[: -_CRC.size]) != crc:
+    (crc,) = CRC.unpack(blob[-CRC.size :].tobytes())
+    if zlib.crc32(blob[: -CRC.size]) != crc:
         raise SchemaError(f"{path}: checksum mismatch; the file is corrupt")
     columns = []
     for (_, dtype, shape), length in zip(layout, lengths):
@@ -670,7 +741,38 @@ def _check_range(path: Path | str, name: str, values: np.ndarray, low: int, high
 def read_header(path: Path | str) -> dict:
     """The header of a split file, reading no columns."""
     with _open(path) as fh:
-        return _read_header(path, fh, os.fstat(fh.fileno()).st_size, _SPLIT_TYPES)[0]
+        return _read_header(path, fh, os.fstat(fh.fileno()).st_size, _SPLIT_TYPES, schema_hash())[0]
+
+
+def _sorted_distinct(values: list[str]) -> bool:
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
+def read_tweets(path: Path | str, source: Path | str) -> TweetColumns:
+    """The tweet file ingest wrote, every id and value checked.
+
+    ``source`` is the JSON-lines file the tweets were parsed from: when its
+    size or SHA-256 differs from what the tweet file records, the tweets
+    are stale and ``SchemaError`` says to rerun ingest.
+    """
+    header, columns = _read_file(path, _TWEETS_TYPES, tweet_layout, tweets_schema_hash())
+    timestamps, counters, *ids = columns
+    tables = {name: header[name] for name in TWEET_TABLES}
+    for (name, column), values in zip(TWEET_TABLES.items(), ids):
+        if not _sorted_distinct(tables[name]):
+            raise SchemaError(f"{path}: the {name} table is not sorted and distinct")
+        _check_range(path, column, values, 0, len(tables[name]) - 1)
+    _check_range(path, "timestamp", timestamps, _MIN_US, _MAX_US)
+    _check_range(path, "counter", counters, 0, MAX_COUNTER)
+    try:
+        digest = source_digest(source)
+    except OSError as exc:
+        raise SchemaError(f"{source}: cannot be read: {exc.strerror}") from exc
+    if any(header[key] != value for key, value in digest.items()):
+        raise SchemaError(
+            f"{path}: {source} has changed since ingest parsed it; rerun the ingest subcommand"
+        )
+    return TweetColumns(timestamps, counters, *ids, **tables)
 
 
 def read_split(path: Path | str) -> tuple[Split, dict]:
@@ -682,7 +784,7 @@ def read_split(path: Path | str) -> tuple[Split, dict]:
     header, columns = _read_file(path, _SPLIT_TYPES, _split_layout)
     numeric, days, author_ids, *token_ids, labels = columns
     authors = header["authors"]
-    if authors != sorted(set(authors)):
+    if not _sorted_distinct(authors):
         raise SchemaError(f"{path}: the author table is not sorted and distinct")
     if header["numeric_steps"] < 1 or (token_ids and header["max_len"] < 1):
         raise SchemaError(f"{path}: numeric_steps and, with text, max_len must be >= 1")

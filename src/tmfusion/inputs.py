@@ -3,16 +3,27 @@
 Nothing here imports numpy, so ``tmfusion ingest`` parses and inventories
 its inputs without it. Readers reject a malformed line with a
 ``SchemaError`` naming it, or skip it with a ``Diagnostic`` when lenient.
+
+The JSON lines are parsed once: ingest streams the validated tweets into
+columns (``TweetColumnBuilder``) and writes them as the tweet file
+(``write_tweets``), which ``dataset.read_tweets`` reads back as arrays.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import hashlib
+import io
 import json
 import math
+import sys
+from array import array
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterator
 
+from .artifacts import read_text, write_tmds
 from .errors import Diagnostic, InvalidArgumentError, SchemaError
 
 OHLCV_COLUMNS = ("Date", "Open", "High", "Low", "Close", "Adj Close")
@@ -23,9 +34,11 @@ _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%Y")
 LABEL_FIELDS = ("close", "open", "adj_close")
 
 _REQUIRED_TWEET_FIELDS = ("id", "username", "timestamp", "text", "ticker")
-_COUNTER_FIELDS = ("retweets", "favorites", "replies", "follower_count", "friends_count")
+_REQUIRED_TWEET_KEYS = frozenset(_REQUIRED_TWEET_FIELDS)
+#: The tweet counters, in the order the tweet file stores them and the social vector uses.
+COUNTER_FIELDS = ("follower_count", "friends_count", "replies", "retweets", "favorites")
 #: Counters above this bound are rejected; the feature build turns them into float64.
-_MAX_COUNTER = 2**63 - 1
+MAX_COUNTER = 2**63 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +108,8 @@ def load_ohlcv_csv(path: str, lenient: bool = False) -> OhlcvIngestResult:
             raise SchemaError(f"{path}: line {line}: {message}")
         diagnostics.append(Diagnostic(line, message))
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    try:
         header = reader.fieldnames or []
         missing = [c for c in OHLCV_COLUMNS if c not in header]
         if missing:
@@ -127,6 +140,9 @@ def load_ohlcv_csv(path: str, lenient: bool = False) -> OhlcvIngestResult:
                     file_labels[date] = int(row["Label"])
                 except (ValueError, TypeError):
                     reject(lineno, f"unparseable Label {row.get('Label')!r}")
+    except csv.Error as exc:  # an oversized field, for one
+        # the DictReader's own line_num counts only the rows it returned
+        raise SchemaError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
 
     return OhlcvIngestResult(bars=bars, file_labels=file_labels, diagnostics=diagnostics)
 
@@ -197,14 +213,10 @@ class TweetRecord:
     friends_count: int = 0
     hashtags: tuple[str, ...] = ()
 
-    def validate(self) -> None:
-        if not self.id:
-            raise InvalidArgumentError("tweet id must be nonempty")
-        if not self.username:
-            raise InvalidArgumentError("username must be nonempty")
-        for name in _COUNTER_FIELDS:
-            if getattr(self, name) < 0:
-                raise InvalidArgumentError(f"{name} must be >= 0")
+
+#: One tweet as the JSON-lines reader yields it: id, username, timestamp,
+#: text, ticker, the counters in ``COUNTER_FIELDS`` order, and hashtags.
+ParsedTweet = tuple[str, str, dt.datetime, str, str, tuple[int, ...], tuple[str, ...]]
 
 
 def parse_timestamp(raw: str) -> dt.datetime:
@@ -221,42 +233,35 @@ def parse_timestamp(raw: str) -> dt.datetime:
         raise ValueError(f"timestamp {raw!r} is out of range in UTC") from exc
 
 
-def _tweet_from_json(obj: dict) -> TweetRecord:
-    missing = [f for f in _REQUIRED_TWEET_FIELDS if f not in obj]
-    if missing:
+def _parse_tweet(obj: dict) -> ParsedTweet:
+    """The fields of one tweet's JSON object; an invalid one raises ValueError naming it."""
+    if not _REQUIRED_TWEET_KEYS <= obj.keys():
+        missing = [f for f in _REQUIRED_TWEET_FIELDS if f not in obj]
         raise ValueError(f"missing required fields {missing}")
-    counters = {}
-    for name in _COUNTER_FIELDS:
-        value = obj.get(name, 0)
+    counters = tuple([obj.get(name, 0) for name in COUNTER_FIELDS])
+    for name, value in zip(COUNTER_FIELDS, counters):
         # a JSON integer, as the config reader demands: no bool, float or string
-        if type(value) is not int or not 0 <= value <= _MAX_COUNTER:
-            raise ValueError(f"{name} must be an integer in [0, {_MAX_COUNTER}], got {value!r}")
-        counters[name] = value
+        if type(value) is not int or not 0 <= value <= MAX_COUNTER:
+            raise ValueError(f"{name} must be an integer in [0, {MAX_COUNTER}], got {value!r}")
     hashtags = obj.get("hashtags", [])
     if not isinstance(hashtags, list) or not all(isinstance(h, str) for h in hashtags):
         raise ValueError("hashtags must be a list of strings")
-    tweet = TweetRecord(
-        id=str(obj["id"]),
-        username=str(obj["username"]),
-        timestamp=parse_timestamp(str(obj["timestamp"])),
-        text=str(obj["text"]),
-        ticker=str(obj["ticker"]),
-        hashtags=tuple(hashtags),
-        **counters,
-    )
-    tweet.validate()
-    return tweet
+    tweet_id, username = str(obj["id"]), str(obj["username"])
+    if not tweet_id:
+        raise ValueError("tweet id must be nonempty")
+    if not username:
+        raise ValueError("username must be nonempty")
+    timestamp = parse_timestamp(str(obj["timestamp"]))
+    return tweet_id, username, timestamp, str(obj["text"]), str(obj["ticker"]), counters, tuple(hashtags)
 
 
-def load_tweets_jsonl(path: str, lenient: bool = False) -> tuple[list[TweetRecord], list[Diagnostic]]:
-    """Parse one TweetRecord JSON object per line.
+def _read_tweet_lines(path: str, lenient: bool, diagnostics: list[Diagnostic]) -> Iterator[ParsedTweet]:
+    """The valid tweets of a JSON-lines file, one per line, in file order.
 
-    Unknown fields are ignored. Malformed lines, invalid UTF-8 among them,
-    raise SchemaError with the line number, or are skipped with a
-    diagnostic when ``lenient``.
+    Malformed lines, invalid UTF-8 among them, raise SchemaError with the
+    line number, or are skipped with a diagnostic appended to
+    ``diagnostics`` when ``lenient``.
     """
-    tweets: list[TweetRecord] = []
-    diagnostics: list[Diagnostic] = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
@@ -265,9 +270,128 @@ def load_tweets_jsonl(path: str, lenient: bool = False) -> tuple[list[TweetRecor
                 obj = json.loads(raw.decode("utf-8"))
                 if not isinstance(obj, dict):
                     raise ValueError("line is not a JSON object")
-                tweets.append(_tweet_from_json(obj))
-            except (ValueError, TypeError, InvalidArgumentError) as exc:
+                tweet = _parse_tweet(obj)
+            except (ValueError, TypeError) as exc:
                 if not lenient:
                     raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
                 diagnostics.append(Diagnostic(lineno, str(exc)))
+                continue
+            yield tweet
+
+
+def load_tweets_jsonl(path: str, lenient: bool = False) -> tuple[list[TweetRecord], list[Diagnostic]]:
+    """Parse one TweetRecord JSON object per line.
+
+    Unknown fields are ignored. A malformed line raises SchemaError, or is
+    skipped with a diagnostic when ``lenient``.
+    """
+    diagnostics: list[Diagnostic] = []
+    tweets = [
+        TweetRecord(tweet_id, username, timestamp, text, ticker, hashtags=hashtags,
+                    **dict(zip(COUNTER_FIELDS, counters)))
+        for tweet_id, username, timestamp, text, ticker, counters, hashtags
+        in _read_tweet_lines(path, lenient, diagnostics)
+    ]
     return tweets, diagnostics
+
+
+# ---------------------------------------------------------------------------
+# The tweet file: the parsed tweets as columns
+# ---------------------------------------------------------------------------
+
+#: The tweet file's name in an output directory.
+TWEETS_NAME = "tweets.bin"
+
+TWEETS_DESCRIPTOR = (
+    "tmds format 2 tweet file: magic 'TMDS'; u32le format_version; u32le header_len; "
+    "canonical-json header, space-padded so the columns start 8-byte aligned; "
+    "columns end to end; u32le crc32 of every byte before it. "
+    "header {schema_hash, source_bytes, source_sha256 (of the JSON lines the tweets "
+    "were parsed from), count, tickers, authors, texts (each sorted, distinct)}; "
+    "columns: timestamp_us count i64le (UTC microseconds since 1970-01-01), counters "
+    "count*5 i64le >= 0 (follower_count, friends_count, replies, retweets, favorites), "
+    "ticker_id, author_id, text_id count i32le each, indexing tickers, authors, texts"
+)
+
+#: Each table of the header, with the column of ids into it, in column order.
+TWEET_TABLES = {"tickers": "ticker_id", "authors": "author_id", "texts": "text_id"}
+
+_EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
+_MICROSECOND = dt.timedelta(microseconds=1)
+
+
+def tweets_schema_hash() -> str:
+    return hashlib.sha256(TWEETS_DESCRIPTOR.encode("utf-8")).hexdigest()
+
+
+def tweet_layout(header: dict) -> list[tuple[str, str, tuple[int, ...]]]:
+    """(name, dtype, shape) of each column of a tweet file, in file order."""
+    count = header["count"]
+    return [
+        ("timestamp_us", "<i8", (count,)),
+        ("counters", "<i8", (count, len(COUNTER_FIELDS))),
+        *((column, "<i4", (count,)) for column in TWEET_TABLES.values()),
+    ]
+
+
+class TweetColumnBuilder:
+    """Parsed tweets appended one at a time, kept as the tweet file's columns.
+
+    ``finish`` returns the sorted, distinct ticker, author and text tables
+    and the columns, ids remapped to index the sorted tables.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+        self._timestamps = array("q")
+        self._counters = array("q")
+        # ticker, author, text -> id in order of first appearance
+        self._tables: tuple[dict[str, int], ...] = ({}, {}, {})
+        self._ids = (array("i"), array("i"), array("i"))
+
+    def append(self, tweet: ParsedTweet) -> None:
+        _, username, timestamp, text, ticker, counters, _ = tweet
+        self.count += 1
+        self._timestamps.append((timestamp - _EPOCH) // _MICROSECOND)
+        self._counters.extend(counters)
+        tickers, authors, texts = self._tables
+        ticker_ids, author_ids, text_ids = self._ids
+        ticker_ids.append(tickers.setdefault(ticker, len(tickers)))
+        author_ids.append(authors.setdefault(username, len(authors)))
+        text_ids.append(texts.setdefault(text, len(texts)))
+
+    def finish(self) -> tuple[dict[str, list[str]], list[array]]:
+        """The tables by header key, and the columns in ``tweet_layout`` order."""
+        tables, columns = {}, [self._timestamps, self._counters]
+        for name, table, ids in zip(TWEET_TABLES, self._tables, self._ids):
+            tables[name] = sorted(table)
+            rank = [0] * len(table)
+            for new, key in enumerate(tables[name]):
+                rank[table[key]] = new
+            columns.append(array("i", [rank[i] for i in ids]))
+        if sys.byteorder == "big":
+            columns = [array(column.typecode, column) for column in columns]
+            for column in columns:
+                column.byteswap()
+        return tables, columns
+
+    def ticker_count(self, ticker: str) -> int:
+        """How many of the tweets name ``ticker``."""
+        tid = self._tables[0].get(ticker)
+        return 0 if tid is None else self._ids[0].count(tid)
+
+
+def ingest_tweets(path: str, lenient: bool = False) -> tuple[TweetColumnBuilder, list[Diagnostic]]:
+    """The valid tweets of a JSON-lines file as columns, and the lines skipped."""
+    diagnostics: list[Diagnostic] = []
+    columns = TweetColumnBuilder()
+    for tweet in _read_tweet_lines(path, lenient, diagnostics):
+        columns.append(tweet)
+    return columns, diagnostics
+
+
+def write_tweets(path: str | Path, columns: TweetColumnBuilder, source: dict) -> None:
+    """Write the tweet file; ``source`` is ``artifacts.source_digest`` of the JSON lines."""
+    tables, data = columns.finish()
+    header = {"schema_hash": tweets_schema_hash(), **source, "count": columns.count, **tables}
+    write_tmds(path, header, data)

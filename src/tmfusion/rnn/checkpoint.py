@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..artifacts import write_json
+from ..artifacts import read_text, write_json
 from ..config import Hyperparams
 from ..dataset import Sample
 from ..errors import SchemaError, checked_object, field_types
@@ -101,7 +101,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

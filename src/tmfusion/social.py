@@ -8,9 +8,10 @@ how often an author's sentiment has historically agreed with the next day's
 actual price direction, via per-author hit/miss counters and three derived
 scores.
 
-Vector extraction is pure. Per-author history is single-writer: one author's
-log must be applied serially in timestamp order (UserHistoryStore enforces
-this), though distinct authors can be replayed in parallel.
+Vector extraction is pure. ``UserHistoryStore`` replays per-author history
+one tweet at a time, in timestamp order per author; it is the reference the
+dataset build's array replay (``dataset._author_history``) is tested
+against, and the benchmark's credibility probe times it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from .artifacts import read_text
 from .errors import InvalidArgumentError, OrderingError, SchemaError
-from .inputs import TweetRecord
 from .inputs import load_tweets_jsonl  # noqa: F401  (bench/traced.py imports it from here)
 
 #: |polarity| below this is treated as neutral.
@@ -84,8 +85,10 @@ class LexiconSentimentProvider:
 
     @classmethod
     def from_file(cls, path: str) -> "LexiconSentimentProvider":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            raw = json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
         return cls(_parse_lexicon(raw, source=path))
 
     @classmethod
@@ -116,7 +119,7 @@ def _parse_lexicon(raw: object, source: str) -> dict[str, tuple[float, float]]:
         try:
             pol = float(entry["polarity"])
             subj = float(entry["subjectivity"])
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{source}: bad entry for {word!r}: {exc}") from exc
         if not (-1.0 <= pol <= 1.0 and 0.0 <= subj <= 1.0):
             raise SchemaError(f"{source}: {word!r} scores out of range")
@@ -131,16 +134,17 @@ def sentiment_vector(text: str, provider: SentimentProvider) -> SentimentVector:
     return provider.score(text)
 
 
-def social_matrix(tweets: Sequence[TweetRecord], author_tweet_counts: Sequence[int]) -> np.ndarray:
-    """The social vectors of many tweets as one (n, 6) array; a missing counter reads NaN."""
-    return np.fromiter(
-        (
-            (t.follower_count, t.friends_count, t.replies, t.retweets, t.favorites, count)
-            for t, count in zip(tweets, author_tweet_counts)
-        ),
-        dtype=np.dtype((np.float64, len(SOCIAL_FEATURE_NAMES))),
-        count=len(tweets),
-    )
+def social_matrix(counters: np.ndarray, author_tweet_counts: Sequence[int]) -> np.ndarray:
+    """The social vectors of many tweets as one (n, 6) float64 array.
+
+    ``counters`` is the tweets' (n, 5) counter column, in the order of the
+    first five ``SOCIAL_FEATURE_NAMES``; the running author counts fill the
+    last slot.
+    """
+    out = np.empty((counters.shape[0], len(SOCIAL_FEATURE_NAMES)))
+    out[:, :-1] = counters
+    out[:, -1] = author_tweet_counts
+    return out
 
 
 def tweet_score(predicted_label: int, actual_label: int) -> int:

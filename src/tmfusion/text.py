@@ -10,6 +10,7 @@ stays testable without a multi-gigabyte download.
 from __future__ import annotations
 
 import hashlib
+import io
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -17,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import read_text
 from .errors import InvalidArgumentError, SchemaError
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
@@ -32,8 +34,7 @@ def load_stopwords(path: str | None = None) -> frozenset[str]:
     if path is None:
         text = resources.files("tmfusion.resources").joinpath("stopwords.txt").read_text("utf-8")
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(path)
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
 
 
@@ -93,7 +94,7 @@ class EmbeddingTable:
         """Parse `word v1 v2 ... vk` lines; every row must share one dimension."""
         vectors: dict[str, np.ndarray] = {}
         dim: int | None = None
-        with open(path, encoding="utf-8") as fh:
+        with io.StringIO(read_text(path), newline=None) as fh:
             for lineno, line in enumerate(fh, start=1):
                 parts = line.split()
                 if not parts:

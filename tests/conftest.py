@@ -171,6 +171,32 @@ def synthetic_tweets(
     return tweets
 
 
+def write_tweets_jsonl(path: Path, tweets) -> None:
+    """Write tweet records as the JSON-lines corpus the CLI ingests."""
+    with open(path, "w") as fh:
+        for t in tweets:
+            fh.write(json.dumps({
+                "id": t.id, "username": t.username,
+                "timestamp": t.timestamp.isoformat().replace("+00:00", "Z"),
+                "text": t.text, "ticker": t.ticker,
+                "retweets": t.retweets, "favorites": t.favorites,
+                "replies": t.replies, "follower_count": t.follower_count,
+                "friends_count": t.friends_count, "hashtags": list(t.hashtags),
+            }) + "\n")
+
+
+def assert_same_columns(got, expected) -> None:
+    """Two dataclasses of columns hold the same bytes, dtypes and plain fields."""
+    import dataclasses
+
+    for field in dataclasses.fields(expected):
+        x, y = getattr(got, field.name), getattr(expected, field.name)
+        if isinstance(y, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        else:
+            assert x == y, field.name
+
+
 def cell_with_blocks(kind: str, input_dim: int, hidden_dim: int, blocks: dict,
                      literal: bool = False):
     """A standalone cell whose per-gate blocks hold copies of ``blocks``."""

@@ -7,7 +7,7 @@ built on the library instead, to check how it assembles its batch
 results: ``loss_reference``, the scalar loss the gradient checks
 difference, over the dropout-free forward; ``market_feature_vector``, one
 trading day's row of ``market_feature_matrix``; and ``social_vector``, one
-tweet's row of ``social_matrix``.
+tweet's row of ``social_matrix`` over its columns from ``TweetColumns.from_records``.
 """
 
 from __future__ import annotations
@@ -305,12 +305,13 @@ def market_feature_vector(bars, t, cfg):
 
 def social_vector(tweet, author_tweet_count: int):
     """Activity counters plus the author's running tweet count (this tweet included)."""
+    from tmfusion.dataset import TweetColumns
     from tmfusion.errors import InvalidArgumentError
     from tmfusion.social import social_matrix
 
     if author_tweet_count < 1:
         raise InvalidArgumentError("author_tweet_count includes the current tweet, so >= 1")
-    return social_matrix([tweet], [author_tweet_count])[0]
+    return social_matrix(TweetColumns.from_records([tweet]).counters, [author_tweet_count])[0]
 
 
 def loss_reference(model, numeric, text, labels) -> float:

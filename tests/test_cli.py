@@ -21,7 +21,7 @@ from tmfusion.rnn import build_model, load_checkpoint, save_checkpoint
 from tmfusion.rnn.checkpoint import Checkpoint
 from tmfusion import evaluate as ev
 
-from .conftest import DATA_DIR, synthetic_tweets, weekday_bars, write_v1_split
+from .conftest import DATA_DIR, synthetic_tweets, weekday_bars, write_tweets_jsonl, write_v1_split
 
 SMALL_INDICATORS = {
     "ma_period": 3, "rsi_period": 3, "macd_fast": 2, "macd_slow": 4,
@@ -42,18 +42,8 @@ def write_corpus(directory: Path, rng, n_tweets=120, n_bars=30) -> tuple[Path, P
             )
     dates = [bars[0].date + dt.timedelta(days=i)
              for i in range((bars[-1].date - bars[0].date).days + 1)]
-    tweets = synthetic_tweets(rng, dates, n_tweets)
     jsonl_path = directory / "tweets.jsonl"
-    with open(jsonl_path, "w") as fh:
-        for t in tweets:
-            fh.write(json.dumps({
-                "id": t.id, "username": t.username,
-                "timestamp": t.timestamp.isoformat().replace("+00:00", "Z"),
-                "text": t.text, "ticker": t.ticker,
-                "retweets": t.retweets, "favorites": t.favorites,
-                "replies": t.replies, "follower_count": t.follower_count,
-                "friends_count": t.friends_count, "hashtags": list(t.hashtags),
-            }) + "\n")
+    write_tweets_jsonl(jsonl_path, synthetic_tweets(rng, dates, n_tweets))
     return csv_path, jsonl_path
 
 
@@ -167,6 +157,28 @@ class TestFeatures:
         first = tree_hash(run_dir / "out" / "dataset")
         assert run_cli("features", "--config", str(cfg)) == 0
         assert tree_hash(run_dir / "out" / "dataset") == first
+
+    @pytest.mark.parametrize("change", ["appended line", "same-size edit", "deleted tweets.bin"])
+    def test_stale_or_missing_tweet_file_exits_1(self, run_dir, capsys, change):
+        """features reads the tweets ingest parsed, never the JSON lines, so
+        a source edited since ingest or a missing tweet file is an error."""
+        cfg = run_dir / "config.json"
+        assert run_cli("ingest", "--config", str(cfg)) == 0
+        jsonl = run_dir / "tweets.jsonl"
+        lines = jsonl.read_text().splitlines(keepends=True)
+        if change == "appended line":
+            jsonl.write_text("".join(lines + lines[:1]))
+        elif change == "same-size edit":
+            jsonl.write_text("".join(lines[1:2] + lines[:1] + lines[2:]))
+        else:
+            (run_dir / "out" / "tweets.bin").unlink()
+        capsys.readouterr()
+        assert run_cli("features", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "tweets.bin" in err and "Traceback" not in err
+        assert not (run_dir / "out" / "dataset").exists()
+        assert run_cli("ingest", "--config", str(cfg)) == 0
+        assert run_cli("features", "--config", str(cfg)) == 0
 
 
 def prepare_dataset(run_dir: Path) -> Path:
@@ -486,6 +498,55 @@ class TestCliContract:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[-2:] == [str(code), "False"], (proc.stdout, proc.stderr)
+
+    def test_one_blas_thread_unless_set(self, run_dir):
+        script = (
+            "import os, sys\n"
+            "from tmfusion.cli import main\n"
+            "try:\n"
+            "    main(['--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(*(os.environ.get(v) for v in sys.argv[1:]))\n"
+        )
+        names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = str(Path(tmfusion.__file__).resolve().parents[1])
+        for preset, expected in ((None, "1 1 1"), ("2", "2 1 1")):
+            if preset:
+                env["OPENBLAS_NUM_THREADS"] = preset
+            proc = subprocess.run([sys.executable, "-c", script, *names], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split("\n")[-2] == expected
+
+    @pytest.mark.parametrize("target, stage", [
+        ("bars.csv", "ingest"), ("bars.csv", "features --lenient"), ("config.json", "ingest"),
+        ("lexicon.json", "features"), ("out/checkpoint.json", "evaluate"),
+        ("out/report.json", "report"),
+    ])
+    def test_text_that_is_not_utf8_exits_1(self, run_dir, capsys, target, stage):
+        """A text input or artifact with bytes that are not UTF-8 is a
+        SchemaError naming the file and line, not a traceback."""
+        lexicon = run_dir / "lexicon.json"
+        lexicon.write_text(
+            json.dumps({"surged": {"polarity": 0.8, "subjectivity": 0.5}}, indent=1)
+        )
+        cfg = write_config(run_dir, paths={"ohlcv_csv": "bars.csv", "tweets_jsonl": "tweets.jsonl",
+                                           "lexicon": "lexicon.json"})
+        prepare_dataset(run_dir)
+        assert run_cli("train", "--config", str(cfg)) == 0
+        assert run_cli("evaluate", "--config", str(cfg)) == 0
+        path = run_dir / target
+        blob = path.read_bytes()
+        middle = len(blob) // 2
+        path.write_bytes(blob[:middle] + b"\xff" + blob[middle:])
+        line = blob.count(b"\n", 0, middle) + 1
+        capsys.readouterr()
+        command, *flags = stage.split()
+        assert run_cli(command, "--config", str(cfg), *flags) == 1
+        err = capsys.readouterr().err
+        assert f"{path.name}: line {line}: not valid UTF-8" in err and "Traceback" not in err
 
     def test_out_override_used_and_echoed(self, run_dir, tmp_path):
         cfg = run_dir / "config.json"

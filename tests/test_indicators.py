@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import datetime as dt
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmfusion.config import IndicatorConfig
-from tmfusion.errors import InvalidArgumentError, NotReadyError, SchemaError
+from tmfusion.errors import InvalidArgumentError, NotReadyError, SchemaError, TmfusionError
 from tmfusion.indicators import IndicatorSeries, bollinger, cci, ema, macd, rsi, sma
 from tmfusion.inputs import OhlcvBar, load_ohlcv_csv
 
@@ -390,3 +394,41 @@ class TestOhlcvCsv:
         result = load_ohlcv_csv(str(p), lenient=True)
         assert not result.bars
         assert "high" in result.diagnostics[0].message
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        p = tmp_path / "bars.csv"
+        p.write_bytes(b"\xef\xbb\xbfDate,Open,High,Low,Close,Adj Close\n2021-09-22,10,11,9,10.5,10.5\n")
+        assert len(load_ohlcv_csv(str(p)).bars) == 1
+
+    def test_oversized_field_names_its_line(self, tmp_path):
+        p = tmp_path / "bars.csv"
+        p.write_text(
+            "Date,Open,High,Low,Close,Adj Close\n"
+            "2021-09-22,10,11,9,10.5,10.5\n"
+            f'2021-09-23,"{"1" * 200_000}",11,9,10.5,10.5\n'
+        )
+        for lenient in (False, True):
+            with pytest.raises(SchemaError, match="bars.csv: line 3: field larger"):
+                load_ohlcv_csv(str(p), lenient=lenient)
+
+
+_CSV_HEAD = b"Date,Open,High,Low,Close,Adj Close,Label\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.sampled_from([
+        b"2021-09-22", b"22/09/2021", b"10", b"-1", b"1e400", b"nan", b"", b'"', b'"a,b"',
+        b"\xff", b"\xef\xbb\xbf", b"\x00", b",", b"\r", b"\n", b"2021-02-30", b"1",
+    ]), max_size=40).map(lambda parts: _CSV_HEAD + b"".join(parts)),
+))
+def test_any_csv_bytes_parse_or_raise_tmfusion_error(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "bars.csv"
+        p.write_bytes(blob)
+        for lenient in (False, True):
+            try:
+                load_ohlcv_csv(str(p), lenient=lenient)
+            except TmfusionError:
+                pass

@@ -4,13 +4,17 @@ import datetime as dt
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmfusion.config import Hyperparams
 from tmfusion.dataset import BuildConfig, Sample, build_dataset
-from tmfusion.errors import DivergedError, InvalidArgumentError, SchemaError
+from tmfusion.errors import DivergedError, InvalidArgumentError, SchemaError, TmfusionError
 from tmfusion.rnn import (
     backward_arrays,
     build_model,
@@ -499,3 +503,36 @@ class TestCheckpoint:
         path.write_text("{not json")
         with pytest.raises(SchemaError):
             load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint_bytes(tmp_path_factory) -> bytes:
+    hyper = Hyperparams(epochs=1, layers=1, hidden_units=2, batch_size=4, seed=0)
+    path = tmp_path_factory.mktemp("ckpt") / "checkpoint.json"
+    save_checkpoint(Checkpoint(model=build_model("fused", "gru", hyper, numeric_dim=2, text_dim=2)),
+                    path)
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_checkpoint_bytes_load_or_raise_tmfusion_error(small_checkpoint_bytes, data):
+    """Arbitrary bytes, and a saved checkpoint with bytes replaced, inserted
+    or cut off, either load or raise a TmfusionError."""
+    blob = small_checkpoint_bytes
+    kind = data.draw(st.sampled_from(["bytes", "replace", "insert", "truncate"]), label="kind")
+    if kind == "bytes":
+        blob = data.draw(st.binary(max_size=200), label="blob")
+    elif kind == "truncate":
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="size")]
+    else:
+        pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+        chunk = data.draw(st.binary(min_size=1, max_size=4), label="chunk")
+        blob = blob[:pos] + chunk + blob[pos + (len(chunk) if kind == "replace" else 0):]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.json"
+        path.write_bytes(blob)
+        try:
+            load_checkpoint(path)
+        except TmfusionError:
+            pass

@@ -11,8 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmfusion.artifacts import source_digest
+from tmfusion.dataset import TweetColumns, read_tweets
 from tmfusion.errors import InvalidArgumentError, OrderingError, SchemaError, TmfusionError
-from tmfusion.inputs import TweetRecord, load_tweets_jsonl, parse_timestamp
+from tmfusion.inputs import (
+    TweetRecord,
+    ingest_tweets,
+    load_tweets_jsonl,
+    parse_timestamp,
+    write_tweets,
+)
 from tmfusion.social import (
     LexiconSentimentProvider,
     SentimentVector,
@@ -27,7 +35,7 @@ from tmfusion.social import (
     user_history_vector,
 )
 
-from .conftest import DATA_DIR
+from .conftest import DATA_DIR, assert_same_columns
 from .oracles import credibility_oracle, social_vector, user_history_oracle
 
 UTC = dt.timezone.utc
@@ -388,6 +396,11 @@ class TestTweetIngestion:
                 pass
             tweets, diags = load_tweets_jsonl(str(p), lenient=True)
             assert len(tweets) + len(diags) <= 1
+            # a tweet that parses survives the tweet file whole
+            columns, _ = ingest_tweets(str(p), lenient=True)
+            write_tweets(Path(tmp) / "tweets.bin", columns, source_digest(p))
+            got = read_tweets(Path(tmp) / "tweets.bin", p)
+            assert_same_columns(got, TweetColumns.from_records(tweets))
 
     def test_timestamp_offsets_normalised(self):
         t = parse_timestamp("2021-09-22T16:30:00+02:00")
