@@ -279,6 +279,15 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
                 f"checkpoint {ckpt_path} was trained on {meta_key} {ckpt.meta[meta_key]!r}, "
                 f"but the dataset has {header[header_key]!r}"
             )
+    # each lookback step is one more input step of the numeric branch, which
+    # a recurrent forward accepts however many there are
+    config = ckpt.meta.get("config")
+    lookback = config.get("market_lookback") if isinstance(config, dict) else None
+    if type(lookback) is int and lookback + 1 != header["numeric_steps"]:
+        raise SchemaError(
+            f"checkpoint {ckpt_path} was trained on market_lookback {lookback}, "
+            f"but the dataset has {header['numeric_steps']} numeric steps"
+        )
 
     probs = forward_split(ckpt.model, test, ckpt.model.hyper.batch_size)
     preds = [1 if p >= 0.5 else 0 for p in probs.tolist()]

@@ -8,10 +8,13 @@ writes) with array operations: a stable sort by timestamp, one
 ``searchsorted`` join to trading days, masks for the drops, sentiment and
 token ids once per distinct text, and running author counts and
 credibility from one stable per-author sort. Then the raw (N, width)
-matrix is filled block by block, widened to (N, steps, width) under a
-market lookback, and normalized once in place. Text becomes token ids into
-one embedding table of the words the dataset uses. The 80/20 split keeps
-sample order, and each split is held as columns (``Split``).
+matrix is filled block by block, fits the normalizer and is hashed for the
+leakage audit. With the market block, each split keeps one normalized
+market row per trading day its windows cover and each sample a row id
+into them, and every sample keeps its other columns once, however long
+its lookback window. Text becomes token ids into one embedding table of
+the words the dataset uses. The 80/20 split keeps sample order, and each
+split is held as columns (``Split``).
 
 Artifacts are written to a directory as the two split files, the
 embedding table when text is flagged, the normalizer and a build report,
@@ -76,15 +79,19 @@ TABLE_NAME = "embedding.bin"
 #: Canonical description of the file layout; its digest ships in headers so
 #: readers can detect incompatible writers.
 SCHEMA_DESCRIPTOR = (
-    "tmds format 2: magic 'TMDS'; u32le format_version; u32le header_len; "
+    "tmds format 3: magic 'TMDS'; u32le format_version; u32le header_len; "
     "canonical-json header, space-padded so the columns start 8-byte aligned; "
     "columns end to end; u32le crc32 of every byte before it. "
     "split header {schema_hash, ticker, label_field, flags, numeric_width, "
-    "numeric_steps, max_len, embedding_dim, vocab_size, count, authors (sorted, "
-    "distinct)}; split columns: numeric count*numeric_steps*numeric_width f64le "
-    "(row-major, oldest step first), day_ordinal count i32le, author_id count "
-    "i32le into authors, [token_id count*max_len i32le in [0, vocab_size] when "
-    "text flagged, 0 padding after the last token], label count u8. "
+    "numeric_steps, market_days, max_len, embedding_dim, vocab_size, count, authors "
+    "(sorted, distinct)}; split columns: own count*(numeric_width-5 with the market "
+    "block, else numeric_width) f64le (each sample's normalized blocks but market), "
+    "[market market_days*5 f64le (normalized market rows of the days the windows "
+    "cover, oldest first) and day_row count i32le in [numeric_steps-1, market_days-1] "
+    "(the market row of the sample's day) when market flagged], day_ordinal count "
+    "i32le, author_id count i32le into authors, [token_id count*max_len i32le in "
+    "[0, vocab_size] when text flagged, 0 padding after the last token], label count "
+    "u8. step s of sample i is market[day_row[i]-numeric_steps+1+s] then own[i]. "
     "table header {schema_hash, rows, embedding_dim}; table column "
     "rows*embedding_dim f64le, row 0 the zero padding vector"
 )
@@ -177,7 +184,8 @@ class Sample:
     or a (steps, width) matrix when a market lookback window is configured
     (oldest step first, the tweet's own day last; only the market block
     varies across steps). ``text`` is the (max_len, k) word-vector matrix,
-    zero rows past the sentence end. Indexing a ``Split`` builds one.
+    zero rows past the sentence end. Indexing a ``Split`` builds one from
+    the split's columns; ``Split.from_samples`` turns a list back into them.
     """
 
     numeric: np.ndarray
@@ -196,7 +204,15 @@ class Sample:
 class Split:
     """One split of a dataset, held as columns; ``split[i]`` is a ``Sample`` view of row i.
 
-    - ``numeric``: (N, steps, width) float64;
+    - ``own``: (N, width) float64, each sample's own normalized numeric
+      blocks, the market block excepted when ``market`` is given;
+    - ``market``: (D, 5) float64, the normalized market rows of the trading
+      days the split's windows cover, oldest first, and ``day_rows``: (N,)
+      int32, the row of ``market`` for each sample's own day, at least
+      ``steps - 1``. Both are None when the split has no market block;
+    - ``steps``: numeric steps per sample, the market lookback + 1. Step s
+      of sample i (oldest first) is ``market[day_rows[i] - steps + 1 + s]``
+      followed by ``own[i]``, as ``assemble_numeric`` builds it;
     - ``labels``: (N,) 0/1; ``days``: (N,) day ordinals;
     - ``author_ids``: (N,) indices into ``authors``, sorted and distinct;
     - with text, ``token_ids``: (N, max_len) int32 rows of ``table``, a
@@ -206,11 +222,14 @@ class Split:
     """
 
     ticker: str
-    numeric: np.ndarray
+    own: np.ndarray
     labels: np.ndarray
     days: np.ndarray
     authors: list[str]
     author_ids: np.ndarray
+    market: np.ndarray | None = None
+    day_rows: np.ndarray | None = None
+    steps: int = 1
     token_ids: np.ndarray | None = None
     table: np.ndarray | None = None
 
@@ -222,7 +241,7 @@ class Split:
 
     def __getitem__(self, i: int) -> Sample:
         return Sample(
-            numeric=self.numeric_rows[i],
+            numeric=self.assemble_numeric([i])[0],
             text=None if self.token_ids is None else self.table[self.token_ids[i]],
             label=int(self.labels[i]),
             ticker=self.ticker,
@@ -231,18 +250,62 @@ class Split:
         )
 
     @property
+    def width(self) -> int:
+        """Numeric columns per step, the market block included."""
+        return self.own.shape[1] + (0 if self.market is None else self.market.shape[1])
+
+    @property
+    def row_shape(self) -> tuple[int, ...]:
+        """One sample's numeric input: (width,) for one step, else (steps, width)."""
+        return (self.width,) if self.steps == 1 else (self.steps, self.width)
+
+    def assemble_numeric(self, rows, out: np.ndarray | None = None) -> np.ndarray:
+        """The numeric inputs of ``rows`` (a slice or indices), each of ``row_shape``.
+
+        They go to ``out``, a C-contiguous (n, *row_shape) float64 buffer,
+        when given. Each step's market columns come from the day rows of
+        its window; the sample's own columns repeat over the steps.
+        """
+        own = self.own[rows]
+        n = own.shape[0]
+        out = np.empty((n, *self.row_shape)) if out is None else out
+        steps = out.reshape(n, self.steps, self.width)
+        m = 0
+        if self.market is not None:
+            m = self.market.shape[1]
+            window = self.day_rows[rows][:, None] + np.arange(1 - self.steps, 1)
+            steps[:, :, :m] = self.market[window]
+        steps[:, :, m:] = own[:, None, :]
+        return out
+
+    @property
     def numeric_rows(self) -> np.ndarray:
-        """``numeric`` as the model takes it: (N, width) for one step, else (N, steps, width)."""
-        return self.numeric[:, 0] if self.numeric.shape[1] == 1 else self.numeric
+        """Every sample's numeric input, one array: (N, width) for one step, else (N, steps, width)."""
+        return self.assemble_numeric(slice(None))
 
     @classmethod
     def from_samples(cls, samples: Sequence[Sample]) -> "Split":
-        """The columns of a list of samples; every text row becomes a row of the table."""
+        """The columns of a list of samples; every text row becomes a row of the table.
+
+        One-step samples keep every column as their own. Multi-step samples
+        are lookback windows: their first 5 columns, the market block,
+        become one table row per step, and their other columns, which must
+        not vary across the steps, become their own.
+        """
         if not samples:
             raise InvalidArgumentError("need at least one sample")
         numeric = np.stack([s.numeric for s in samples])
-        if numeric.ndim == 2:
-            numeric = numeric[:, None, :]
+        own, market, day_rows, steps = numeric, None, None, 1
+        if numeric.ndim == 3:
+            n, steps, _ = numeric.shape
+            m = BLOCK_WIDTHS["market"]
+            own = numeric[:, -1, m:]
+            if numeric.shape[2] < m or np.any(numeric[:, :, m:] != own[:, None, :]):
+                raise InvalidArgumentError(
+                    "multi-step samples must lead with the market block and vary only in it"
+                )
+            market = numeric[:, :, :m].reshape(n * steps, m)
+            day_rows = np.arange(steps - 1, n * steps, steps, dtype=np.int32)
         token_ids = table = None
         if all(s.text is not None for s in samples):
             text = np.stack([s.text for s in samples])
@@ -253,11 +316,14 @@ class Split:
         index = {a: i for i, a in enumerate(authors)}
         return cls(
             ticker=samples[0].ticker,
-            numeric=numeric,
+            own=own,
             labels=np.array([s.label for s in samples], dtype=np.uint8),
             days=np.array([s.day.toordinal() for s in samples], dtype=np.int32),
             authors=authors,
             author_ids=np.array([index[s.author] for s in samples], dtype=np.int32),
+            market=market,
+            day_rows=day_rows,
+            steps=steps,
             token_ids=token_ids,
             table=table,
         )
@@ -430,7 +496,12 @@ def build_dataset(
     and takes that day's next-day label. Credibility sees only strictly
     earlier tweets. The 80/20 split is chronological by sample index; the
     normalizer and the text max-length come from the training split alone.
-    A list of records is first laid out as columns.
+    The normalizer is fitted on, and the leakage audit hashes, the raw
+    training rows, each with its own day's market block. Each split then
+    holds every sample's other blocks once (``Split.own``) and, with the
+    market block, the normalized market rows of the trading days its
+    lookback windows cover, each row once, with each sample's day row into
+    them. A list of records is first laid out as columns.
     """
     if not isinstance(tweets, TweetColumns):
         tweets = TweetColumns.from_records(tweets)
@@ -501,7 +572,7 @@ def build_dataset(
         "credibility": lambda: credibility,
     }
     width = numeric_width(fs)
-    numeric = np.empty((n, width))  # raw rows until normalized in place below
+    raw = np.empty((n, width))
     col = 0
     for name in NUMERIC_BLOCK_ORDER:
         if name not in fs:
@@ -509,39 +580,52 @@ def build_dataset(
         block = blocks[name]()
         if not np.all(np.isfinite(block)):
             raise AssemblyError(f"block '{name}' has missing or non-finite values")
-        numeric[:, col : col + BLOCK_WIDTHS[name]] = block
+        raw[:, col : col + BLOCK_WIDTHS[name]] = block
         col += BLOCK_WIDTHS[name]
 
     if width > 0:
         if n_train == 0:
             raise InvalidArgumentError("train split is empty; need more samples")
-        normalizer = fit_normalizer(numeric[:n_train])
+        normalizer = fit_normalizer(raw[:n_train])
     else:
         normalizer = NormalizerState(np.zeros(0), np.zeros(0))
     # hashed in place: the rows are C-contiguous float64 already
     train_hash = hashlib.sha256(struct.pack("<I", n_train))
-    train_hash.update(np.ascontiguousarray(numeric[:n_train], dtype="<f8"))
+    train_hash.update(np.ascontiguousarray(raw[:n_train], dtype="<f8"))
 
-    if cfg.market_lookback > 0:
-        # prior steps substitute earlier days' market block; the normalizer
-        # fitted on current-day rows may clamp them
-        back = np.arange(cfg.market_lookback, -1, -1)
-        numeric = np.repeat(numeric[:, None, :], back.size, axis=1)
-        numeric[:, :, : BLOCK_WIDTHS["market"]] = market_rows[day_idx[:, None] - back]
-    apply_normalizer(normalizer, numeric, out=numeric)
-    numeric = numeric.reshape(n, cfg.market_lookback + 1, width)
-
+    # normalization is elementwise, so normalizing the market rows and the
+    # own columns apart gives what normalizing whole rows would
+    m = BLOCK_WIDTHS["market"] if "market" in fs else 0
+    own = apply_normalizer(NormalizerState(normalizer.mins[m:], normalizer.maxs[m:]), raw[:, m:])
+    market_state = NormalizerState(normalizer.mins[:m], normalizer.maxs[:m])
+    del raw
     ordinals = bar_ordinals.astype(np.int32)[day_idx]
 
     def split(part: slice) -> Split:
         present, ids = np.unique(author_id[part], return_inverse=True)
+        market = day_rows = None
+        if m:
+            # the trading days of the split's windows: a day is covered when
+            # it or one of the next L days has a sample. Earlier steps are
+            # normalized with the stats fitted on current-day rows and may clamp
+            sampled = np.zeros(len(bars), dtype=bool)
+            sampled[day_idx[part]] = True
+            covered = sampled.copy()
+            for back in range(1, cfg.market_lookback + 1):
+                covered[:-back] |= sampled[back:]
+            covered = np.flatnonzero(covered)
+            market = apply_normalizer(market_state, market_rows[covered])
+            day_rows = np.searchsorted(covered, day_idx[part]).astype(np.int32)
         return Split(
             ticker=cfg.ticker,
-            numeric=numeric[part],
+            own=own[part],
             labels=labels[part],
             days=ordinals[part],
             authors=[tweets.authors[i] for i in present.tolist()],
             author_ids=ids.astype(np.int32),
+            market=market,
+            day_rows=day_rows,
+            steps=cfg.market_lookback + 1,
             token_ids=None if token_ids is None else token_ids[part],
             table=table,
         )
@@ -584,7 +668,8 @@ _SPLIT_TYPES = {
     "schema_hash": (str,), "ticker": (str,), "label_field": (str,), "flags": (list,),
     "authors": (list,),
     **dict.fromkeys(
-        ("numeric_width", "numeric_steps", "max_len", "embedding_dim", "vocab_size", "count"),
+        ("numeric_width", "numeric_steps", "market_days", "max_len", "embedding_dim",
+         "vocab_size", "count"),
         (int,),
     ),
 }
@@ -600,11 +685,12 @@ _SHARED_KEYS = ("flags", "numeric_width", "numeric_steps", "max_len", "embedding
 def _split_layout(header: dict) -> list[tuple[str, str, tuple[int, ...]]]:
     """(name, dtype, shape) of each column of a split file, in file order."""
     count = header["count"]
-    layout = [
-        ("numeric", "<f8", (count, header["numeric_steps"], header["numeric_width"])),
-        ("day_ordinal", "<i4", (count,)),
-        ("author_id", "<i4", (count,)),
-    ]
+    m = BLOCK_WIDTHS["market"] if "market" in header["flags"] else 0
+    layout = [("own", "<f8", (count, header["numeric_width"] - m))]
+    if m:
+        # the f64 columns first, so that every column starts aligned
+        layout += [("market", "<f8", (header["market_days"], m)), ("day_row", "<i4", (count,))]
+    layout += [("day_ordinal", "<i4", (count,)), ("author_id", "<i4", (count,))]
     if "text" in header["flags"]:
         layout.append(("token_id", "<i4", (count, header["max_len"])))
     layout.append(("label", "u1", (count,)))
@@ -633,23 +719,28 @@ def _write_file(path: Path | str, header: dict, layout, arrays) -> None:
 
 def write_split(path: Path | str, split: Split, fs: frozenset[str], label_field: str) -> None:
     """Write one split as a TMDS file; with text, its token ids index ``split.table``."""
-    has_text = "text" in fs
+    has_text, has_market = "text" in fs, "market" in fs
     if has_text and (split.token_ids is None or split.table is None):
         raise InvalidArgumentError("text is flagged but the split has no token ids")
+    if has_market != (split.market is not None):
+        raise InvalidArgumentError("the split has a market table exactly when market is flagged")
     header = {
         "schema_hash": schema_hash(),
         "ticker": split.ticker,
         "label_field": label_field,
         "flags": sorted(fs),
         "numeric_width": numeric_width(fs),
-        "numeric_steps": split.numeric.shape[1],
+        "numeric_steps": split.steps,
+        "market_days": split.market.shape[0] if has_market else 0,
         "max_len": split.token_ids.shape[1] if has_text else 0,
         "embedding_dim": split.table.shape[1] if has_text else 0,
         "vocab_size": split.table.shape[0] - 1 if has_text else 0,
         "count": len(split),
         "authors": split.authors,
     }
-    arrays = [split.numeric, split.days, split.author_ids]
+    arrays = [split.own]
+    arrays += [split.market, split.day_rows] if has_market else []
+    arrays += [split.days, split.author_ids]
     arrays += [split.token_ids] if has_text else []
     _write_file(path, header, _split_layout(header), arrays + [split.labels])
 
@@ -667,10 +758,13 @@ def _open(path: Path | str):
         raise SchemaError(f"{path}: cannot be read: {exc.strerror}") from exc
 
 
-def _read_header(path: Path | str, fh, size: int, types: dict, digest: str) -> tuple[dict, int]:
+def _read_header(
+    path: Path | str, fh, size: int, types: dict, digest: str, stage: str
+) -> tuple[dict, int]:
     """Check the preamble and parse the header; returns it and the offset of the first column.
 
-    ``digest`` is the schema hash the header must carry.
+    ``digest`` is the schema hash the header must carry, and ``stage`` the
+    subcommand that writes the file, which a version mismatch says to rerun.
     """
     preamble = fh.read(PREAMBLE.size)
     if len(preamble) < PREAMBLE.size:
@@ -681,7 +775,7 @@ def _read_header(path: Path | str, fh, size: int, types: dict, digest: str) -> t
     if version != DATASET_FORMAT_VERSION:
         raise SchemaError(
             f"{path}: format version {version}, but this reader reads only version "
-            f"{DATASET_FORMAT_VERSION}; rebuild the dataset with the features subcommand"
+            f"{DATASET_FORMAT_VERSION}; rerun the {stage} subcommand to rewrite it"
         )
     offset = PREAMBLE.size + header_len
     if offset > size:
@@ -702,19 +796,21 @@ def _read_header(path: Path | str, fh, size: int, types: dict, digest: str) -> t
 
 
 def _read_file(
-    path: Path | str, types: dict, layout_of, digest: str | None = None
-) -> tuple[dict, list[np.ndarray]]:
-    """A whole TMDS file: its checked header and its columns, as laid out by ``layout_of(header)``.
+    path: Path | str, types: dict, layout_of, digest: str | None = None, stage: str = "features"
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """A whole TMDS file: its checked header and its columns by name, as ``layout_of(header)`` lays them out.
 
     The header must carry the schema hash ``digest``, the dataset files'
-    by default. The file must be exactly as long as the layout says and
-    match its checksum. The columns are views of one buffer the file is
-    read into.
+    by default; ``stage`` is as for ``_read_header``. The file must be
+    exactly as long as the layout says and match its checksum. The columns
+    are views of one buffer the file is read into.
     """
     with _open(path) as fh:
         size = os.fstat(fh.fileno()).st_size
-        header, offset = _read_header(path, fh, size, types, digest or schema_hash())
+        header, offset = _read_header(path, fh, size, types, digest or schema_hash(), stage)
         layout = layout_of(header)
+        if any(d < 0 for _, _, shape in layout for d in shape):
+            raise SchemaError(f"{path}: malformed header: it describes a column of negative size")
         lengths = [np.dtype(dtype).itemsize * math.prod(shape) for _, dtype, shape in layout]
         expected = offset + sum(lengths) + CRC.size
         if size != expected:
@@ -726,9 +822,9 @@ def _read_file(
     (crc,) = CRC.unpack(blob[-CRC.size :].tobytes())
     if zlib.crc32(blob[: -CRC.size]) != crc:
         raise SchemaError(f"{path}: checksum mismatch; the file is corrupt")
-    columns = []
-    for (_, dtype, shape), length in zip(layout, lengths):
-        columns.append(np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape))
+    columns = {}
+    for (name, dtype, shape), length in zip(layout, lengths):
+        columns[name] = np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape)
         offset += length
     return header, columns
 
@@ -741,7 +837,8 @@ def _check_range(path: Path | str, name: str, values: np.ndarray, low: int, high
 def read_header(path: Path | str) -> dict:
     """The header of a split file, reading no columns."""
     with _open(path) as fh:
-        return _read_header(path, fh, os.fstat(fh.fileno()).st_size, _SPLIT_TYPES, schema_hash())[0]
+        size = os.fstat(fh.fileno()).st_size
+        return _read_header(path, fh, size, _SPLIT_TYPES, schema_hash(), "features")[0]
 
 
 def _sorted_distinct(values: list[str]) -> bool:
@@ -755,8 +852,8 @@ def read_tweets(path: Path | str, source: Path | str) -> TweetColumns:
     size or SHA-256 differs from what the tweet file records, the tweets
     are stale and ``SchemaError`` says to rerun ingest.
     """
-    header, columns = _read_file(path, _TWEETS_TYPES, tweet_layout, tweets_schema_hash())
-    timestamps, counters, *ids = columns
+    header, columns = _read_file(path, _TWEETS_TYPES, tweet_layout, tweets_schema_hash(), "ingest")
+    timestamps, counters, *ids = columns.values()
     tables = {name: header[name] for name in TWEET_TABLES}
     for (name, column), values in zip(TWEET_TABLES.items(), ids):
         if not _sorted_distinct(tables[name]):
@@ -782,34 +879,42 @@ def read_split(path: Path | str) -> tuple[Split, dict]:
     the dataset's table and gives it to both splits.
     """
     header, columns = _read_file(path, _SPLIT_TYPES, _split_layout)
-    numeric, days, author_ids, *token_ids, labels = columns
-    authors = header["authors"]
+    authors, steps, days = header["authors"], header["numeric_steps"], header["market_days"]
+    market, day_rows = columns.get("market"), columns.get("day_row")
+    token_ids = columns.get("token_id")
     if not _sorted_distinct(authors):
         raise SchemaError(f"{path}: the author table is not sorted and distinct")
-    if header["numeric_steps"] < 1 or (token_ids and header["max_len"] < 1):
+    if steps < 1 or (token_ids is not None and header["max_len"] < 1):
         raise SchemaError(f"{path}: numeric_steps and, with text, max_len must be >= 1")
-    if not np.all(np.isfinite(numeric)):
-        raise SchemaError(f"{path}: numeric column has non-finite values")
-    _check_range(path, "day ordinal", days, 1, _MAX_ORDINAL)
-    _check_range(path, "author id", author_ids, 0, len(authors) - 1)
-    _check_range(path, "label", labels, 0, 1)
-    if token_ids:
-        _check_range(path, "token id", token_ids[0], 0, header["vocab_size"])
+    if market is None and (steps > 1 or days > 0):
+        raise SchemaError(f"{path}: numeric_steps > 1 and market_days > 0 need the market block")
+    if not all(np.all(np.isfinite(a)) for a in (columns["own"], market) if a is not None):
+        raise SchemaError(f"{path}: a numeric column has non-finite values")
+    _check_range(path, "day ordinal", columns["day_ordinal"], 1, _MAX_ORDINAL)
+    _check_range(path, "author id", columns["author_id"], 0, len(authors) - 1)
+    _check_range(path, "label", columns["label"], 0, 1)
+    if day_rows is not None:
+        _check_range(path, "day row", day_rows, steps - 1, days - 1)
+    if token_ids is not None:
+        _check_range(path, "token id", token_ids, 0, header["vocab_size"])
     split = Split(
         ticker=header["ticker"],
-        numeric=numeric,
-        labels=labels,
-        days=days,
+        own=columns["own"],
+        labels=columns["label"],
+        days=columns["day_ordinal"],
         authors=authors,
-        author_ids=author_ids,
-        token_ids=token_ids[0] if token_ids else None,
+        author_ids=columns["author_id"],
+        market=market,
+        day_rows=day_rows,
+        steps=steps,
+        token_ids=token_ids,
     )
     return split, header
 
 
 def read_table(path: Path | str) -> np.ndarray:
     """A dataset's (vocab+1, k) embedding table; row 0 must be the zero padding vector."""
-    _, (table,) = _read_file(path, _TABLE_TYPES, _table_layout)
+    table = _read_file(path, _TABLE_TYPES, _table_layout)[1]["table"]
     if table.shape[0] < 1 or np.any(table[0] != 0.0) or not np.all(np.isfinite(table)):
         raise SchemaError(f"{path}: the table needs a zero row 0 and finite values")
     return table

@@ -11,6 +11,7 @@ columns (``TweetColumnBuilder``) and writes them as the tweet file
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as dt
 import hashlib
@@ -258,12 +259,15 @@ def _parse_tweet(obj: dict) -> ParsedTweet:
 def _read_tweet_lines(path: str, lenient: bool, diagnostics: list[Diagnostic]) -> Iterator[ParsedTweet]:
     """The valid tweets of a JSON-lines file, one per line, in file order.
 
-    Malformed lines, invalid UTF-8 among them, raise SchemaError with the
-    line number, or are skipped with a diagnostic appended to
+    A leading UTF-8 byte-order mark is dropped, as ``artifacts.read_text``
+    drops it. Malformed lines, invalid UTF-8 among them, raise SchemaError
+    with the line number, or are skipped with a diagnostic appended to
     ``diagnostics`` when ``lenient``.
     """
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if lineno == 1:
+                raw = raw.removeprefix(codecs.BOM_UTF8)
             if not raw.strip():
                 continue
             try:
@@ -302,6 +306,8 @@ def load_tweets_jsonl(path: str, lenient: bool = False) -> tuple[list[TweetRecor
 #: The tweet file's name in an output directory.
 TWEETS_NAME = "tweets.bin"
 
+#: The tweet file's layout has not changed since format 2, so its text and
+#: schema hash still name that format; the preamble carries the version.
 TWEETS_DESCRIPTOR = (
     "tmds format 2 tweet file: magic 'TMDS'; u32le format_version; u32le header_len; "
     "canonical-json header, space-padded so the columns start 8-byte aligned; "

@@ -15,8 +15,10 @@ logged into the checkpoint. A non-finite loss aborts with the epoch number.
 A run allocates its working memory once: the batch gathers, the cell caches
 and the per-epoch validation forward (in chunks of at most ``batch_size``
 rows) all reuse the buffers of one workspace (see ``backward_arrays``).
-Text is gathered per batch from the split's embedding table by token id,
-so no (N, max_len, k) array of a whole split is ever built.
+Each batch's numeric input is assembled from the split's market rows and
+own columns, and its text gathered from the embedding table by token id,
+so no (N, steps, width) or (N, max_len, k) array of a whole split is ever
+built.
 """
 
 from __future__ import annotations
@@ -40,19 +42,22 @@ def _correct(probs: np.ndarray, labels: np.ndarray) -> int:
     return int(np.sum((probs >= 0.5).astype(np.float64) == labels))
 
 
-def _gather(table: np.ndarray | None, idx: np.ndarray, ws: dict, name: str) -> np.ndarray | None:
-    """Rows ``idx`` (of any shape) of ``table``, copied into the workspace buffer ``name``."""
-    if table is None:
+def _numeric(model: ModelSpec, split: Split, rows, n: int, ws: dict) -> np.ndarray | None:
+    """The numeric inputs of ``split``'s ``n`` rows ``rows``, assembled into ``ws``, if the model reads them."""
+    if not model.numeric_layers:
         return None
-    out = workspace_array(ws, name, idx.shape + table.shape[1:])
-    # mode="raise" would gather into a temporary first; the indices are row
-    # numbers of the split and token ids the dataset reader bounds-checked
-    return np.take(table, idx, axis=0, out=out, mode="clip")
+    return split.assemble_numeric(rows, workspace_array(ws, "numeric", (n, *split.row_shape)))
 
 
 def _text(model: ModelSpec, split: Split, rows, ws: dict) -> np.ndarray | None:
     """The word vectors of ``split``'s rows ``rows``, gathered into ``ws``, if the model reads text."""
-    return _gather(split.table, split.token_ids[rows], ws, "text") if model.text_layers else None
+    if not model.text_layers:
+        return None
+    ids = split.token_ids[rows]
+    out = workspace_array(ws, "text", ids.shape + split.table.shape[1:])
+    # mode="raise" would gather into a temporary first; the token ids are
+    # ones the dataset reader bounds-checked
+    return np.take(split.table, ids, axis=0, out=out, mode="clip")
 
 
 def forward_split(
@@ -66,13 +71,13 @@ def forward_split(
     split = model_split(model, samples)
     workspace = {} if workspace is None else workspace
     batch_ws = workspace.setdefault("batch", {})
-    numeric = split.numeric_rows if model.numeric_layers else None
-    probs = np.empty(len(split))
-    for start in range(0, len(split), chunk):
+    n = len(split)
+    probs = np.empty(n)
+    for start in range(0, n, chunk):
         rows = slice(start, start + chunk)
         probs[rows] = forward_arrays(
             model,
-            None if numeric is None else numeric[rows],
+            _numeric(model, split, rows, min(chunk, n - start), batch_ws),
             _text(model, split, rows, batch_ws),
             workspace=workspace,
         )
@@ -101,7 +106,6 @@ def train(
 
     train_split = model_split(model, train_samples)
     valid_split = model_split(model, valid_samples)
-    numeric = train_split.numeric_rows if model.numeric_layers else None
     labels = train_split.labels.astype(np.float64)
     valid_labels = valid_split.labels.astype(np.float64)
     n = labels.shape[0]
@@ -118,7 +122,7 @@ def train(
             idx = order[start : start + hyper.batch_size]
             loss, probs = backward_arrays(
                 model,
-                _gather(numeric, idx, batch_ws, "numeric"),
+                _numeric(model, train_split, idx, len(idx), batch_ws),
                 _text(model, train_split, idx, batch_ws),
                 labels[idx],
                 rng=train_rng,

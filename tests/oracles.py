@@ -8,6 +8,8 @@ results: ``loss_reference``, the scalar loss the gradient checks
 difference, over the dropout-free forward; ``market_feature_vector``, one
 trading day's row of ``market_feature_matrix``; and ``social_vector``, one
 tweet's row of ``social_matrix`` over its columns from ``TweetColumns.from_records``.
+``lookback_reference`` is numpy's whole-array repeat of every row over its
+lookback window, the construction the per-day market table replaced.
 """
 
 from __future__ import annotations
@@ -325,3 +327,18 @@ def loss_reference(model, numeric, text, labels) -> float:
     data = -np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
     reg = 0.5 * model.hyper.l2 * sum(float(np.sum(arr * arr)) for _, arr in model.params())
     return float(data + reg)
+
+
+def lookback_reference(rows, market_rows, day_idx, lookback: int):
+    """The (N, lookback+1, width) lookback inputs of raw (N, width) ``rows``.
+
+    Each row is repeated over the steps, oldest first, and step s's leading
+    market block is replaced by ``market_rows[day_idx - lookback + s]``,
+    the market row of the trading day that many days before the sample's.
+    """
+    import numpy as np
+
+    back = np.arange(lookback, -1, -1)
+    out = np.repeat(rows[:, None, :], back.size, axis=1)
+    out[:, :, : market_rows.shape[1]] = market_rows[np.asarray(day_idx)[:, None] - back]
+    return out

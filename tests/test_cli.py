@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -240,6 +241,24 @@ class TestTrain:
         assert "train.bin: format version 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name, command, stage", [
+        ("dataset/train.bin", "train", "features"), ("tweets.bin", "features", "ingest"),
+    ])
+    def test_version_2_file_exits_1_naming_the_stage_to_rerun(
+        self, run_dir, capsys, name, command, stage
+    ):
+        cfg = prepare_dataset(run_dir)
+        path = run_dir / "out" / name
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 2)
+        path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run_cli(command, "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert f"{path.name}: format version 2" in err
+        assert f"rerun the {stage} subcommand" in err
+        assert "Traceback" not in err
+
     def test_sweep_writes_six_monotone_rows(self, run_dir):
         cfg = prepare_dataset(run_dir)
         assert run_cli("train", "--config", str(cfg), "--sweep-batch") == 0
@@ -331,6 +350,22 @@ class TestEvaluate:
         assert run_cli("evaluate", "--config", str(cfg)) == 1
         assert "feature_flags" in capsys.readouterr().err
         assert not (run_dir / "out" / "report.json").exists()
+
+    def test_rejects_checkpoint_of_other_market_lookback(self, tmp_path, rng, capsys):
+        write_corpus(tmp_path, rng, n_tweets=80)
+        cfg = write_config(tmp_path, market_lookback=3)
+        prepare_dataset(tmp_path)
+        assert run_cli("train", "--config", str(cfg)) == 0
+        checkpoint = (tmp_path / "out" / "checkpoint.json").read_bytes()
+        cfg = write_config(tmp_path, market_lookback=1)
+        assert run_cli("features", "--config", str(cfg)) == 0
+        capsys.readouterr()
+        assert run_cli("evaluate", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "market_lookback 3" in err and "2 numeric steps" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+        assert (tmp_path / "out" / "checkpoint.json").read_bytes() == checkpoint
 
     @pytest.mark.parametrize("damage", ["missing", "flipped byte", "v1 test.bin"])
     def test_damaged_text_dataset_exits_1(self, tmp_path, rng, capsys, damage):

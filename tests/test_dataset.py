@@ -8,6 +8,7 @@ import json
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tmfusion.config import IndicatorConfig
 from tmfusion.dataset import (
     BuildConfig,
     NormalizerState,
+    Split,
     apply_normalizer,
     build_dataset,
     fit_normalizer,
@@ -49,7 +51,7 @@ from tmfusion.social import (
 from tmfusion.text import EmbeddingTable, embed_sequence, load_stopwords, tokenize_clean
 
 from .conftest import DATA_DIR, random_bars, synthetic_tweets, weekday_bars, write_v1_split
-from .oracles import credibility_oracle, minmax_oracle
+from .oracles import credibility_oracle, lookback_reference, minmax_oracle
 
 UTC = dt.timezone.utc
 
@@ -589,6 +591,55 @@ class TestBuildDataset:
             )
 
 
+def _identity(state, rows, out=None):
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lookback=st.integers(0, 5), data=st.data())
+def test_assembled_rows_equal_the_repeat_reference(seed, lookback, data):
+    """Any subset of a split's rows assembles, bit for bit, to the rows that
+    repeating each raw row over its window, overwriting the market block
+    day by day and normalizing the whole array give: over lookbacks 0-5
+    and trading days with random calendar gaps between them."""
+    rng = np.random.default_rng(seed)
+    n_bars = data.draw(st.integers(15, 40), label="bars")
+    gaps = np.cumsum(data.draw(st.lists(st.integers(1, 4), min_size=n_bars, max_size=n_bars)))
+    bars = [dataclasses.replace(b, date=dt.date(2021, 1, 1) + dt.timedelta(days=int(g)))
+            for b, g in zip(random_bars(rng, n_bars), gaps)]
+    dates = [dt.date(2021, 1, 1) + dt.timedelta(days=i) for i in range(int(gaps[-1]) + 3)]
+    tweets = synthetic_tweets(rng, dates, data.draw(st.integers(20, 80), label="tweets"))
+    cfg = BuildConfig(ticker="AAPL", feature_set=FULL_NUMERIC, indicators=SMALL_IND,
+                      market_lookback=lookback)
+    try:
+        result = build_dataset(tweets, bars, cfg)
+    except (JoinError, InvalidArgumentError):
+        return  # no sample past the warmup, or none in the training split
+    with mock.patch.object(dataset_module, "apply_normalizer", _identity):
+        raw_result = build_dataset(tweets, bars, cfg)
+    splits = (result.train, result.test)
+    width, steps = numeric_width(FULL_NUMERIC), lookback + 1
+    # with the normalizer a no-op, each sample's last step is its raw row
+    raw = np.concatenate([s.numeric_rows.reshape(len(s), steps, width)[:, -1]
+                          for s in (raw_result.train, raw_result.test)])
+    market_rows, _ = market_feature_matrix(bars, SMALL_IND)
+    index = {b.date.toordinal(): i for i, b in enumerate(bars)}
+    day_idx = [index[d] for s in splits for d in s.days.tolist()]
+    reference = apply_normalizer(
+        result.normalizer, lookback_reference(raw, market_rows, day_idx, lookback)
+    )
+    offset = 0
+    for split in splits:
+        rows = np.array(data.draw(st.lists(st.integers(0, len(split) - 1), max_size=12)),
+                        dtype=np.intp)
+        expected = reference[offset + rows].reshape(rows.size, *split.row_shape)
+        offset += len(split)
+        assert split.assemble_numeric(rows).tobytes() == expected.tobytes()
+        buffer = np.full((rows.size, *split.row_shape), np.nan)
+        assert split.assemble_numeric(rows, out=buffer) is buffer
+        assert buffer.tobytes() == expected.tobytes()
+
+
 class TestArtifacts:
     def build_small(self, rng, fs=MSE, with_text=False):
         bars = weekday_bars(rng, 20)
@@ -637,14 +688,15 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("column, value", [
         ("labels", 2), ("days", 0), ("author_ids", -1), ("author_ids", "len"),
-        ("token_ids", -1), ("token_ids", "len"),
+        ("token_ids", -1), ("token_ids", "len"), ("day_rows", -1), ("day_rows", "len"),
     ])
     def test_out_of_range_id_rejected(self, rng, tmp_path, column, value):
         """A checksum-valid file whose ids point outside what they index is
         refused, so no gather ever clamps one."""
         cfg, result = self.build_small(rng, with_text=True)
         split = result.test
-        bound = {"author_ids": len(split.authors), "token_ids": split.table.shape[0]}
+        bound = {"author_ids": len(split.authors), "token_ids": split.table.shape[0],
+                 "day_rows": split.market.shape[0]}
         bad = getattr(split, column).copy()
         bad.flat[-1] = bound[column] if value == "len" else value
         p = tmp_path / "test.bin"
@@ -713,11 +765,12 @@ class TestArtifacts:
         p = tmp_path / "train.bin"
         counts_wrong = {"schema_hash": schema_hash(), "flags": [], "ticker": "AAPL",
                         "label_field": "close", "numeric_width": -1, "numeric_steps": 1,
-                        "max_len": 0, "embedding_dim": 0, "vocab_size": 0, "count": 0,
-                        "authors": []}
+                        "market_days": 0, "max_len": 0, "embedding_dim": 0, "vocab_size": 0,
+                        "count": 0, "authors": []}
+        narrower_than_market = {**counts_wrong, "flags": ["market"], "numeric_width": 3}
         version = dataset_module.DATASET_FORMAT_VERSION
         for header in (b"not json", b'{"schema_hash": "0"}', b"[]",
-                       json.dumps(counts_wrong).encode()):
+                       json.dumps(counts_wrong).encode(), json.dumps(narrower_than_market).encode()):
             p.write_bytes(b"TMDS" + struct.pack("<II", version, len(header)) + header)
             with pytest.raises(SchemaError, match="train.bin"):
                 read_split(p)
@@ -751,7 +804,11 @@ class TestArtifacts:
             np.testing.assert_array_equal(a.numeric, b.numeric)
 
 
-DATASET_FILES = ("train.bin", "test.bin", dataset_module.TABLE_NAME)
+#: The files of the two tiny datasets: one with text, one with a market lookback.
+DATASET_FILES = (
+    "text/train.bin", "text/test.bin", f"text/{dataset_module.TABLE_NAME}",
+    "lookback/train.bin", "lookback/test.bin",
+)
 
 
 def file_arrays(path: Path) -> list:
@@ -759,22 +816,31 @@ def file_arrays(path: Path) -> list:
     if path.name == dataset_module.TABLE_NAME:
         return [read_table(path)]
     split, header = read_split(path)
-    return [split.numeric, split.labels, split.days, split.author_ids, split.token_ids,
-            split.authors, header]
+    return [split.own, split.market, split.day_rows, split.labels, split.days, split.author_ids,
+            split.token_ids, split.steps, split.authors, header]
 
 
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory) -> dict:
-    """The bytes and the read-back arrays of each file of a small text dataset."""
+    """The bytes and the read-back arrays of each file of two small datasets."""
     rng = np.random.default_rng(5)
     bars = weekday_bars(rng, 8)
     tweets = synthetic_tweets(rng, [b.date for b in bars], 8, n_authors=3)
-    cfg = BuildConfig(
+    text_cfg = BuildConfig(
         ticker="AAPL", feature_set=frozenset({"sentiment", "text"}),
         embedding=EmbeddingTable.hashed(dim=2, seed=0), max_len_override=3,
     )
+    bars = weekday_bars(rng, 16)
+    lookback_cfg = BuildConfig(
+        ticker="AAPL", feature_set=frozenset({"market", "sentiment"}),
+        indicators=SMALL_IND, market_lookback=2,
+    )
     out = tmp_path_factory.mktemp("tiny")
-    save_dataset(out, build_dataset(tweets, bars, cfg), cfg)
+    for name, cfg, tweets in (
+        ("text", text_cfg, tweets),
+        ("lookback", lookback_cfg, synthetic_tweets(rng, [b.date for b in bars], 12)),
+    ):
+        save_dataset(out / name, build_dataset(tweets, bars, cfg), cfg)
     return {name: ((out / name).read_bytes(), file_arrays(out / name)) for name in DATASET_FILES}
 
 
@@ -785,6 +851,7 @@ def test_damaged_file_reads_back_or_is_rejected(tiny_dataset, name, data):
     reads back the very same arrays or raises SchemaError naming the file;
     never another exception, and never an id outside what it indexes."""
     blob, expected = tiny_dataset[name]
+    name = Path(name).name
     if data.draw(st.booleans(), label="truncate"):
         damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="size")]
     else:
@@ -804,3 +871,40 @@ def test_damaged_file_reads_back_or_is_rejected(tiny_dataset, name, data):
             assert a.tobytes() == b.tobytes()
         else:
             assert a == b
+
+
+@pytest.fixture(scope="module")
+def lookback_split() -> tuple[Split, frozenset]:
+    rng = np.random.default_rng(8)
+    bars = weekday_bars(rng, 16)
+    cfg = BuildConfig(ticker="AAPL", feature_set=frozenset({"market", "sentiment"}),
+                      indicators=SMALL_IND, market_lookback=2)
+    return build_dataset(synthetic_tweets(rng, [b.date for b in bars], 12), bars, cfg).test, cfg.feature_set
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rewritten_market_columns_read_back_in_range_or_are_rejected(lookback_split, data):
+    """A checksum-valid split file with any day rows and market values either
+    reads back the same columns, every window inside the market table and
+    every value finite, or raises SchemaError naming the file."""
+    split, fs = lookback_split
+    days = data.draw(st.integers(0, 6), label="market days")
+    market = data.draw(arrays(np.float64, (days, 5), elements=st.floats(width=64)), label="market")
+    day_rows = data.draw(arrays(np.int32, len(split), elements=st.integers(-2, days + 2)),
+                         label="day rows")
+    changed = dataclasses.replace(split, market=market, day_rows=day_rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "test.bin"
+        write_split(path, changed, fs, "close")
+        try:
+            got, header = read_split(path)
+        except SchemaError as exc:
+            assert "test.bin" in str(exc)
+            assert not (np.all(np.isfinite(market)) and np.all(day_rows >= split.steps - 1)
+                        and np.all(day_rows < days))
+            return
+    assert header["market_days"] == days and got.steps == split.steps == 3
+    assert np.all(np.isfinite(got.market))
+    assert got.day_rows.min() >= got.steps - 1 and got.day_rows.max() < days
+    assert got.assemble_numeric(slice(None)).tobytes() == changed.numeric_rows.tobytes()

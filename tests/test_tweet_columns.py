@@ -159,6 +159,20 @@ def test_tweet_file_holds_the_parsed_tweets(tmp_path, rng):
     assert_same_columns(columns, expected)
 
 
+def test_leading_bom_ingests_to_the_same_columns(tmp_path, rng):
+    tweets = synthetic_tweets(rng, [dt.date(2021, 9, 22), dt.date(2021, 9, 23)], 20)
+    jsonl, tweet_file = ingest(tmp_path, tweets)
+    bom_dir = tmp_path / "bom"
+    bom_dir.mkdir()
+    bom_jsonl = bom_dir / "tweets.jsonl"
+    bom_jsonl.write_bytes(b"\xef\xbb\xbf" + jsonl.read_bytes())
+    columns, diagnostics = ingest_tweets(str(bom_jsonl))
+    write_tweets(bom_dir / TWEETS_NAME, columns, source_digest(bom_jsonl))
+    assert diagnostics == []
+    assert_same_columns(read_tweets(bom_dir / TWEETS_NAME, bom_jsonl), read_tweets(tweet_file, jsonl))
+    assert len(load_tweets_jsonl(str(bom_jsonl))[0]) == len(tweets)
+
+
 def rewrite(path: Path, jsonl: Path, columns: TweetColumns) -> None:
     """Write ``columns`` as a tweet file with a valid header and checksum."""
     header = {
