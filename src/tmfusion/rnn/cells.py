@@ -356,10 +356,12 @@ def backward(
     """Backpropagate-through-time one layer.
 
     ``d_hs`` is the upstream gradient on every hidden output (T, B, N).
-    Returns the gradient on the layer's input sequence (T, B, M) and
-    overwrites ``p.grad`` with the weight gradient (summed over batch and
-    time, no regularization). With ``ws``, the layer's workspace dict, the
-    input gradient lives in its buffers; pass the dict the forward used.
+    Returns the gradient on the layer's input sequence (T, B, M) and adds
+    the weight gradient (summed over batch and time, no regularization) to
+    ``p.grad``, so calls over consecutive parts of a batch accumulate the
+    whole batch's; zero ``p.grad`` first for one call's own. With ``ws``,
+    the layer's workspace dict, the input gradient lives in its buffers;
+    pass the dict the forward used.
     ``input_grad=False`` skips the input gradient, one GEMM per step, and
     returns None: a model's first layer has no layer below to pass it to.
     """
@@ -369,7 +371,6 @@ def backward(
     d_xs = None
     if input_grad:
         d_xs = workspace_array(ws, "d_xs", (xs.shape[0], p.input_dim, xs.shape[1]))
-    p.grad.fill(0.0)
     _BACKWARD[p.kind](p, cache, dhs, d_xs, ws)
     return None if d_xs is None else d_xs.transpose(0, 2, 1)
 

@@ -180,7 +180,41 @@ def _draw_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) ->
     if rate <= 0.0:
         return None
     keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(np.float64) / keep
+    mask = rng.random(shape)
+    np.less(mask, keep, out=mask)  # 1.0 where kept, 0.0 where dropped
+    mask /= keep
+    return mask
+
+
+def _draw_masks(
+    model: ModelSpec, batch: int, rng: np.random.Generator | None
+) -> dict[str, list[np.ndarray | None]] | None:
+    """The dropout masks of one ``batch``-row training pass, or None without a generator.
+
+    Per branch name, one (batch, N) recurrent mask per layer; under "ff",
+    one (batch, N) mask per branch output. They are drawn in a fixed order:
+    the text branch's recurrent masks layer by layer, then the numeric
+    branch's, then the output masks, text first. A rate of 0 draws nothing
+    and gives None.
+    """
+    if rng is None:
+        return None
+    rec, ff = model.hyper.recurrent_dropout, model.hyper.dropout
+    masks = {
+        name: [_draw_mask(rng, (batch, layer.hidden_dim), rec) for layer in layers]
+        for name, layers in model.branches()
+    }
+    masks["ff"] = [
+        _draw_mask(rng, (batch, layers[-1].hidden_dim), ff) for _, layers in model.branches()
+    ]
+    return masks
+
+
+def _mask_rows(masks: dict | None, rows: slice) -> dict | None:
+    """``masks`` cut to the batch rows ``rows``."""
+    if masks is None:
+        return None
+    return {key: [m if m is None else m[rows] for m in ms] for key, ms in masks.items()}
 
 
 def _layer_ws(workspace: dict | None, branch: str, i: int) -> dict | None:
@@ -188,65 +222,41 @@ def _layer_ws(workspace: dict | None, branch: str, i: int) -> dict | None:
     return None if workspace is None else workspace.setdefault(f"{branch}.{i}", {})
 
 
-def _forward_branch(layers, xs, train_mode, rng, rec_rate, workspace, branch):
+def _forward_branch(layers, xs, rec_masks, workspace, branch):
     caches = []
     current = xs
     for i, layer in enumerate(layers):
-        rec_mask = None
-        if train_mode:
-            rec_mask = _draw_mask(rng, (xs.shape[1], layer.hidden_dim), rec_rate)
         current, cache = cell_forward(
-            layer, current, rec_mask=rec_mask, ws=_layer_ws(workspace, branch, i)
+            layer, current, rec_mask=rec_masks[i], ws=_layer_ws(workspace, branch, i)
         )
         caches.append(cache)
     return current[-1], caches  # final hidden state (B, N)
 
 
-def _forward_arrays(model, numeric, text, train_mode, rng, workspace=None):
-    """Shared forward path. Returns probabilities plus a full cache bundle."""
-    if train_mode and rng is None:
-        raise InvalidArgumentError("train_mode forward needs a random generator")
-    hyper = model.hyper
+def _forward_arrays(model, numeric, text, masks, workspace=None):
+    """Shared forward path, with dropout exactly when ``masks`` (see ``_draw_masks``) are given.
+
+    Returns probabilities plus a full cache bundle.
+    """
+    _check_sample_shapes(model, numeric, text)
+    inputs = {}
+    if model.text_layers:
+        inputs["text"] = text.transpose(1, 0, 2)
+    if model.numeric_layers:
+        if text is not None and numeric.shape[0] != text.shape[0]:
+            raise InvalidArgumentError("text/numeric batch sizes disagree")
+        # one timestep, or the lookback steps
+        inputs["numeric"] = numeric[None, :, :] if numeric.ndim == 2 else numeric.transpose(1, 0, 2)
+
     parts = []
     bundle = {"branches": [], "ff_masks": [], "E": None}
-    batch = None
-
-    if model.text_layers:
-        if text is None:
-            raise InvalidArgumentError("model expects a text matrix per sample")
-        batch = text.shape[0]
-        final, caches = _forward_branch(
-            model.text_layers, text.transpose(1, 0, 2), train_mode, rng,
-            hyper.recurrent_dropout, workspace, "text",
-        )
-        parts.append(final)
+    for b_idx, (name, layers) in enumerate(model.branches()):
+        rec_masks = [None] * len(layers) if masks is None else masks[name]
+        final, caches = _forward_branch(layers, inputs[name], rec_masks, workspace, name)
+        mask = None if masks is None else masks["ff"][b_idx]
+        parts.append(final if mask is None else final * mask)
         bundle["branches"].append(caches)
-    if model.numeric_layers:
-        if numeric is None:
-            raise InvalidArgumentError("model expects a numeric vector per sample")
-        if batch is not None and numeric.shape[0] != batch:
-            raise InvalidArgumentError("text/numeric batch sizes disagree")
-        batch = numeric.shape[0]
-        if numeric.ndim == 2:
-            xs = numeric[None, :, :]  # single timestep
-        else:
-            xs = numeric.transpose(1, 0, 2)  # lookback steps
-        final, caches = _forward_branch(
-            model.numeric_layers, xs, train_mode, rng, hyper.recurrent_dropout,
-            workspace, "numeric",
-        )
-        parts.append(final)
-        bundle["branches"].append(caches)
-
-    if train_mode:
-        dropped = []
-        for part in parts:
-            mask = _draw_mask(rng, part.shape, hyper.dropout)
-            bundle["ff_masks"].append(mask)
-            dropped.append(part if mask is None else part * mask)
-        parts = dropped
-    else:
-        bundle["ff_masks"] = [None] * len(parts)
+        bundle["ff_masks"].append(mask)
 
     E = np.concatenate(parts, axis=1)
     bundle["E"] = E
@@ -287,45 +297,29 @@ def forward_arrays(
 
     ``workspace`` is as for ``backward_arrays``.
     """
-    _check_sample_shapes(model, numeric, text)
-    probs, _ = _forward_arrays(model, numeric, text, train_mode, rng, workspace)
+    masks = None
+    if train_mode:
+        if rng is None:
+            raise InvalidArgumentError("train_mode forward needs a random generator")
+        _check_sample_shapes(model, numeric, text)
+        masks = _draw_masks(model, (text if text is not None else numeric).shape[0], rng)
+    probs, _ = _forward_arrays(model, numeric, text, masks, workspace)
     return probs
 
 
-def backward_arrays(
-    model: ModelSpec,
-    numeric: np.ndarray | None,
-    text: np.ndarray | None,
-    labels: np.ndarray,
-    rng: np.random.Generator | None = None,
-    workspace: dict | None = None,
-) -> tuple[float, np.ndarray]:
-    """One forward/backward over a batch.
+def _accumulate_chunk(model, numeric, text, labels, masks, batch, workspace) -> np.ndarray:
+    """Forward/backward over some rows of a ``batch``-row batch; returns their probabilities.
 
-    Dropout is active exactly when a generator is passed. Returns the
-    regularized mean cross-entropy and the batch probabilities, and
-    overwrites ``model.grad`` with the exact gradient of that loss.
-
-    ``workspace`` is a dict that a caller passes unchanged to every call of
-    a run, starting empty. It holds one dict of reused flat buffers per
-    layer (see ``cells.workspace_array``), which the cell caches live in
-    instead of fresh arrays; the results are bit-identical either way.
+    Adds those rows' share of the gradient of the batch's mean
+    cross-entropy to ``model.grad``.
     """
-    _check_sample_shapes(model, numeric, text)
-    labels = np.asarray(labels, dtype=np.float64)
-    train_mode = rng is not None
-    probs, bundle = _forward_arrays(model, numeric, text, train_mode, rng, workspace)
-    batch = labels.shape[0]
+    probs, bundle = _forward_arrays(model, numeric, text, masks, workspace)
+    rows = probs.shape[0]
 
-    p = np.clip(probs, EPS, 1.0 - EPS)
-    data_loss = -np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
-    reg = 0.5 * model.hyper.l2 * float(model.theta @ model.theta)
-    loss = float(data_loss + reg)
-
-    dlogit = (probs - labels) / batch  # (B,)
-    model.head_dw[...] = bundle["E"].T @ dlogit
-    model.head_db[0] = dlogit.sum()
-    dE = np.outer(dlogit, model.head_w)  # (B, H)
+    dlogit = (probs - labels) / batch  # (rows,)
+    model.head_dw += bundle["E"].T @ dlogit
+    model.head_db[0] += dlogit.sum()
+    dE = np.outer(dlogit, model.head_w)  # (rows, H)
 
     offset = 0
     for b_idx, (branch_name, layers) in enumerate(model.branches()):
@@ -340,7 +334,7 @@ def backward_arrays(
         # the cells' feature-major layout
         t_len = caches[-1]["xs"].shape[0]
         seed = workspace_array(
-            _layer_ws(workspace, branch_name, len(layers) - 1), "d_top", (t_len, width, batch)
+            _layer_ws(workspace, branch_name, len(layers) - 1), "d_top", (t_len, width, rows)
         )
         seed[:-1] = 0.0
         seed[-1] = de.T
@@ -350,9 +344,67 @@ def backward_arrays(
                 layers[i], caches[i], d_hs, ws=_layer_ws(workspace, branch_name, i),
                 input_grad=i > 0,
             )
+    return probs
 
+
+def backward_batch(
+    model: ModelSpec,
+    labels: np.ndarray,
+    chunk_inputs,
+    chunk_rows: int,
+    rng: np.random.Generator | None = None,
+    workspace: dict | None = None,
+) -> tuple[float, np.ndarray]:
+    """One forward/backward over a batch, in consecutive chunks of at most ``chunk_rows`` rows.
+
+    ``chunk_inputs(rows)`` returns the (numeric, text) arrays of the
+    batch's rows ``rows``, a slice. Dropout is active exactly when a
+    generator is passed: the masks of the whole batch are drawn once, in
+    ``_draw_masks`` order, and each chunk uses its rows of them, so the
+    generator advances as for one unchunked pass. Returns the regularized
+    mean cross-entropy and the batch's probabilities, and overwrites
+    ``model.grad`` with the exact gradient of that loss: the chunks add
+    their shares of the data gradient and the L2 term is added once.
+    Only the chunks' buffers scale with ``chunk_rows``; the masks and the
+    probabilities are the batch's.
+    """
+    labels = np.asarray(labels, dtype=np.float64)
+    batch = labels.shape[0]
+    masks = _draw_masks(model, batch, rng)
+    model.grad.fill(0.0)
+    probs = np.empty(batch)
+    for start in range(0, batch, chunk_rows):
+        rows = slice(start, start + chunk_rows)
+        numeric, text = chunk_inputs(rows)
+        probs[rows] = _accumulate_chunk(
+            model, numeric, text, labels[rows], _mask_rows(masks, rows), batch, workspace
+        )
+
+    p = np.clip(probs, EPS, 1.0 - EPS)
+    data_loss = -np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
+    reg = 0.5 * model.hyper.l2 * float(model.theta @ model.theta)
     model.grad += model.hyper.l2 * model.theta
-    return loss, probs
+    return float(data_loss + reg), probs
+
+
+def backward_arrays(
+    model: ModelSpec,
+    numeric: np.ndarray | None,
+    text: np.ndarray | None,
+    labels: np.ndarray,
+    rng: np.random.Generator | None = None,
+    workspace: dict | None = None,
+) -> tuple[float, np.ndarray]:
+    """``backward_batch`` over given arrays of the whole batch, in one chunk.
+
+    ``workspace`` is a dict that a caller passes unchanged to every call of
+    a run, starting empty. It holds one dict of reused flat buffers per
+    layer (see ``cells.workspace_array``), which the cell caches live in
+    instead of fresh arrays; the results are bit-identical either way.
+    """
+    return backward_batch(
+        model, labels, lambda rows: (numeric, text), max(1, len(labels)), rng, workspace
+    )
 
 
 # ---------------------------------------------------------------------------

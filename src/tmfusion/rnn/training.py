@@ -12,13 +12,19 @@ it in batches, and updates in place. Per-epoch mean loss, training accuracy
 (from the same train-mode forward passes), and validation accuracy are
 logged into the checkpoint. A non-finite loss aborts with the epoch number.
 
-A run allocates its working memory once: the batch gathers, the cell caches
-and the per-epoch validation forward (in chunks of at most ``batch_size``
-rows) all reuse the buffers of one workspace (see ``backward_arrays``).
-Each batch's numeric input is assembled from the split's market rows and
-own columns, and its text gathered from the embedding table by token id,
-so no (N, steps, width) or (N, max_len, k) array of a whole split is ever
-built.
+Each step runs its batch in consecutive chunks of at most ``CHUNK_ROWS``
+rows and accumulates the exact gradient of the batch's mean loss over them
+(see ``model.backward_batch``); the per-epoch validation forward runs in
+chunks of at most ``min(batch_size, CHUNK_ROWS)`` rows. A run allocates its
+working memory once: the chunk gathers and the cell caches reuse the
+buffers of one workspace (see ``backward_arrays``), so they are sized by
+the chunk, not by the batch, and the memory of a run stops growing with
+``batch_size`` past ``CHUNK_ROWS``. Only the dropout masks and the
+probabilities of a step are the whole batch's. A batch of at most
+``CHUNK_ROWS`` rows is one chunk. Each chunk's numeric input is assembled
+from the split's market rows and own columns, and its text gathered from
+the embedding table by token id, so no (N, steps, width) or
+(N, max_len, k) array of a whole split is ever built.
 """
 
 from __future__ import annotations
@@ -31,7 +37,12 @@ from ..dataset import Sample, Split
 from ..errors import DivergedError, InvalidArgumentError
 from .checkpoint import Checkpoint
 from .cells import workspace_array
-from .model import ModelSpec, backward_arrays, forward_arrays, model_split, rng_streams
+from .model import ModelSpec, backward_batch, forward_arrays, model_split, rng_streams
+
+#: Rows per forward/backward chunk: a training step runs its batch in
+#: chunks of at most this many rows, and inference in chunks of at most
+#: ``min(batch_size, CHUNK_ROWS)``, so cell caches and gathers stay bounded.
+CHUNK_ROWS = 512
 
 
 def steps_per_epoch(n_samples: int, batch_size: int) -> int:
@@ -61,16 +72,21 @@ def _text(model: ModelSpec, split: Split, rows, ws: dict) -> np.ndarray | None:
 
 
 def forward_split(
-    model: ModelSpec, samples: Split | list[Sample], chunk: int, workspace: dict | None = None
+    model: ModelSpec,
+    samples: Split | list[Sample],
+    batch_size: int,
+    workspace: dict | None = None,
 ) -> np.ndarray:
-    """Dropout-free probabilities of every row of ``samples``, ``chunk`` rows per forward.
+    """Dropout-free probabilities of every row of ``samples``.
 
-    ``workspace`` is as for ``backward_arrays``; without one, the chunks
-    share a fresh one.
+    Each forward runs ``min(batch_size, CHUNK_ROWS)`` rows. ``workspace``
+    is as for ``backward_arrays``; without one, the chunks share a fresh
+    one.
     """
     split = model_split(model, samples)
     workspace = {} if workspace is None else workspace
     batch_ws = workspace.setdefault("batch", {})
+    chunk = min(batch_size, CHUNK_ROWS)
     n = len(split)
     probs = np.empty(n)
     for start in range(0, n, chunk):
@@ -84,6 +100,33 @@ def forward_split(
     return probs
 
 
+def train_step(
+    model: ModelSpec,
+    split: Split,
+    idx: np.ndarray,
+    labels: np.ndarray,
+    rng: np.random.Generator,
+    workspace: dict,
+) -> tuple[float, np.ndarray]:
+    """One training forward/backward over ``split``'s rows ``idx``, labelled ``labels``.
+
+    The batch runs in chunks of at most ``CHUNK_ROWS`` rows, each gathered
+    into ``workspace`` (see ``backward_arrays``). Returns the batch's
+    regularized loss and probabilities and leaves the exact gradient of
+    that loss in ``model.grad``, as ``backward_arrays`` does.
+    """
+    batch_ws = workspace.setdefault("batch", {})
+
+    def chunk_inputs(rows: slice):
+        chunk = idx[rows]
+        return (
+            _numeric(model, split, chunk, len(chunk), batch_ws),
+            _text(model, split, chunk, batch_ws),
+        )
+
+    return backward_batch(model, labels, chunk_inputs, CHUNK_ROWS, rng, workspace)
+
+
 def train(
     model: ModelSpec,
     train_samples: Split | list[Sample],
@@ -92,12 +135,10 @@ def train(
 ) -> Checkpoint:
     """Train ``model`` in place and return a checkpoint wrapping it.
 
-    Each step gathers its batch from the training split into the workspace,
-    and its ``backward_arrays`` leaves the gradient in ``model.grad``; the
+    Each ``train_step`` leaves its batch's gradient in ``model.grad``; the
     momentum update is three whole-vector operations on ``model.theta`` and
     one velocity vector of the same layout. The validation accuracy logged
-    each epoch comes from ``forward_split`` over ``valid_samples`` in chunks
-    of at most ``batch_size`` rows.
+    each epoch comes from ``forward_split`` over ``valid_samples``.
     """
     if not train_samples or not valid_samples:
         raise InvalidArgumentError("train and validation sets must be non-empty")
@@ -111,7 +152,6 @@ def train(
     n = labels.shape[0]
     velocity = np.zeros_like(model.theta)
     workspace: dict = {}
-    batch_ws = workspace.setdefault("batch", {})
 
     log: list[dict] = []
     for epoch in range(1, hyper.epochs + 1):
@@ -120,14 +160,7 @@ def train(
         correct = 0
         for start in range(0, n, hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
-            loss, probs = backward_arrays(
-                model,
-                _numeric(model, train_split, idx, len(idx), batch_ws),
-                _text(model, train_split, idx, batch_ws),
-                labels[idx],
-                rng=train_rng,
-                workspace=workspace,
-            )
+            loss, probs = train_step(model, train_split, idx, labels[idx], train_rng, workspace)
             if not math.isfinite(loss):
                 raise DivergedError(epoch)
             step = hyper.learning_rate * len(idx)

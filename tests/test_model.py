@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmfusion.config import Hyperparams
-from tmfusion.dataset import BuildConfig, Sample, build_dataset
+from tmfusion.dataset import BuildConfig, Sample, Split, build_dataset
 from tmfusion.errors import DivergedError, InvalidArgumentError, SchemaError, TmfusionError
 from tmfusion.rnn import (
     backward_arrays,
@@ -26,6 +27,7 @@ from tmfusion.rnn import (
     save_checkpoint,
     train,
 )
+from tmfusion.rnn import training
 from tmfusion.rnn.cells import CELL_KINDS, sigmoid
 from tmfusion.rnn.checkpoint import Checkpoint
 
@@ -164,8 +166,16 @@ class TestParameterStore:
                 np.testing.assert_array_equal(arr, expected, err_msg=f"{kind} {path}")
 
 
-def finite_difference_check(model, numeric, text, labels, eps=1e-5, tol=1e-4):
-    loss, _ = backward_arrays(model, numeric, text, labels)
+def finite_difference_check(model, numeric, text, labels, eps=1e-5, tol=1e-4, backward=None):
+    """Central differences of ``loss_reference`` on every parameter against ``model.grad``.
+
+    ``backward()`` computes the loss and fills ``model.grad``; by default it
+    is ``backward_arrays`` over the same arrays.
+    """
+    if backward is None:
+        loss, _ = backward_arrays(model, numeric, text, labels)
+    else:
+        loss, _ = backward()
     assert loss == pytest.approx(loss_reference(model, numeric, text, labels), rel=1e-12)
     grads = dict(model.grads())
     worst = 0.0
@@ -399,6 +409,125 @@ class TestTrain:
                 train(model, tr, te)
         assert excinfo.value.epoch >= 1
         assert "epoch" in str(excinfo.value)
+
+
+def lookback_split(rng, n, steps=3, own_width=4, text_len=0, text_dim=3) -> Split:
+    """A synthetic split of ``n`` rows of ``steps`` numeric steps (5 market
+    columns and ``own_width`` own ones) and, when ``text_len``, token ids
+    into a random word table."""
+    days = n + steps
+    token_ids = table = None
+    if text_len:
+        table = np.vstack([np.zeros((1, text_dim)), rng.normal(0, 0.5, size=(6, text_dim))])
+        token_ids = rng.integers(0, table.shape[0], size=(n, text_len)).astype(np.int32)
+    return Split(
+        ticker="AAPL",
+        own=rng.normal(0.5, 0.2, size=(n, own_width)),
+        labels=rng.integers(0, 2, size=n).astype(np.uint8),
+        days=np.arange(n, dtype=np.int32),
+        authors=["trader"],
+        author_ids=np.zeros(n, dtype=np.int32),
+        market=rng.normal(0.5, 0.2, size=(days, 5)),
+        day_rows=rng.integers(steps - 1, days, size=n).astype(np.int32),
+        steps=steps,
+        token_ids=token_ids,
+        table=table,
+    )
+
+
+def step_model(architecture: str, kind: str, hyper: Hyperparams):
+    return build_model(
+        architecture, kind, hyper,
+        numeric_dim=0 if architecture == "text_only" else 9,
+        text_dim=0 if architecture == "numeric_only" else 3,
+    )
+
+
+class TestChunkedStep:
+    """A training step runs its batch in chunks of at most CHUNK_ROWS rows."""
+
+    @pytest.mark.parametrize("architecture", ["numeric_only", "text_only", "fused"])
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_step_does_not_depend_on_the_chunk_size(self, rng, monkeypatch, kind, architecture):
+        # 10 rows in chunks of 3 (3+3+3+1) and in one chunk, dropout on
+        split = lookback_split(rng, 10, text_len=4)
+        idx = rng.permutation(10)
+        labels = split.labels[idx].astype(np.float64)
+        runs = []
+        for chunk_rows in (3, 64):
+            monkeypatch.setattr(training, "CHUNK_ROWS", chunk_rows)
+            model = step_model(architecture, kind, SMALL)
+            step_rng = np.random.default_rng(7)
+            loss, probs = training.train_step(model, split, idx, labels, step_rng, {})
+            runs.append((loss, probs, model.grad.copy(), step_rng.bit_generator.state))
+        (loss3, probs3, grad3, state3), (loss64, probs64, grad64, state64) = runs
+        # a BLAS product's column can round differently with the product's
+        # width, so a row's probability may move in its last bits, never more
+        np.testing.assert_allclose(probs3, probs64, rtol=1e-14, atol=0)
+        assert state3 == state64
+        assert loss3 == pytest.approx(loss64, rel=1e-12, abs=0)
+        # relative to the largest entry: the chunks sum each entry in another
+        # order, and an entry that nearly cancels keeps only the absolute error
+        assert np.max(np.abs(grad3 - grad64)) <= 1e-12 * np.max(np.abs(grad64))
+
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_one_chunk_is_backward_arrays_bit_for_bit(self, rng, kind):
+        """A batch of at most CHUNK_ROWS rows takes the one-chunk path, the
+        same arithmetic as ``backward_arrays`` on the gathered arrays."""
+        split = lookback_split(rng, 12, text_len=4)
+        idx = rng.permutation(12)
+        labels = split.labels[idx].astype(np.float64)
+        model = step_model("fused", kind, SMALL)
+        loss, probs = training.train_step(
+            model, split, idx, labels, np.random.default_rng(3), {}
+        )
+        grad = model.grad.copy()
+        numeric, text, _ = samples_to_arrays(model, split)
+        ref_loss, ref_probs = backward_arrays(
+            model, numeric[idx], text[idx], labels, rng=np.random.default_rng(3)
+        )
+        assert loss == ref_loss
+        assert probs.tobytes() == ref_probs.tobytes()
+        assert grad.tobytes() == model.grad.tobytes()
+
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_gradients_over_several_chunks(self, rng, monkeypatch, kind):
+        """Finite differences of the batch loss against the gradient that 10
+        rows accumulate over chunks of 4, 4 and 2, with the L2 term added once."""
+        monkeypatch.setattr(training, "CHUNK_ROWS", 4)
+        hyper = Hyperparams(
+            epochs=1, layers=2, hidden_units=3, recurrent_dropout=0.0, dropout=0.0,
+            l2=0.01, batch_size=10, seed=11,
+        )
+        split = lookback_split(rng, 10, text_len=3)
+        idx = rng.permutation(10)
+        labels = split.labels[idx].astype(np.float64)
+        model = step_model("fused", kind, hyper)
+        numeric, text, _ = samples_to_arrays(model, split)
+        finite_difference_check(
+            model, numeric[idx], text[idx], labels,
+            backward=lambda: training.train_step(
+                model, split, idx, labels, np.random.default_rng(0), {}
+            ),
+        )
+
+    def test_training_memory_does_not_grow_with_the_batch(self):
+        """One epoch at batch 4096 peaks at most 1.25 times one at batch
+        CHUNK_ROWS: the caches and gathers are the chunk's, not the batch's."""
+        rng = np.random.default_rng(0)
+        tr = lookback_split(rng, 4096, steps=11, own_width=9)
+        va = lookback_split(rng, 600, steps=11, own_width=9)
+        peaks = []
+        for batch_size in (training.CHUNK_ROWS, 4096):
+            hyper = Hyperparams(epochs=1, batch_size=batch_size, seed=1)
+            model = build_model("numeric_only", "gru", hyper, numeric_dim=14)
+            tracemalloc.start()
+            try:
+                train(model, tr, va)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestCheckpoint:
