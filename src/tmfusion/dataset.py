@@ -9,12 +9,14 @@ writes) with array operations: a stable sort by timestamp, one
 token ids once per distinct text, and running author counts and
 credibility from one stable per-author sort. Then the raw (N, width)
 matrix is filled block by block, fits the normalizer and is hashed for the
-leakage audit. With the market block, each split keeps one normalized
-market row per trading day its windows cover and each sample a row id
-into them, and every sample keeps its other columns once, however long
-its lookback window. Text becomes token ids into one embedding table of
-the words the dataset uses. The 80/20 split keeps sample order, and each
-split is held as columns (``Split``).
+leakage audit. Each split stores every column once at its grain: per
+trading day its windows cover, the day's ordinal, label and normalized
+market row; per distinct text it uses, the text's normalized sentiment and
+token ids; and per sample, its social and credibility columns and its row
+ids into the day and text tables, however long its lookback window. Text
+becomes token ids into one embedding table of the words the dataset uses.
+The 80/20 split keeps sample order, and each split is held as those
+tables (``Split``).
 
 Artifacts are written to a directory as the two split files, the
 embedding table when text is flagged, the normalizer and a build report,
@@ -79,19 +81,25 @@ TABLE_NAME = "embedding.bin"
 #: Canonical description of the file layout; its digest ships in headers so
 #: readers can detect incompatible writers.
 SCHEMA_DESCRIPTOR = (
-    "tmds format 3: magic 'TMDS'; u32le format_version; u32le header_len; "
+    "tmds format 4: magic 'TMDS'; u32le format_version; u32le header_len; "
     "canonical-json header, space-padded so the columns start 8-byte aligned; "
     "columns end to end; u32le crc32 of every byte before it. "
     "split header {schema_hash, ticker, label_field, flags, numeric_width, "
-    "numeric_steps, market_days, max_len, embedding_dim, vocab_size, count, authors "
-    "(sorted, distinct)}; split columns: own count*(numeric_width-5 with the market "
-    "block, else numeric_width) f64le (each sample's normalized blocks but market), "
-    "[market market_days*5 f64le (normalized market rows of the days the windows "
-    "cover, oldest first) and day_row count i32le in [numeric_steps-1, market_days-1] "
-    "(the market row of the sample's day) when market flagged], day_ordinal count "
-    "i32le, author_id count i32le into authors, [token_id count*max_len i32le in "
-    "[0, vocab_size] when text flagged, 0 padding after the last token], label count "
-    "u8. step s of sample i is market[day_row[i]-numeric_steps+1+s] then own[i]. "
+    "numeric_steps, days, texts, max_len, embedding_dim, vocab_size, count, authors "
+    "(sorted, distinct)}: a day table of days rows (the trading days the windows cover, "
+    "oldest first), a text table of texts rows (the distinct texts the split uses, by "
+    "text id; 0 rows without sentiment and text) and count samples. split columns: own "
+    "count*(numeric_width less the market and sentiment blocks) f64le (each sample's "
+    "normalized social and credibility blocks), [market days*5 f64le (normalized) when "
+    "market flagged], [sentiment texts*3 f64le (normalized) when sentiment flagged], "
+    "day_ordinal days i32le strictly increasing, [token_id texts*max_len i32le in "
+    "[0, vocab_size] when text flagged, 0 padding after the last token], day_row count "
+    "i32le in [numeric_steps-1, days-1], [text_row count i32le in [0, texts-1] when "
+    "sentiment or text flagged], author_id count i32le into authors, label days u8. "
+    "sample i's day and label are day_ordinal and label at day_row[i]; its numeric step s "
+    "is its blocks in the order market, social, sentiment, credibility: market "
+    "market[day_row[i]-numeric_steps+1+s], sentiment sentiment[text_row[i]], social and "
+    "credibility from own[i]; its token ids token_id[text_row[i]]. "
     "table header {schema_hash, rows, embedding_dim}; table column "
     "rows*embedding_dim f64le, row 0 the zero padding vector"
 )
@@ -176,6 +184,22 @@ def numeric_width(fs: frozenset[str]) -> int:
     return sum(BLOCK_WIDTHS[b] for b in NUMERIC_BLOCK_ORDER if b in fs)
 
 
+#: The numeric blocks a split's tables hold, each under the name of its
+#: table column; the other blocks are each sample's own columns.
+TABLE_BLOCKS = ("market", "sentiment")
+
+
+def numeric_layout(fs) -> tuple[tuple[str, int], ...]:
+    """The numeric columns of the blocks ``fs`` flags, in order, as (source, width) runs.
+
+    The source is the block's name for the blocks of ``TABLE_BLOCKS``, and
+    "own" for those each sample holds itself.
+    """
+    return tuple(
+        (b if b in TABLE_BLOCKS else "own", BLOCK_WIDTHS[b]) for b in NUMERIC_BLOCK_ORDER if b in fs
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Sample:
     """One training/test row: normalized numeric blocks, optional text matrix.
@@ -202,57 +226,89 @@ class Sample:
 
 @dataclass(eq=False)
 class Split:
-    """One split of a dataset, held as columns; ``split[i]`` is a ``Sample`` view of row i.
+    """One split of a dataset, as three tables and row ids into them.
 
-    - ``own``: (N, width) float64, each sample's own normalized numeric
-      blocks, the market block excepted when ``market`` is given;
-    - ``market``: (D, 5) float64, the normalized market rows of the trading
-      days the split's windows cover, oldest first, and ``day_rows``: (N,)
-      int32, the row of ``market`` for each sample's own day, at least
-      ``steps - 1``. Both are None when the split has no market block;
+    ``split[i]`` is a ``Sample`` view of row i.
+
+    - the day table, one row per trading day the split's windows cover,
+      oldest first: ``day_ordinals`` (D,) int32, strictly increasing,
+      ``day_labels`` (D,) 0/1, and with the market block ``market`` (D, 5)
+      float64, each day's normalized market row (else None);
+    - the text table, with the sentiment block or text: one row per
+      distinct text the split uses, in text id order. ``sentiment`` (X, 3)
+      float64 is the normalized sentiment block (None without it), and
+      ``tokens`` (X, max_len) int32 rows of ``table``, a text's words first
+      and id 0 padding after them (None without text);
+    - per sample: ``own`` (N, width) float64, the normalized blocks no
+      table holds (social and credibility); ``day_rows`` (N,) int32, the
+      day row of the sample's own day, at least ``steps - 1``; ``text_rows``
+      (N,) int32 with a text table, else None; ``author_ids`` (N,) indices
+      into ``authors``, sorted and distinct;
+    - ``layout``: the numeric columns in order as (source, width) runs;
+      "market" and "sentiment" take theirs from the day and text tables,
+      "own" from the sample's next own columns (see ``numeric_layout``);
     - ``steps``: numeric steps per sample, the market lookback + 1. Step s
-      of sample i (oldest first) is ``market[day_rows[i] - steps + 1 + s]``
-      followed by ``own[i]``, as ``assemble_numeric`` builds it;
-    - ``labels``: (N,) 0/1; ``days``: (N,) day ordinals;
-    - ``author_ids``: (N,) indices into ``authors``, sorted and distinct;
-    - with text, ``token_ids``: (N, max_len) int32 rows of ``table``, a
-      sentence's words first and id 0 padding after them, and ``table``:
-      the (vocab+1, k) float64 word vectors, row 0 zero. Both splits of a
-      dataset share one table. Without text both are None.
+      of sample i (oldest first) takes its market columns from day row
+      ``day_rows[i] - steps + 1 + s`` and repeats its other columns, as
+      ``assemble_numeric`` builds it;
+    - ``table``: with text, the (vocab+1, k) float64 word vectors, row 0
+      zero, which both splits of a dataset share; else None.
+
+    ``labels``, ``days`` and ``token_ids`` gather the day and text tables
+    per sample.
     """
 
     ticker: str
     own: np.ndarray
-    labels: np.ndarray
-    days: np.ndarray
+    day_rows: np.ndarray
+    day_ordinals: np.ndarray
+    day_labels: np.ndarray
     authors: list[str]
     author_ids: np.ndarray
+    layout: tuple[tuple[str, int], ...]
     market: np.ndarray | None = None
-    day_rows: np.ndarray | None = None
+    text_rows: np.ndarray | None = None
+    sentiment: np.ndarray | None = None
+    tokens: np.ndarray | None = None
     steps: int = 1
-    token_ids: np.ndarray | None = None
     table: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return self.labels.shape[0]
+        return self.day_rows.shape[0]
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
     def __getitem__(self, i: int) -> Sample:
+        day = self.day_rows[i]
         return Sample(
             numeric=self.assemble_numeric([i])[0],
-            text=None if self.token_ids is None else self.table[self.token_ids[i]],
-            label=int(self.labels[i]),
+            text=None if self.tokens is None else self.gather_text([i])[0],
+            label=int(self.day_labels[day]),
             ticker=self.ticker,
-            day=dt.date.fromordinal(int(self.days[i])),
+            day=dt.date.fromordinal(int(self.day_ordinals[day])),
             author=self.authors[self.author_ids[i]],
         )
 
     @property
+    def labels(self) -> np.ndarray:
+        """(N,) each sample's label, its day's."""
+        return self.day_labels[self.day_rows]
+
+    @property
+    def days(self) -> np.ndarray:
+        """(N,) each sample's day ordinal."""
+        return self.day_ordinals[self.day_rows]
+
+    @property
+    def token_ids(self) -> np.ndarray | None:
+        """(N, max_len) each sample's token ids, its text's; None without text."""
+        return None if self.tokens is None else self.tokens[self.text_rows]
+
+    @property
     def width(self) -> int:
-        """Numeric columns per step, the market block included."""
-        return self.own.shape[1] + (0 if self.market is None else self.market.shape[1])
+        """Numeric columns per step, every block included."""
+        return sum(width for _, width in self.layout)
 
     @property
     def row_shape(self) -> tuple[int, ...]:
@@ -263,20 +319,39 @@ class Split:
         """The numeric inputs of ``rows`` (a slice or indices), each of ``row_shape``.
 
         They go to ``out``, a C-contiguous (n, *row_shape) float64 buffer,
-        when given. Each step's market columns come from the day rows of
-        its window; the sample's own columns repeat over the steps.
+        when given. Each block is filled from its table in ``layout``
+        order: each step's market columns from the day rows of its window,
+        the sentiment columns from the sample's text row, and the own
+        columns from the sample's; all but the market repeat over the steps.
         """
+        day_rows = self.day_rows[rows]
         own = self.own[rows]
-        n = own.shape[0]
+        n = day_rows.shape[0]
         out = np.empty((n, *self.row_shape)) if out is None else out
         steps = out.reshape(n, self.steps, self.width)
-        m = 0
-        if self.market is not None:
-            m = self.market.shape[1]
-            window = self.day_rows[rows][:, None] + np.arange(1 - self.steps, 1)
-            steps[:, :, :m] = self.market[window]
-        steps[:, :, m:] = own[:, None, :]
+        col = own_col = 0
+        for source, width in self.layout:
+            block = steps[:, :, col : col + width]
+            if source == "market":
+                block[...] = self.market[day_rows[:, None] + np.arange(1 - self.steps, 1)]
+            elif source == "sentiment":
+                block[...] = self.sentiment[self.text_rows[rows]][:, None, :]
+            else:
+                block[...] = own[:, None, own_col : own_col + width]
+                own_col += width
+            col += width
         return out
+
+    def gather_text(self, rows, out: np.ndarray | None = None) -> np.ndarray:
+        """The (n, max_len, k) word vectors of ``rows``, through their text rows.
+
+        They go to ``out``, a C-contiguous float64 buffer, when given.
+        """
+        ids = self.tokens[self.text_rows[rows]]
+        out = np.empty(ids.shape + self.table.shape[1:]) if out is None else out
+        # mode="raise" would gather into a temporary first; the token ids are
+        # ones the dataset reader bounds-checked
+        return np.take(self.table, ids, axis=0, out=out, mode="clip")
 
     @property
     def numeric_rows(self) -> np.ndarray:
@@ -285,46 +360,52 @@ class Split:
 
     @classmethod
     def from_samples(cls, samples: Sequence[Sample]) -> "Split":
-        """The columns of a list of samples; every text row becomes a row of the table.
+        """The tables of a list of samples, each sample given day and text rows of its own.
 
-        One-step samples keep every column as their own. Multi-step samples
-        are lookback windows: their first 5 columns, the market block,
-        become one table row per step, and their other columns, which must
-        not vary across the steps, become their own.
+        One-step samples keep every numeric column as their own. Multi-step
+        samples are lookback windows: their first 5 columns, the market
+        block, become one day row per step, and their other columns, which
+        must not vary across the steps, become their own. A sample's day
+        rows all carry its day and label, so, unlike a built split's, the
+        day ordinals need not increase. Every text row becomes a row of the
+        table.
         """
         if not samples:
             raise InvalidArgumentError("need at least one sample")
         numeric = np.stack([s.numeric for s in samples])
-        own, market, day_rows, steps = numeric, None, None, 1
-        if numeric.ndim == 3:
-            n, steps, _ = numeric.shape
-            m = BLOCK_WIDTHS["market"]
-            own = numeric[:, -1, m:]
-            if numeric.shape[2] < m or np.any(numeric[:, :, m:] != own[:, None, :]):
-                raise InvalidArgumentError(
-                    "multi-step samples must lead with the market block and vary only in it"
-                )
-            market = numeric[:, :, :m].reshape(n * steps, m)
-            day_rows = np.arange(steps - 1, n * steps, steps, dtype=np.int32)
-        token_ids = table = None
+        n = numeric.shape[0]
+        steps = 1 if numeric.ndim == 2 else numeric.shape[1]
+        windows = numeric.reshape(n, steps, -1)
+        width = windows.shape[2]
+        m = BLOCK_WIDTHS["market"] if steps > 1 else 0
+        own = windows[:, -1, m:]
+        if steps > 1 and (width < m or np.any(windows[:, :, m:] != own[:, None, :])):
+            raise InvalidArgumentError(
+                "multi-step samples must lead with the market block and vary only in it"
+            )
+        layout = ((("market", m),) if m else ()) + ((("own", width - m),) if width > m else ())
+        text_rows = tokens = table = None
         if all(s.text is not None for s in samples):
             text = np.stack([s.text for s in samples])
-            n, max_len, dim = text.shape
+            _, max_len, dim = text.shape
             table = np.concatenate([np.zeros((1, dim)), text.reshape(-1, dim)])
-            token_ids = np.arange(1, n * max_len + 1, dtype=np.int32).reshape(n, max_len)
+            tokens = np.arange(1, n * max_len + 1, dtype=np.int32).reshape(n, max_len)
+            text_rows = np.arange(n, dtype=np.int32)
         authors = sorted({s.author for s in samples})
         index = {a: i for i, a in enumerate(authors)}
         return cls(
             ticker=samples[0].ticker,
             own=own,
-            labels=np.array([s.label for s in samples], dtype=np.uint8),
-            days=np.array([s.day.toordinal() for s in samples], dtype=np.int32),
+            day_rows=np.arange(steps - 1, n * steps, steps, dtype=np.int32),
+            day_ordinals=np.repeat([s.day.toordinal() for s in samples], steps).astype(np.int32),
+            day_labels=np.repeat([s.label for s in samples], steps).astype(np.uint8),
             authors=authors,
             author_ids=np.array([index[s.author] for s in samples], dtype=np.int32),
-            market=market,
-            day_rows=day_rows,
+            layout=layout,
+            market=windows[:, :, :m].reshape(n * steps, m) if m else None,
+            text_rows=text_rows,
+            tokens=tokens,
             steps=steps,
-            token_ids=token_ids,
             table=table,
         )
 
@@ -415,7 +496,7 @@ _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 def _token_ids(
     texts: list[str], text_id: np.ndarray, n_train: int, stopwords, cfg: BuildConfig
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The (N, max_len) token ids of the samples, the table they index, and max_len.
+    """The (X, max_len) token ids of the distinct texts, the table they index, and max_len.
 
     Each distinct text is tokenized once; ``text_id`` maps each sample to
     its entry of ``texts``. max_len is the longest training sentence unless
@@ -438,8 +519,8 @@ def _token_ids(
         row[: len(words)] = [index[word] for word in words]
     table = np.zeros((len(vocab) + 1, cfg.embedding.dim))
     for i, word in enumerate(vocab, start=1):
-        table[i] = cfg.embedding.lookup(word)
-    return rows[text_id], table, max_len
+        cfg.embedding.lookup(word, out=table[i])
+    return rows, table, max_len
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -498,10 +579,12 @@ def build_dataset(
     normalizer and the text max-length come from the training split alone.
     The normalizer is fitted on, and the leakage audit hashes, the raw
     training rows, each with its own day's market block. Each split then
-    holds every sample's other blocks once (``Split.own``) and, with the
-    market block, the normalized market rows of the trading days its
-    lookback windows cover, each row once, with each sample's day row into
-    them. A list of records is first laid out as columns.
+    stores each column once at its grain (see ``Split``): a day table of
+    the trading days its lookback windows cover, with their labels and
+    normalized market rows; a text table of the distinct texts it uses,
+    with their normalized sentiment and token ids; and per sample its
+    social and credibility blocks and its day and text rows. A list of
+    records is first laid out as columns.
     """
     if not isinstance(tweets, TweetColumns):
         tweets = TweetColumns.from_records(tweets)
@@ -559,16 +642,17 @@ def build_dataset(
     # a sentiment call hits when its direction class (negative 0, else 1) is the label
     said_up = np.array([s.label != -1 for s in sentiments])[text_id]
     author_count, credibility = _author_history(author_id, stamps, said_up == (labels == 1))
+    sentiment_rows = np.array([s.as_array() for s in sentiments])
 
-    token_ids = table = None
+    tokens = table = None
     max_len = 0
     if "text" in fs:
-        token_ids, table, max_len = _token_ids(texts, text_id, n_train, stopwords, cfg)
+        tokens, table, max_len = _token_ids(texts, text_id, n_train, stopwords, cfg)
 
     blocks = {
         "market": lambda: market_rows[day_idx],
         "social": lambda: social_matrix(tweets.counters[rows], author_count),
-        "sentiment": lambda: np.array([s.as_array() for s in sentiments])[text_id],
+        "sentiment": lambda: sentiment_rows[text_id],
         "credibility": lambda: credibility,
     }
     width = numeric_width(fs)
@@ -593,40 +677,52 @@ def build_dataset(
     train_hash = hashlib.sha256(struct.pack("<I", n_train))
     train_hash.update(np.ascontiguousarray(raw[:n_train], dtype="<f8"))
 
-    # normalization is elementwise, so normalizing the market rows and the
-    # own columns apart gives what normalizing whole rows would
-    m = BLOCK_WIDTHS["market"] if "market" in fs else 0
-    own = apply_normalizer(NormalizerState(normalizer.mins[m:], normalizer.maxs[m:]), raw[:, m:])
-    market_state = NormalizerState(normalizer.mins[:m], normalizer.maxs[:m])
+    # each table is normalized with the stats of its columns: normalization
+    # is elementwise, so the inputs assembled from the tables are what
+    # normalizing whole rows would give
+    layout = numeric_layout(fs)
+    source = np.repeat(np.array([name for name, _ in layout], dtype=str), [w for _, w in layout])
+
+    def normalized(name: str, values: np.ndarray) -> np.ndarray:
+        cols = source == name
+        return apply_normalizer(
+            NormalizerState(normalizer.mins[cols], normalizer.maxs[cols]), values, out=values
+        )
+
+    own = normalized("own", raw[:, source == "own"])
     del raw
-    ordinals = bar_ordinals.astype(np.int32)[day_idx]
+    sentiment = normalized("sentiment", sentiment_rows) if "sentiment" in fs else None
+    lookback = cfg.market_lookback
 
     def split(part: slice) -> Split:
         present, ids = np.unique(author_id[part], return_inverse=True)
-        market = day_rows = None
-        if m:
-            # the trading days of the split's windows: a day is covered when
-            # it or one of the next L days has a sample. Earlier steps are
-            # normalized with the stats fitted on current-day rows and may clamp
-            sampled = np.zeros(len(bars), dtype=bool)
-            sampled[day_idx[part]] = True
-            covered = sampled.copy()
-            for back in range(1, cfg.market_lookback + 1):
-                covered[:-back] |= sampled[back:]
-            covered = np.flatnonzero(covered)
-            market = apply_normalizer(market_state, market_rows[covered])
-            day_rows = np.searchsorted(covered, day_idx[part]).astype(np.int32)
+        # the trading days of the split's windows: a day is covered when it
+        # or one of the next L days has a sample. Earlier steps are
+        # normalized with the stats fitted on current-day rows and may clamp
+        sampled = np.zeros(len(bars), dtype=bool)
+        sampled[day_idx[part]] = True
+        covered = sampled.copy()
+        for back in range(1, lookback + 1):
+            covered[:-back] |= sampled[back:]
+        covered = np.flatnonzero(covered)
+        text_rows = used = None
+        if _has_text_table(fs):
+            used, text_rows = np.unique(text_id[part], return_inverse=True)
+            text_rows = text_rows.astype(np.int32)
         return Split(
             ticker=cfg.ticker,
             own=own[part],
-            labels=labels[part],
-            days=ordinals[part],
+            day_rows=np.searchsorted(covered, day_idx[part]).astype(np.int32),
+            day_ordinals=bar_ordinals[covered].astype(np.int32),
+            day_labels=labels_by_day[covered],
             authors=[tweets.authors[i] for i in present.tolist()],
             author_ids=ids.astype(np.int32),
-            market=market,
-            day_rows=day_rows,
-            steps=cfg.market_lookback + 1,
-            token_ids=None if token_ids is None else token_ids[part],
+            layout=layout,
+            market=normalized("market", market_rows[covered]) if "market" in fs else None,
+            text_rows=text_rows,
+            sentiment=None if sentiment is None else sentiment[used],
+            tokens=None if tokens is None else tokens[used],
+            steps=lookback + 1,
             table=table,
         )
 
@@ -668,7 +764,7 @@ _SPLIT_TYPES = {
     "schema_hash": (str,), "ticker": (str,), "label_field": (str,), "flags": (list,),
     "authors": (list,),
     **dict.fromkeys(
-        ("numeric_width", "numeric_steps", "market_days", "max_len", "embedding_dim",
+        ("numeric_width", "numeric_steps", "days", "texts", "max_len", "embedding_dim",
          "vocab_size", "count"),
         (int,),
     ),
@@ -680,21 +776,44 @@ _TWEETS_TYPES = {
 }
 #: Header facts the train and test files of one dataset share.
 _SHARED_KEYS = ("flags", "numeric_width", "numeric_steps", "max_len", "embedding_dim", "vocab_size")
+#: The columns a split file holds only for some flags.
+_FLAGGED_COLUMNS = ("market", "sentiment", "token_id", "text_row")
+
+
+def _has_text_table(flags) -> bool:
+    return "sentiment" in flags or "text" in flags
 
 
 def _split_layout(header: dict) -> list[tuple[str, str, tuple[int, ...]]]:
-    """(name, dtype, shape) of each column of a split file, in file order."""
-    count = header["count"]
-    m = BLOCK_WIDTHS["market"] if "market" in header["flags"] else 0
-    layout = [("own", "<f8", (count, header["numeric_width"] - m))]
-    if m:
-        # the f64 columns first, so that every column starts aligned
-        layout += [("market", "<f8", (header["market_days"], m)), ("day_row", "<i4", (count,))]
-    layout += [("day_ordinal", "<i4", (count,)), ("author_id", "<i4", (count,))]
-    if "text" in header["flags"]:
-        layout.append(("token_id", "<i4", (count, header["max_len"])))
-    layout.append(("label", "u1", (count,)))
+    """(name, dtype, shape) of each column of a split file, in file order.
+
+    The f64 columns come first and the u8 one last, so that every column
+    starts aligned.
+    """
+    count, days, texts, flags = header["count"], header["days"], header["texts"], header["flags"]
+    table_width = sum(BLOCK_WIDTHS[b] for b in TABLE_BLOCKS if b in flags)
+    layout = [("own", "<f8", (count, header["numeric_width"] - table_width))]
+    if "market" in flags:
+        layout.append(("market", "<f8", (days, BLOCK_WIDTHS["market"])))
+    if "sentiment" in flags:
+        layout.append(("sentiment", "<f8", (texts, BLOCK_WIDTHS["sentiment"])))
+    layout.append(("day_ordinal", "<i4", (days,)))
+    if "text" in flags:
+        layout.append(("token_id", "<i4", (texts, header["max_len"])))
+    layout.append(("day_row", "<i4", (count,)))
+    if _has_text_table(flags):
+        layout.append(("text_row", "<i4", (count,)))
+    layout += [("author_id", "<i4", (count,)), ("label", "u1", (days,))]
     return layout
+
+
+def _split_columns(split: Split) -> dict[str, np.ndarray | None]:
+    """A split's arrays by the name of their file column."""
+    return {
+        "own": split.own, "market": split.market, "sentiment": split.sentiment,
+        "day_ordinal": split.day_ordinals, "token_id": split.tokens, "day_row": split.day_rows,
+        "text_row": split.text_rows, "author_id": split.author_ids, "label": split.day_labels,
+    }
 
 
 def _table_layout(header: dict) -> list[tuple[str, str, tuple[int, ...]]]:
@@ -719,11 +838,11 @@ def _write_file(path: Path | str, header: dict, layout, arrays) -> None:
 
 def write_split(path: Path | str, split: Split, fs: frozenset[str], label_field: str) -> None:
     """Write one split as a TMDS file; with text, its token ids index ``split.table``."""
-    has_text, has_market = "text" in fs, "market" in fs
-    if has_text and (split.token_ids is None or split.table is None):
-        raise InvalidArgumentError("text is flagged but the split has no token ids")
-    if has_market != (split.market is not None):
-        raise InvalidArgumentError("the split has a market table exactly when market is flagged")
+    has_text = "text" in fs
+    if has_text and split.table is None:
+        raise InvalidArgumentError("text is flagged but the split has no embedding table")
+    columns = _split_columns(split)
+    text_table = split.sentiment if split.sentiment is not None else split.tokens
     header = {
         "schema_hash": schema_hash(),
         "ticker": split.ticker,
@@ -731,18 +850,21 @@ def write_split(path: Path | str, split: Split, fs: frozenset[str], label_field:
         "flags": sorted(fs),
         "numeric_width": numeric_width(fs),
         "numeric_steps": split.steps,
-        "market_days": split.market.shape[0] if has_market else 0,
-        "max_len": split.token_ids.shape[1] if has_text else 0,
+        "days": split.day_ordinals.shape[0],
+        "texts": 0 if text_table is None else text_table.shape[0],
+        "max_len": split.tokens.shape[1] if has_text else 0,
         "embedding_dim": split.table.shape[1] if has_text else 0,
         "vocab_size": split.table.shape[0] - 1 if has_text else 0,
         "count": len(split),
         "authors": split.authors,
     }
-    arrays = [split.own]
-    arrays += [split.market, split.day_rows] if has_market else []
-    arrays += [split.days, split.author_ids]
-    arrays += [split.token_ids] if has_text else []
-    _write_file(path, header, _split_layout(header), arrays + [split.labels])
+    layout = _split_layout(header)
+    names = {name for name, _, _ in layout}
+    if split.layout != numeric_layout(fs) or any(
+        (columns[k] is None) == (k in names) for k in _FLAGGED_COLUMNS
+    ):
+        raise InvalidArgumentError("the split's tables do not match the feature flags")
+    _write_file(path, header, layout, [columns[name] for name, _, _ in layout])
 
 
 def write_table(path: Path | str, table: np.ndarray) -> None:
@@ -873,41 +995,51 @@ def read_tweets(path: Path | str, source: Path | str) -> TweetColumns:
 
 
 def read_split(path: Path | str) -> tuple[Split, dict]:
-    """A split file's columns and header, every id checked against what it indexes.
+    """A split file's tables and header, every row id checked against what it indexes.
 
     With text the split's ``table`` is still None; ``load_dataset`` reads
     the dataset's table and gives it to both splits.
     """
     header, columns = _read_file(path, _SPLIT_TYPES, _split_layout)
-    authors, steps, days = header["authors"], header["numeric_steps"], header["market_days"]
-    market, day_rows = columns.get("market"), columns.get("day_row")
-    token_ids = columns.get("token_id")
+    authors, steps, flags = header["authors"], header["numeric_steps"], header["flags"]
     if not _sorted_distinct(authors):
         raise SchemaError(f"{path}: the author table is not sorted and distinct")
-    if steps < 1 or (token_ids is not None and header["max_len"] < 1):
+    if header["numeric_width"] != numeric_width(frozenset(flags)):
+        raise SchemaError(f"{path}: numeric_width {header['numeric_width']} does not fit the flags")
+    if steps < 1 or ("text" in flags and header["max_len"] < 1):
         raise SchemaError(f"{path}: numeric_steps and, with text, max_len must be >= 1")
-    if market is None and (steps > 1 or days > 0):
-        raise SchemaError(f"{path}: numeric_steps > 1 and market_days > 0 need the market block")
-    if not all(np.all(np.isfinite(a)) for a in (columns["own"], market) if a is not None):
+    if steps > 1 and "market" not in flags:
+        raise SchemaError(f"{path}: numeric_steps > 1 needs the market block")
+    if header["texts"] > 0 and not _has_text_table(flags):
+        raise SchemaError(f"{path}: texts > 0 needs the sentiment block or text")
+    numeric = [columns.get(name) for name in ("own", "market", "sentiment")]
+    if not all(np.all(np.isfinite(a)) for a in numeric if a is not None):
         raise SchemaError(f"{path}: a numeric column has non-finite values")
-    _check_range(path, "day ordinal", columns["day_ordinal"], 1, _MAX_ORDINAL)
-    _check_range(path, "author id", columns["author_id"], 0, len(authors) - 1)
+    ordinals = columns["day_ordinal"]
+    _check_range(path, "day ordinal", ordinals, 1, _MAX_ORDINAL)
+    if np.any(ordinals[1:] <= ordinals[:-1]):
+        raise SchemaError(f"{path}: the day ordinals are not strictly increasing")
     _check_range(path, "label", columns["label"], 0, 1)
-    if day_rows is not None:
-        _check_range(path, "day row", day_rows, steps - 1, days - 1)
-    if token_ids is not None:
-        _check_range(path, "token id", token_ids, 0, header["vocab_size"])
+    _check_range(path, "day row", columns["day_row"], steps - 1, header["days"] - 1)
+    _check_range(path, "author id", columns["author_id"], 0, len(authors) - 1)
+    if "text_row" in columns:
+        _check_range(path, "text row", columns["text_row"], 0, header["texts"] - 1)
+    if "token_id" in columns:
+        _check_range(path, "token id", columns["token_id"], 0, header["vocab_size"])
     split = Split(
         ticker=header["ticker"],
         own=columns["own"],
-        labels=columns["label"],
-        days=columns["day_ordinal"],
+        day_rows=columns["day_row"],
+        day_ordinals=ordinals,
+        day_labels=columns["label"],
         authors=authors,
         author_ids=columns["author_id"],
-        market=market,
-        day_rows=day_rows,
+        layout=numeric_layout(flags),
+        market=columns.get("market"),
+        text_rows=columns.get("text_row"),
+        sentiment=columns.get("sentiment"),
+        tokens=columns.get("token_id"),
         steps=steps,
-        token_ids=token_ids,
     )
     return split, header
 

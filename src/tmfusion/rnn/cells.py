@@ -228,12 +228,18 @@ def forward(
     q0: np.ndarray | None = None,
     rec_mask: np.ndarray | None = None,
     ws: dict[str, np.ndarray] | None = None,
+    keep_gates: bool = True,
 ) -> tuple[np.ndarray, dict]:
     """Run one layer over a (T, B, M) batch of sequences.
 
     Returns the (T, B, N) hidden sequence and a cache holding everything the
     matching backward pass needs. ``ws`` is this layer's workspace dict, if
     any; the output and the cache then live in its buffers.
+    ``keep_gates=False`` is for a forward that no backward follows: the
+    buffers of the gates and of the other per-step values a backward reads
+    (the LSTM's cell states, the literal-form activations) then hold one
+    step, which every step reuses, and the cache cannot be passed to
+    ``backward``. The hidden sequence and the outputs are the same.
     """
     if xs.ndim != 3 or xs.shape[2] != p.input_dim:
         raise InvalidArgumentError(f"expected inputs (T, B, {p.input_dim}), got {xs.shape}")
@@ -245,11 +251,15 @@ def forward(
     }
     if p.kind == "lstm":
         cache["q0"] = _initial_state(p, batch, q0, "q0")
-    _FORWARD[p.kind](p, cache, ws)
+    _FORWARD[p.kind](p, cache, ws, xs.shape[0] if keep_gates else 1)
     return cache["hs"].transpose(0, 2, 1), cache
 
 
-def _forward_simple(p, cache, ws):
+# Each kernel keeps ``gate_steps`` steps of its gate buffers, T or 1, and
+# writes step t into row ``t % gate_steps`` of them.
+
+
+def _forward_simple(p, cache, ws, gate_steps):
     W, U, b = p.W, p.U, p.b[:, None]
     xs, mask = cache["xs"], cache["mask"]
     hs = workspace_array(ws, "hs", (xs.shape[0], p.hidden_dim, xs.shape[1]))
@@ -262,16 +272,15 @@ def _forward_simple(p, cache, ws):
     cache["hs"] = hs
 
 
-def _forward_indrnn(p, cache, ws):
+def _forward_indrnn(p, cache, ws, gate_steps):
     W, u, b = p.W, p.U[:, None], p.b[:, None]
     xs, mask = cache["xs"], cache["mask"]
-    shape = (xs.shape[0], p.hidden_dim, xs.shape[1])
-    hs = workspace_array(ws, "hs", shape)
+    hs = workspace_array(ws, "hs", (xs.shape[0], p.hidden_dim, xs.shape[1]))
     # activation outputs: the hidden states, or apart from them in literal mode
-    ss = workspace_array(ws, "ss", shape) if p.literal_forms else hs
+    ss = workspace_array(ws, "ss", (gate_steps, *hs.shape[1:])) if p.literal_forms else hs
     h_prev = cache["h0"]
     for t in range(xs.shape[0]):
-        s = np.matmul(W, xs[t].T, out=ss[t])
+        s = np.matmul(W, xs[t].T, out=ss[t % len(ss)])
         s += _dropped(h_prev, mask) * u
         if p.literal_forms:
             sigmoid(s, out=s)
@@ -282,43 +291,45 @@ def _forward_indrnn(p, cache, ws):
     cache.update(hs=hs, ss=ss)
 
 
-def _forward_lstm(p, cache, ws):
+def _forward_lstm(p, cache, ws, gate_steps):
     W, U, b = p.W, p.U, p.b[:, None]
     xs, mask = cache["xs"], cache["mask"]
     t_len, batch, _ = xs.shape
     n = p.hidden_dim
-    acts = workspace_array(ws, "acts", (t_len, 4 * n, batch))  # gate activations f|i|g|o
-    hs, qs, tqs = (workspace_array(ws, name, (t_len, n, batch)) for name in ("hs", "qs", "tqs"))
+    acts = workspace_array(ws, "acts", (gate_steps, 4 * n, batch))  # gate activations f|i|g|o
+    hs = workspace_array(ws, "hs", (t_len, n, batch))
+    qs, tqs = (workspace_array(ws, name, (gate_steps, n, batch)) for name in ("qs", "tqs"))
     rec = workspace_array(ws, "rec", (4 * n, batch))
     h_prev, q_prev = cache["h0"], cache["q0"]
     for t in range(t_len):
-        a = np.matmul(W, xs[t].T, out=acts[t])
+        g_t = t % gate_steps
+        a = np.matmul(W, xs[t].T, out=acts[g_t])
         a += np.matmul(U, _dropped(h_prev, mask), out=rec)
         a += b
         f, i, g, o = a.reshape(4, n, batch)
         sigmoid(a[: 2 * n], out=a[: 2 * n])  # f and i
         np.tanh(g, out=g)
         sigmoid(o, out=o)
-        q_prev = np.multiply(f, q_prev, out=qs[t])
+        q_prev = np.multiply(f, q_prev, out=qs[g_t])
         q_prev += i * g
-        np.tanh(q_prev, out=tqs[t])
-        h_prev = np.multiply(o, tqs[t], out=hs[t])
+        np.tanh(q_prev, out=tqs[g_t])
+        h_prev = np.multiply(o, tqs[g_t], out=hs[t])
     cache.update(acts=acts, hs=hs, qs=qs, tqs=tqs)
 
 
-def _forward_gru(p, cache, ws):
+def _forward_gru(p, cache, ws, gate_steps):
     W, U, b = p.W, p.U, p.b[:, None]
     xs, mask = cache["xs"], cache["mask"]
     t_len, batch, _ = xs.shape
     n = p.hidden_dim
     U_zr, U_h = U[: 2 * n], U[2 * n :]
-    acts = workspace_array(ws, "acts", (t_len, 3 * n, batch))  # z|r gates, then the candidate
+    acts = workspace_array(ws, "acts", (gate_steps, 3 * n, batch))  # z|r gates, then the candidate
     hs = workspace_array(ws, "hs", (t_len, n, batch))
     rec = workspace_array(ws, "rec", (2 * n, batch))
     h_prev = cache["h0"]
     for t in range(t_len):
         hd = _dropped(h_prev, mask)
-        a = np.matmul(W, xs[t].T, out=acts[t])
+        a = np.matmul(W, xs[t].T, out=acts[t % gate_steps])
         a += b
         zr = a[: 2 * n]
         zr += np.matmul(U_zr, hd, out=rec)

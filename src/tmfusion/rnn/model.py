@@ -222,21 +222,23 @@ def _layer_ws(workspace: dict | None, branch: str, i: int) -> dict | None:
     return None if workspace is None else workspace.setdefault(f"{branch}.{i}", {})
 
 
-def _forward_branch(layers, xs, rec_masks, workspace, branch):
+def _forward_branch(layers, xs, rec_masks, workspace, branch, keep_gates):
     caches = []
     current = xs
     for i, layer in enumerate(layers):
         current, cache = cell_forward(
-            layer, current, rec_mask=rec_masks[i], ws=_layer_ws(workspace, branch, i)
+            layer, current, rec_mask=rec_masks[i], ws=_layer_ws(workspace, branch, i),
+            keep_gates=keep_gates,
         )
         caches.append(cache)
     return current[-1], caches  # final hidden state (B, N)
 
 
-def _forward_arrays(model, numeric, text, masks, workspace=None):
+def _forward_arrays(model, numeric, text, masks, workspace=None, keep_gates=True):
     """Shared forward path, with dropout exactly when ``masks`` (see ``_draw_masks``) are given.
 
-    Returns probabilities plus a full cache bundle.
+    Returns probabilities plus a cache bundle, which a backward can read
+    only when ``keep_gates`` (see ``cells.forward``).
     """
     _check_sample_shapes(model, numeric, text)
     inputs = {}
@@ -252,7 +254,9 @@ def _forward_arrays(model, numeric, text, masks, workspace=None):
     bundle = {"branches": [], "ff_masks": [], "E": None}
     for b_idx, (name, layers) in enumerate(model.branches()):
         rec_masks = [None] * len(layers) if masks is None else masks[name]
-        final, caches = _forward_branch(layers, inputs[name], rec_masks, workspace, name)
+        final, caches = _forward_branch(
+            layers, inputs[name], rec_masks, workspace, name, keep_gates
+        )
         mask = None if masks is None else masks["ff"][b_idx]
         parts.append(final if mask is None else final * mask)
         bundle["branches"].append(caches)
@@ -295,7 +299,8 @@ def forward_arrays(
 ) -> np.ndarray:
     """Probabilities for a batch given (B, n) numeric and/or (B, T, k) text.
 
-    ``workspace`` is as for ``backward_arrays``.
+    ``workspace`` is as for ``backward_arrays``. No backward follows, so
+    the layers keep no gate caches (see ``cells.forward``).
     """
     masks = None
     if train_mode:
@@ -303,7 +308,7 @@ def forward_arrays(
             raise InvalidArgumentError("train_mode forward needs a random generator")
         _check_sample_shapes(model, numeric, text)
         masks = _draw_masks(model, (text if text is not None else numeric).shape[0], rng)
-    probs, _ = _forward_arrays(model, numeric, text, masks, workspace)
+    probs, _ = _forward_arrays(model, numeric, text, masks, workspace, keep_gates=False)
     return probs
 
 
@@ -415,7 +420,7 @@ def backward_arrays(
 def model_split(model: ModelSpec, samples: Split | list[Sample]) -> Split:
     """``samples`` as a split, which must carry text when ``model`` has a text branch."""
     split = samples if isinstance(samples, Split) else Split.from_samples(samples)
-    if model.text_layers and split.token_ids is None:
+    if model.text_layers and split.tokens is None:
         raise InvalidArgumentError("model expects text matrices but samples lack them")
     return split
 
@@ -430,5 +435,5 @@ def samples_to_arrays(
     """
     split = model_split(model, samples)
     numeric = split.numeric_rows if model.numeric_layers else None
-    text = split.table[split.token_ids] if model.text_layers else None
+    text = split.gather_text(slice(None)) if model.text_layers else None
     return numeric, text, split.labels.astype(np.float64)

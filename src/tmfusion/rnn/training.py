@@ -22,9 +22,11 @@ the chunk, not by the batch, and the memory of a run stops growing with
 ``batch_size`` past ``CHUNK_ROWS``. Only the dropout masks and the
 probabilities of a step are the whole batch's. A batch of at most
 ``CHUNK_ROWS`` rows is one chunk. Each chunk's numeric input is assembled
-from the split's market rows and own columns, and its text gathered from
-the embedding table by token id, so no (N, steps, width) or
-(N, max_len, k) array of a whole split is ever built.
+from the split's day and text tables and own columns, and its text
+gathered from the embedding table through the split's text rows, so no
+(N, steps, width) or (N, max_len, k) array of a whole split is ever built. Inference keeps
+no gate caches: each layer holds its hidden sequence and one step of gate
+buffers (see ``cells.forward``).
 """
 
 from __future__ import annotations
@@ -60,15 +62,12 @@ def _numeric(model: ModelSpec, split: Split, rows, n: int, ws: dict) -> np.ndarr
     return split.assemble_numeric(rows, workspace_array(ws, "numeric", (n, *split.row_shape)))
 
 
-def _text(model: ModelSpec, split: Split, rows, ws: dict) -> np.ndarray | None:
-    """The word vectors of ``split``'s rows ``rows``, gathered into ``ws``, if the model reads text."""
+def _text(model: ModelSpec, split: Split, rows, n: int, ws: dict) -> np.ndarray | None:
+    """The word vectors of ``split``'s ``n`` rows ``rows``, gathered into ``ws``, if the model reads text."""
     if not model.text_layers:
         return None
-    ids = split.token_ids[rows]
-    out = workspace_array(ws, "text", ids.shape + split.table.shape[1:])
-    # mode="raise" would gather into a temporary first; the token ids are
-    # ones the dataset reader bounds-checked
-    return np.take(split.table, ids, axis=0, out=out, mode="clip")
+    shape = (n, split.tokens.shape[1], split.table.shape[1])
+    return split.gather_text(rows, workspace_array(ws, "text", shape))
 
 
 def forward_split(
@@ -91,10 +90,11 @@ def forward_split(
     probs = np.empty(n)
     for start in range(0, n, chunk):
         rows = slice(start, start + chunk)
+        size = min(chunk, n - start)
         probs[rows] = forward_arrays(
             model,
-            _numeric(model, split, rows, min(chunk, n - start), batch_ws),
-            _text(model, split, rows, batch_ws),
+            _numeric(model, split, rows, size, batch_ws),
+            _text(model, split, rows, size, batch_ws),
             workspace=workspace,
         )
     return probs
@@ -121,7 +121,7 @@ def train_step(
         chunk = idx[rows]
         return (
             _numeric(model, split, chunk, len(chunk), batch_ws),
-            _text(model, split, chunk, batch_ws),
+            _text(model, split, chunk, len(chunk), batch_ws),
         )
 
     return backward_batch(model, labels, chunk_inputs, CHUNK_ROWS, rng, workspace)

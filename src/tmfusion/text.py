@@ -73,17 +73,30 @@ class EmbeddingTable:
                 raise InvalidArgumentError(f"vector for {word!r} has shape {vec.shape}")
         self._oov_cache: dict[str, np.ndarray] = {}
 
-    def lookup(self, token: str) -> np.ndarray:
+    def lookup(self, token: str, out: np.ndarray | None = None) -> np.ndarray:
+        """The vector of ``token``.
+
+        Without ``out``, a hashed fallback vector is cached for the next
+        lookup of its token. With ``out``, a (dim,) float64 array, the
+        vector is written there and returned, and nothing is cached.
+        """
         known = self.vectors.get(token)
+        if out is not None:
+            out[...] = self._fallback(token) if known is None else known
+            return out
         if known is not None:
             return known
-        if self.fallback == "zero":
-            return np.zeros(self.dim)
         cached = self._oov_cache.get(token)
         if cached is None:
-            cached = _hashed_vector(token, self.dim, self.seed)
-            self._oov_cache[token] = cached
+            cached = self._fallback(token)
+            if self.fallback == "hashed":
+                self._oov_cache[token] = cached
         return cached
+
+    def _fallback(self, token: str) -> np.ndarray:
+        if self.fallback == "zero":
+            return np.zeros(self.dim)
+        return _hashed_vector(token, self.dim, self.seed)
 
     @classmethod
     def hashed(cls, dim: int, seed: int = 0) -> "EmbeddingTable":

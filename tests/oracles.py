@@ -10,6 +10,9 @@ trading day's row of ``market_feature_matrix``; and ``social_vector``, one
 tweet's row of ``social_matrix`` over its columns from ``TweetColumns.from_records``.
 ``lookback_reference`` is numpy's whole-array repeat of every row over its
 lookback window, the construction the per-day market table replaced.
+``sample_numeric_oracle`` and ``sample_text_oracle`` build one sample's
+model inputs from its own raw values, the per-sample construction the
+day and text tables replaced.
 """
 
 from __future__ import annotations
@@ -342,3 +345,33 @@ def lookback_reference(rows, market_rows, day_idx, lookback: int):
     out = np.repeat(rows[:, None, :], back.size, axis=1)
     out[:, :, : market_rows.shape[1]] = market_rows[np.asarray(day_idx)[:, None] - back]
     return out
+
+
+def normalize_oracle(values: list[float], mins: list[float], maxs: list[float]) -> list[float]:
+    """One row min-max scaled: clamped to [0, 1], constant columns 0.5."""
+    return [
+        0.5 if lo == hi else min(1.0, max(0.0, (v - lo) / (hi - lo)))
+        for v, lo, hi in zip(values, mins, maxs)
+    ]
+
+
+def sample_numeric_oracle(
+    raw_row: list[float], window: list[list[float]], mins: list[float], maxs: list[float]
+) -> list[list[float]]:
+    """One sample's normalized numeric steps, oldest first.
+
+    ``window`` holds the raw market rows of the sample's lookback days,
+    oldest first and its own day last; step s is window row s followed by
+    ``raw_row`` past its market block. Without a market block ``window`` is
+    empty and the one step is ``raw_row``.
+    """
+    m = len(window[0]) if window else 0
+    steps = [list(market) + list(raw_row[m:]) for market in window] or [list(raw_row)]
+    return [normalize_oracle(step, mins, maxs) for step in steps]
+
+
+def sample_text_oracle(vectors: list[list[float]], max_len: int, dim: int) -> list[list[float]]:
+    """One sample's (max_len, dim) text input from its words' vectors in
+    sentence order: cut to max_len, then zero rows."""
+    rows = [list(v) for v in vectors[:max_len]]
+    return rows + [[0.0] * dim for _ in range(max_len - len(rows))]

@@ -58,8 +58,8 @@ def test_write_samples_failing_mid_file_keeps_previous_split(tmp_path, rng):
     names = sorted(p.name for p in tmp_path.iterdir())
 
     # a misshaped column after the header has been written makes the writer raise
-    misshaped = dataclasses.replace(result.train, day_rows=np.zeros(3, dtype=np.int32))
-    with pytest.raises(InvalidArgumentError, match="day_row shape"):
+    misshaped = dataclasses.replace(result.train, author_ids=np.zeros(3, dtype=np.int32))
+    with pytest.raises(InvalidArgumentError, match="author_id shape"):
         write_split(train_bin, misshaped, cfg.feature_set, cfg.label_field)
     assert train_bin.read_bytes() == previous
     assert sorted(p.name for p in tmp_path.iterdir()) == names

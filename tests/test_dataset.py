@@ -51,7 +51,13 @@ from tmfusion.social import (
 from tmfusion.text import EmbeddingTable, embed_sequence, load_stopwords, tokenize_clean
 
 from .conftest import DATA_DIR, random_bars, synthetic_tweets, weekday_bars, write_v1_split
-from .oracles import credibility_oracle, lookback_reference, minmax_oracle
+from .oracles import (
+    credibility_oracle,
+    lookback_reference,
+    minmax_oracle,
+    sample_numeric_oracle,
+    sample_text_oracle,
+)
 
 UTC = dt.timezone.utc
 
@@ -218,19 +224,20 @@ def small_corpus(rng, n_tweets=60, n_bars=30):
     return synthetic_tweets(rng, dates, n_tweets), bars
 
 
-def reference_raw_rows(tweets, bars, fs) -> np.ndarray:
-    """Raw numeric rows of a build, one tweet at a time through the per-tweet
-    feature functions, concatenated in the documented block order."""
+def reference_samples(tweets, bars, fs, lookback: int = 0) -> list[tuple]:
+    """(tweet, trading day index, raw numeric row) of each sample of a build,
+    one tweet at a time through the per-tweet feature functions, its row's
+    blocks concatenated in the documented order."""
     provider = LexiconSentimentProvider.shipped()
     market_rows, first_defined = market_feature_matrix(bars, SMALL_IND)
     labels = [lb.label for lb in label_bars(bars)]
     dates = [b.date for b in bars]
     store = UserHistoryStore()
     counts: dict[str, int] = {}
-    rows = []
+    samples = []
     for t in sorted((t for t in tweets if t.ticker == "AAPL"), key=lambda t: t.timestamp):
         day = bisect.bisect_right(dates, t.timestamp.date()) - 1
-        if day < 0 or day >= len(labels) or ("market" in fs and day < first_defined):
+        if day < 0 or day >= len(labels) or ("market" in fs and day - lookback < first_defined):
             continue
         se = sentiment_vector(t.text, provider)
         counts[t.username] = counts.get(t.username, 0) + 1
@@ -243,8 +250,14 @@ def reference_raw_rows(tweets, bars, fs) -> np.ndarray:
         }
         store.record(t.username, t.timestamp, tweet_score(se.label, labels[day]))
         order = ("market", "social", "sentiment", "credibility")
-        rows.append(np.concatenate([blocks[b] for b in order if b in fs]))
-    return np.array(rows)
+        row = np.concatenate([np.zeros(0)] + [blocks[b] for b in order if b in fs])
+        samples.append((t, day, row))
+    return samples
+
+
+def reference_raw_rows(tweets, bars, fs) -> np.ndarray:
+    """Raw numeric rows of a build, as ``reference_samples`` makes them."""
+    return np.array([row for _, _, row in reference_samples(tweets, bars, fs)])
 
 
 class TestAssemble:
@@ -640,6 +653,82 @@ def test_assembled_rows_equal_the_repeat_reference(seed, lookback, data):
         assert buffer.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    flags=st.sets(st.sampled_from(sorted(FULL_NUMERIC | {"text"})), min_size=1),
+    lookback=st.integers(0, 5),
+    max_len=st.sampled_from([None, 1, 3]),
+    data=st.data(),
+)
+def test_table_gathers_equal_the_per_sample_oracle(seed, flags, lookback, max_len, data):
+    """Any subset of a split's rows assembles its numeric inputs from the
+    day table, the text table and its own columns, and gathers its word
+    vectors through its text rows, bit for bit as one sample at a time
+    gives them from its own raw values (``sample_numeric_oracle``,
+    ``sample_text_oracle``); its labels and days are its trading day's.
+    Over flag sets with and without market, sentiment and text, lookbacks
+    0-5, and texts that repeat."""
+    fs = frozenset(flags)
+    lookback = lookback if "market" in fs else 0
+    rng = np.random.default_rng(seed)
+    n_bars = data.draw(st.integers(12, 30), label="bars")
+    gaps = np.cumsum(data.draw(st.lists(st.integers(1, 4), min_size=n_bars, max_size=n_bars)))
+    bars = [dataclasses.replace(b, date=dt.date(2021, 1, 1) + dt.timedelta(days=int(g)))
+            for b, g in zip(random_bars(rng, n_bars), gaps)]
+    dates = [dt.date(2021, 1, 1) + dt.timedelta(days=i) for i in range(int(gaps[-1]) + 3)]
+    tweets = synthetic_tweets(rng, dates, data.draw(st.integers(10, 60), label="tweets"))
+    embedding = EmbeddingTable.hashed(dim=2, seed=3)
+    cfg = BuildConfig(ticker="AAPL", feature_set=fs, indicators=SMALL_IND, embedding=embedding,
+                      max_len_override=max_len, market_lookback=lookback)
+    try:
+        result = build_dataset(tweets, bars, cfg)
+    except (JoinError, InvalidArgumentError):
+        return  # no sample past the warmup, or none in the training split
+    samples = reference_samples(tweets, bars, fs, lookback)
+    assert len(samples) == result.report["samples"]
+    raw = [row.tolist() for _, _, row in samples]
+    width = numeric_width(fs)
+    mins, maxs = minmax_oracle(raw[: result.report["train_samples"]]) if width else ([], [])
+    market_rows, _ = market_feature_matrix(bars, SMALL_IND)
+    labels = [lb.label for lb in label_bars(bars)]
+    stopwords = load_stopwords()
+    offset = 0
+    for split in (result.train, result.test):
+        rows = np.array(data.draw(st.lists(st.integers(0, len(split) - 1), max_size=12)),
+                        dtype=np.intp)
+        picked = [samples[offset + i] for i in rows.tolist()]
+        offset += len(split)
+        numeric = [
+            sample_numeric_oracle(
+                raw[offset - len(split) + i],
+                [market_rows[d].tolist() for d in range(day - lookback, day + 1)]
+                if "market" in fs else [],
+                mins, maxs,
+            )
+            for i, (_, day, _) in zip(rows.tolist(), picked)
+        ]
+        expected = np.array(numeric, dtype=np.float64).reshape(rows.size, *split.row_shape)
+        assert split.assemble_numeric(rows).tobytes() == expected.tobytes()
+        assert split.labels[rows].tolist() == [labels[day] for _, day, _ in picked]
+        assert split.days[rows].tolist() == [bars[day].date.toordinal() for _, day, _ in picked]
+        if "text" not in fs:
+            assert split.tokens is None
+            continue
+        text = [
+            sample_text_oracle(
+                [embedding.lookup(w).tolist() for w in tokenize_clean(t.text, stopwords)],
+                result.max_len, 2,
+            )
+            for t, _, _ in picked
+        ]
+        expected = np.array(text, dtype=np.float64).reshape(rows.size, result.max_len, 2)
+        assert split.gather_text(rows).tobytes() == expected.tobytes()
+        buffer = np.full(expected.shape, np.nan)
+        assert split.gather_text(rows, out=buffer) is buffer
+        assert buffer.tobytes() == expected.tobytes()
+
+
 class TestArtifacts:
     def build_small(self, rng, fs=MSE, with_text=False):
         bars = weekday_bars(rng, 20)
@@ -689,20 +778,56 @@ class TestArtifacts:
     @pytest.mark.parametrize("column, value", [
         ("labels", 2), ("days", 0), ("author_ids", -1), ("author_ids", "len"),
         ("token_ids", -1), ("token_ids", "len"), ("day_rows", -1), ("day_rows", "len"),
+        ("text_rows", -1), ("text_rows", "len"),
     ])
     def test_out_of_range_id_rejected(self, rng, tmp_path, column, value):
         """A checksum-valid file whose ids point outside what they index is
-        refused, so no gather ever clamps one."""
+        refused, so no gather ever clamps one. The labels and days are the
+        day table's, the token ids the text table's."""
         cfg, result = self.build_small(rng, with_text=True)
         split = result.test
         bound = {"author_ids": len(split.authors), "token_ids": split.table.shape[0],
-                 "day_rows": split.market.shape[0]}
-        bad = getattr(split, column).copy()
+                 "day_rows": split.day_ordinals.shape[0], "text_rows": split.tokens.shape[0]}
+        field = {"labels": "day_labels", "days": "day_ordinals", "token_ids": "tokens"}.get(
+            column, column)
+        bad = getattr(split, field).copy()
         bad.flat[-1] = bound[column] if value == "len" else value
         p = tmp_path / "test.bin"
-        write_split(p, dataclasses.replace(split, **{column: bad}), cfg.feature_set, "close")
+        write_split(p, dataclasses.replace(split, **{field: bad}), cfg.feature_set, "close")
         with pytest.raises(SchemaError, match="test.bin: a .* lies outside"):
             read_split(p)
+
+    def test_day_ordinals_must_increase(self, rng, tmp_path):
+        cfg, result = self.build_small(rng)
+        split = result.test
+        assert split.day_ordinals.size >= 2
+        p = tmp_path / "test.bin"
+        for ordinals in (split.day_ordinals[::-1], np.repeat(split.day_ordinals[:1], 2)):
+            days = ordinals.size
+            changed = dataclasses.replace(
+                split, day_ordinals=ordinals.copy(), day_labels=split.day_labels[:days],
+                market=split.market[:days], day_rows=np.minimum(split.day_rows, days - 1),
+            )
+            write_split(p, changed, cfg.feature_set, "close")
+            with pytest.raises(SchemaError, match="test.bin: the day ordinals are not strictly"):
+                read_split(p)
+
+    def test_format_3_file_names_its_version_and_stage(self, rng, tmp_path):
+        """A split file of the previous format, one row per sample for every
+        column, is refused with the stage that rewrites it."""
+        cfg, result = self.build_small(rng, with_text=True)
+        save_dataset(tmp_path / "ds", result, cfg)
+        for name in ("train.bin", "test.bin", dataset_module.TABLE_NAME):
+            p = tmp_path / "ds" / name
+            blob = bytearray(p.read_bytes())
+            blob[4:8] = struct.pack("<I", 3)
+            p.write_bytes(bytes(blob))
+            reader = read_table if name == dataset_module.TABLE_NAME else read_split
+            with pytest.raises(SchemaError, match=(
+                rf"{name}: format version 3, but this reader reads only version 4; "
+                "rerun the features subcommand"
+            )):
+                reader(p)
 
     def test_table_must_match_the_splits(self, rng, tmp_path):
         cfg, result = self.build_small(rng, with_text=True)
@@ -765,7 +890,7 @@ class TestArtifacts:
         p = tmp_path / "train.bin"
         counts_wrong = {"schema_hash": schema_hash(), "flags": [], "ticker": "AAPL",
                         "label_field": "close", "numeric_width": -1, "numeric_steps": 1,
-                        "market_days": 0, "max_len": 0, "embedding_dim": 0, "vocab_size": 0,
+                        "days": 0, "texts": 0, "max_len": 0, "embedding_dim": 0, "vocab_size": 0,
                         "count": 0, "authors": []}
         narrower_than_market = {**counts_wrong, "flags": ["market"], "numeric_width": 3}
         version = dataset_module.DATASET_FORMAT_VERSION
@@ -816,8 +941,9 @@ def file_arrays(path: Path) -> list:
     if path.name == dataset_module.TABLE_NAME:
         return [read_table(path)]
     split, header = read_split(path)
-    return [split.own, split.market, split.day_rows, split.labels, split.days, split.author_ids,
-            split.token_ids, split.steps, split.authors, header]
+    return [split.own, split.market, split.sentiment, split.day_ordinals, split.day_labels,
+            split.tokens, split.day_rows, split.text_rows, split.author_ids, split.steps,
+            split.authors, header]
 
 
 @pytest.fixture(scope="module")
@@ -885,15 +1011,18 @@ def lookback_split() -> tuple[Split, frozenset]:
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_rewritten_market_columns_read_back_in_range_or_are_rejected(lookback_split, data):
-    """A checksum-valid split file with any day rows and market values either
-    reads back the same columns, every window inside the market table and
-    every value finite, or raises SchemaError naming the file."""
+    """A checksum-valid split file with any day table (market values, day
+    ordinals) and any day rows either reads back the same columns, every
+    window inside the day table, every value finite and the days strictly
+    increasing, or raises SchemaError naming the file."""
     split, fs = lookback_split
-    days = data.draw(st.integers(0, 6), label="market days")
+    days = data.draw(st.integers(0, 6), label="days")
     market = data.draw(arrays(np.float64, (days, 5), elements=st.floats(width=64)), label="market")
+    ordinals = data.draw(arrays(np.int32, days, elements=st.integers(1, 8)), label="ordinals")
     day_rows = data.draw(arrays(np.int32, len(split), elements=st.integers(-2, days + 2)),
                          label="day rows")
-    changed = dataclasses.replace(split, market=market, day_rows=day_rows)
+    changed = dataclasses.replace(split, market=market, day_rows=day_rows, day_ordinals=ordinals,
+                                  day_labels=np.zeros(days, dtype=np.uint8))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "test.bin"
         write_split(path, changed, fs, "close")
@@ -902,9 +1031,53 @@ def test_rewritten_market_columns_read_back_in_range_or_are_rejected(lookback_sp
         except SchemaError as exc:
             assert "test.bin" in str(exc)
             assert not (np.all(np.isfinite(market)) and np.all(day_rows >= split.steps - 1)
-                        and np.all(day_rows < days))
+                        and np.all(day_rows < days) and np.all(np.diff(ordinals) > 0))
             return
-    assert header["market_days"] == days and got.steps == split.steps == 3
-    assert np.all(np.isfinite(got.market))
+    assert header["days"] == days and got.steps == split.steps == 3
+    assert np.all(np.isfinite(got.market)) and np.all(np.diff(got.day_ordinals) > 0)
     assert got.day_rows.min() >= got.steps - 1 and got.day_rows.max() < days
     assert got.assemble_numeric(slice(None)).tobytes() == changed.numeric_rows.tobytes()
+
+
+@pytest.fixture(scope="module")
+def text_split() -> tuple[Split, frozenset]:
+    rng = np.random.default_rng(9)
+    bars = weekday_bars(rng, 10)
+    cfg = BuildConfig(ticker="AAPL", feature_set=frozenset({"sentiment", "text"}),
+                      embedding=EmbeddingTable.hashed(dim=2, seed=0))
+    return build_dataset(synthetic_tweets(rng, [b.date for b in bars], 12), bars, cfg).test, cfg.feature_set
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rewritten_text_columns_read_back_in_range_or_are_rejected(text_split, data):
+    """A checksum-valid split file with any text table (sentiment values,
+    token ids) and any text rows either reads back the same columns, every
+    text row inside the text table, every token id inside the embedding
+    table and every value finite, or raises SchemaError naming the file."""
+    split, fs = text_split
+    texts = data.draw(st.integers(0, 5), label="texts")
+    max_len, vocab = split.tokens.shape[1], split.table.shape[0] - 1
+    sentiment = data.draw(arrays(np.float64, (texts, 3), elements=st.floats(width=64)),
+                          label="sentiment")
+    tokens = data.draw(arrays(np.int32, (texts, max_len), elements=st.integers(-2, vocab + 2)),
+                       label="tokens")
+    text_rows = data.draw(arrays(np.int32, len(split), elements=st.integers(-2, texts + 2)),
+                          label="text rows")
+    changed = dataclasses.replace(split, sentiment=sentiment, tokens=tokens, text_rows=text_rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "test.bin"
+        write_split(path, changed, fs, "close")
+        try:
+            got, header = read_split(path)
+        except SchemaError as exc:
+            assert "test.bin" in str(exc)
+            assert not (np.all(np.isfinite(sentiment)) and np.all(text_rows >= 0)
+                        and np.all(text_rows < texts) and np.all(tokens >= 0)
+                        and np.all(tokens <= vocab))
+            return
+    got.table = split.table
+    assert header["texts"] == texts
+    assert got.text_rows.min() >= 0 and got.text_rows.max() < texts
+    assert got.assemble_numeric(slice(None)).tobytes() == changed.numeric_rows.tobytes()
+    assert got.gather_text(slice(None)).tobytes() == changed.gather_text(slice(None)).tobytes()

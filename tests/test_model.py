@@ -27,6 +27,7 @@ from tmfusion.rnn import (
     save_checkpoint,
     train,
 )
+from tmfusion.rnn import model as model_module
 from tmfusion.rnn import training
 from tmfusion.rnn.cells import CELL_KINDS, sigmoid
 from tmfusion.rnn.checkpoint import Checkpoint
@@ -413,24 +414,28 @@ class TestTrain:
 
 def lookback_split(rng, n, steps=3, own_width=4, text_len=0, text_dim=3) -> Split:
     """A synthetic split of ``n`` rows of ``steps`` numeric steps (5 market
-    columns and ``own_width`` own ones) and, when ``text_len``, token ids
-    into a random word table."""
+    columns and ``own_width`` own ones) and, when ``text_len``, text rows
+    into a table of fewer texts, whose token ids index a random word table."""
     days = n + steps
-    token_ids = table = None
+    text_rows = tokens = table = None
     if text_len:
         table = np.vstack([np.zeros((1, text_dim)), rng.normal(0, 0.5, size=(6, text_dim))])
-        token_ids = rng.integers(0, table.shape[0], size=(n, text_len)).astype(np.int32)
+        texts = max(1, n // 2)
+        tokens = rng.integers(0, table.shape[0], size=(texts, text_len)).astype(np.int32)
+        text_rows = rng.integers(0, texts, size=n).astype(np.int32)
     return Split(
         ticker="AAPL",
         own=rng.normal(0.5, 0.2, size=(n, own_width)),
-        labels=rng.integers(0, 2, size=n).astype(np.uint8),
-        days=np.arange(n, dtype=np.int32),
+        day_rows=rng.integers(steps - 1, days, size=n).astype(np.int32),
+        day_ordinals=np.arange(1, days + 1, dtype=np.int32),
+        day_labels=rng.integers(0, 2, size=days).astype(np.uint8),
         authors=["trader"],
         author_ids=np.zeros(n, dtype=np.int32),
+        layout=(("market", 5), ("own", own_width)),
         market=rng.normal(0.5, 0.2, size=(days, 5)),
-        day_rows=rng.integers(steps - 1, days, size=n).astype(np.int32),
+        text_rows=text_rows,
+        tokens=tokens,
         steps=steps,
-        token_ids=token_ids,
         table=table,
     )
 
@@ -528,6 +533,40 @@ class TestChunkedStep:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+class TestInference:
+    """Inference keeps no gate caches: no backward reads them."""
+
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_probabilities_equal_the_forward_with_caches(self, rng, kind):
+        split = lookback_split(rng, 40, text_len=5)
+        model = step_model("fused", kind, SMALL)
+        numeric, text, _ = samples_to_arrays(model, split)
+        cached, _ = model_module._forward_arrays(model, numeric, text, None)
+        probs = training.forward_split(model, split, batch_size=16)
+        assert probs.tobytes() == cached.tobytes()
+
+    def test_inference_memory_is_a_step_of_gates(self):
+        """``forward_split`` over a GRU at T = 11 holds about a tenth of the
+        gate buffers that the forward with caches holds."""
+        rng = np.random.default_rng(0)
+        split = lookback_split(rng, 512, steps=11, own_width=9)
+        model = build_model("numeric_only", "gru", Hyperparams(hidden_units=32), numeric_dim=14)
+        numeric = split.numeric_rows
+        peaks = []
+        for forward in (
+            lambda: model_module._forward_arrays(model, numeric, None, None, {}),
+            lambda: forward_arrays(model, numeric, None, workspace={}),
+        ):
+            tracemalloc.start()
+            try:
+                forward()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # with caches: per layer (11 + 3·11) steps of (32, 512); without: 11 + 3
+        assert peaks[1] <= 0.5 * peaks[0], peaks
 
 
 class TestCheckpoint:

@@ -277,6 +277,25 @@ def test_cell_backward_without_input_grad(rng, kind, literal):
     assert p.grad.tobytes() == full.tobytes()
 
 
+@pytest.mark.parametrize("kind", CELL_KINDS)
+@pytest.mark.parametrize("literal", [False, True])
+def test_forward_without_gate_caches(rng, kind, literal):
+    """A forward that no backward follows gives the same hidden sequence,
+    bit for bit, with one step of gate buffers instead of T."""
+    p = random_cell(kind, rng, m=3, n=4, literal=literal)
+    xs = rng.normal(0, 1, size=(6, 5, 3))
+    mask = (rng.random((5, 4)) < 0.5).astype(np.float64) / 0.5
+    full, _ = cell_forward(p, xs, rec_mask=mask)
+    for ws in (None, {}):
+        hs, _ = cell_forward(p, xs, rec_mask=mask, ws=ws, keep_gates=False)
+        assert hs.tobytes() == full.tobytes()
+    one_step = {"simple": {"hs": 6}, "indrnn": {"hs": 6, "ss": 1} if literal else {"hs": 6},
+                "lstm": {"hs": 6, "acts": 4, "qs": 1, "tqs": 1, "rec": 4},
+                "gru": {"hs": 6, "acts": 3, "rec": 2}}[kind]
+    # buffer sizes in hidden-sequence steps of (N, B) = (4, 5)
+    assert {name: buf.size / 20 for name, buf in ws.items()} == pytest.approx(one_step)
+
+
 class TestSigmoid:
     def test_saturates_without_warning(self):
         x = np.linspace(-1e3, 1e3, 20001)
