@@ -2,21 +2,21 @@
 
 A sample is one tweet joined to its trading day's market features and the
 next trading day's up/down label, with the numeric feature blocks min-max
-normalized against the training split only. The build works on the
-tweets as columns (``TweetColumns``, read from the tweet file ingest
-writes) with array operations: a stable sort by timestamp, one
-``searchsorted`` join to trading days, masks for the drops, sentiment and
-token ids once per distinct text, and running author counts and
-credibility from one stable per-author sort. Then the raw (N, width)
-matrix is filled block by block, fits the normalizer and is hashed for the
-leakage audit. Each split stores every column once at its grain: per
-trading day its windows cover, the day's ordinal, label and normalized
-market row; per distinct text it uses, the text's normalized sentiment and
-token ids; and per sample, its social and credibility columns and its row
-ids into the day and text tables, however long its lookback window. Text
-becomes token ids into one embedding table of the words the dataset uses.
-The 80/20 split keeps sample order, and each split is held as those
-tables (``Split``).
+normalized against the training split only. The build works on the tweets
+as columns (``TweetColumns``, read from the tweet file ingest writes) with
+array operations: a stable sort by timestamp, one ``searchsorted`` join to
+trading days, masks for the drops, sentiment and token ids once per
+distinct text, and running author counts and credibility from one stable
+per-author sort. Each block is kept at its grain, raw, and the normalizer
+is fitted per block on the rows the training samples use; the leakage
+audit hashes the training samples' raw rows a chunk at a time. Each split
+stores every column once at its grain: per trading day its windows cover,
+the day's ordinal, label and normalized market row; per distinct text it
+uses, the text's normalized sentiment and token ids; and per sample, its
+social and credibility columns and its row ids into the day and text
+tables, however long its lookback window. Text becomes token ids into one
+embedding table of the words the dataset uses. The 80/20 split keeps
+sample order, and each split is held as those tables (``Split``).
 
 Artifacts are written to a directory as the two split files, the
 embedding table when text is flagged, the normalizer and a build report,
@@ -224,6 +224,23 @@ class Sample:
         return 1 if self.numeric.ndim == 1 else int(self.numeric.shape[0])
 
 
+class Steps:
+    """A (T, B, M) sequence that exists one step at a time.
+
+    ``steps[t]`` calls ``fill(t)``, which writes step t's (B, M) rows into
+    a buffer and returns it. A fill may reuse one buffer for every step,
+    so a step stays valid only until the next one is indexed.
+    """
+
+    ndim = 3
+
+    def __init__(self, shape: tuple[int, int, int], fill) -> None:
+        self.shape, self._fill = shape, fill
+
+    def __getitem__(self, t: int) -> np.ndarray:
+        return self._fill(t)
+
+
 @dataclass(eq=False)
 class Split:
     """One split of a dataset, as three tables and row ids into them.
@@ -315,43 +332,83 @@ class Split:
         """One sample's numeric input: (width,) for one step, else (steps, width)."""
         return (self.width,) if self.steps == 1 else (self.steps, self.width)
 
-    def assemble_numeric(self, rows, out: np.ndarray | None = None) -> np.ndarray:
-        """The numeric inputs of ``rows`` (a slice or indices), each of ``row_shape``.
+    def numeric_steps(self, rows, out: np.ndarray | None = None) -> Steps:
+        """The numeric inputs of ``rows`` (a slice or indices) as (steps, n, width) ``Steps``.
 
-        They go to ``out``, a C-contiguous (n, *row_shape) float64 buffer,
-        when given. Each block is filled from its table in ``layout``
-        order: each step's market columns from the day rows of its window,
-        the sentiment columns from the sample's text row, and the own
-        columns from the sample's; all but the market repeat over the steps.
+        Every step is assembled in ``out``, a C-contiguous (n, width)
+        float64 buffer when given, from the tables in ``layout`` order. The
+        columns that repeat over the window, the sentiment from the
+        sample's text row and the own columns from the sample's, are filled
+        once; step s then writes the market columns of the window's day
+        rows ``day_rows - steps + 1 + s``.
         """
         day_rows = self.day_rows[rows]
         own = self.own[rows]
         n = day_rows.shape[0]
-        out = np.empty((n, *self.row_shape)) if out is None else out
-        steps = out.reshape(n, self.steps, self.width)
+        out = np.empty((n, self.width)) if out is None else out
+        market = None
         col = own_col = 0
         for source, width in self.layout:
-            block = steps[:, :, col : col + width]
+            cols = slice(col, col + width)
             if source == "market":
-                block[...] = self.market[day_rows[:, None] + np.arange(1 - self.steps, 1)]
+                market = cols
             elif source == "sentiment":
-                block[...] = self.sentiment[self.text_rows[rows]][:, None, :]
+                out[:, cols] = self.sentiment[self.text_rows[rows]]
             else:
-                block[...] = own[:, None, own_col : own_col + width]
+                out[:, cols] = own[:, own_col : own_col + width]
                 own_col += width
             col += width
+        first = day_rows - (self.steps - 1)
+
+        def fill(step: int) -> np.ndarray:
+            if market is not None:
+                out[:, market] = self.market[first + step]
+            return out
+
+        return Steps((self.steps, n, self.width), fill)
+
+    def text_steps(self, rows, out: np.ndarray | None = None) -> Steps:
+        """The word vectors of ``rows`` as (max_len, n, k) ``Steps``, through their text rows.
+
+        Step t gathers each row's t-th word vector into ``out``, a
+        C-contiguous (n, k) float64 buffer when given.
+        """
+        ids = self.tokens[self.text_rows[rows]]
+        n, max_len = ids.shape
+        out = np.empty((n, self.table.shape[1])) if out is None else out
+
+        def fill(step: int) -> np.ndarray:
+            # mode="raise" would gather into a temporary first; the token ids
+            # are ones the dataset reader bounds-checked
+            return np.take(self.table, ids[:, step], axis=0, out=out, mode="clip")
+
+        return Steps((max_len, n, self.table.shape[1]), fill)
+
+    def assemble_numeric(self, rows, out: np.ndarray | None = None) -> np.ndarray:
+        """The numeric inputs of ``rows`` (a slice or indices), each of ``row_shape``.
+
+        They go to ``out``, a C-contiguous (n, *row_shape) float64 buffer,
+        when given: the stack of ``numeric_steps``, oldest step first.
+        """
+        steps = self.numeric_steps(rows)
+        _, n, width = steps.shape
+        out = np.empty((n, *self.row_shape)) if out is None else out
+        stacked = out.reshape(n, self.steps, width)
+        for s in range(self.steps):
+            stacked[:, s] = steps[s]
         return out
 
     def gather_text(self, rows, out: np.ndarray | None = None) -> np.ndarray:
-        """The (n, max_len, k) word vectors of ``rows``, through their text rows.
+        """The (n, max_len, k) word vectors of ``rows``: the stack of ``text_steps``.
 
         They go to ``out``, a C-contiguous float64 buffer, when given.
         """
-        ids = self.tokens[self.text_rows[rows]]
-        out = np.empty(ids.shape + self.table.shape[1:]) if out is None else out
-        # mode="raise" would gather into a temporary first; the token ids are
-        # ones the dataset reader bounds-checked
-        return np.take(self.table, ids, axis=0, out=out, mode="clip")
+        steps = self.text_steps(rows)
+        max_len, n, k = steps.shape
+        out = np.empty((n, max_len, k)) if out is None else out
+        for t in range(max_len):
+            out[:, t] = steps[t]
+        return out
 
     @property
     def numeric_rows(self) -> np.ndarray:
@@ -523,6 +580,17 @@ def _token_ids(
     return rows, table, max_len
 
 
+def _used(ids: np.ndarray, size: int) -> np.ndarray:
+    """The mask of the rows of a ``size``-row table that ``ids`` index."""
+    mask = np.zeros(size, dtype=bool)
+    mask[ids] = True
+    return mask
+
+
+#: Training rows per chunk of the leakage audit's hash.
+_HASH_ROWS = 512
+
+
 def _run_starts(keys: np.ndarray) -> np.ndarray:
     """For each position of ``keys``, the index where its run of equal keys starts."""
     n = keys.shape[0]
@@ -532,39 +600,40 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
 
 
 def _author_history(
-    author_id: np.ndarray, stamps: np.ndarray, hit: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each sample's running author count and credibility vector, samples in time order.
+    author_id: np.ndarray, stamps: np.ndarray, hit: np.ndarray, credibility: np.ndarray | None
+) -> np.ndarray:
+    """Each sample's running author count, samples in time order; fills ``credibility``.
 
-    The count includes the sample itself. The credibility vector
-    [hits, misses, recommendation, representativeness] folds in only the
-    author's samples with strictly earlier timestamps, so two samples of
-    one author sharing a timestamp never see each other's score: the hit
-    and miss counts are the exclusive cumulative counts at the first sample
-    of the sample's (author, timestamp) run.
+    The count includes the sample itself. ``credibility``, an (n, 4)
+    float64 array or None for no credibility, receives each sample's
+    vector [hits, misses, recommendation, representativeness]. It folds in
+    only the author's samples with strictly earlier timestamps, so two
+    samples of one author sharing a timestamp never see each other's
+    score: the hit and miss counts are the exclusive cumulative counts at
+    the first sample of the sample's (author, timestamp) run.
     """
     n = author_id.shape[0]
     by_author = np.argsort(author_id, kind="stable")  # each author's samples stay in time order
     first = _run_starts(author_id[by_author])
     # a run of equal timestamps within one author's samples
     run = np.maximum(first, _run_starts(stamps[by_author]))
-    position = np.arange(n)
+    counts = np.empty(n, dtype=np.int64)
+    counts[by_author] = np.arange(n) - first + 1
+    if credibility is None:
+        return counts
     hits_before = np.cumsum(hit[by_author], dtype=np.int64)
     hits_before -= hit[by_author]
     hits = hits_before[run] - hits_before[first]
     total = run - first
-
-    counts = np.empty(n, dtype=np.int64)
-    counts[by_author] = position - first + 1
     rating = np.divide(hits, total, out=np.zeros(n), where=total > 0)
     distinct, inverse = np.unique(hits, return_inverse=True)
     # math.log10 per distinct count, as the per-author recommendation_score takes it
     recommendation = np.array([0.0 if h == 0 else 1.0 + math.log10(h) for h in distinct.tolist()])
-    credibility = np.empty((n, BLOCK_WIDTHS["credibility"]))
-    credibility[by_author] = np.column_stack(
+    for col, values in enumerate(
         (hits, total - hits, recommendation[inverse], (rating + hits) / 2.0)
-    )
-    return counts, credibility
+    ):
+        credibility[by_author, col] = values
+    return counts
 
 
 def build_dataset(
@@ -577,10 +646,12 @@ def build_dataset(
     and takes that day's next-day label. Credibility sees only strictly
     earlier tweets. The 80/20 split is chronological by sample index; the
     normalizer and the text max-length come from the training split alone.
-    The normalizer is fitted on, and the leakage audit hashes, the raw
-    training rows, each with its own day's market block. Each split then
-    stores each column once at its grain (see ``Split``): a day table of
-    the trading days its lookback windows cover, with their labels and
+    The normalizer is fitted on the raw training rows, each with its own
+    day's market block: per block, on the table rows or own columns those
+    rows use. The leakage audit hashes the same rows, a chunk of at most
+    ``_HASH_ROWS`` at a time, so no (N, width) matrix is built. Each split
+    then stores each column once at its grain (see ``Split``): a day table
+    of the trading days its lookback windows cover, with their labels and
     normalized market rows; a text table of the distinct texts it uses,
     with their normalized sentiment and token ids; and per sample its
     social and credibility blocks and its day and text rows. A list of
@@ -639,9 +710,6 @@ def build_dataset(
     distinct, text_id = np.unique(tweets.text_ids[rows], return_inverse=True)
     texts = [tweets.texts[i] for i in distinct.tolist()]
     sentiments = [sentiment_vector(text, provider) for text in texts]
-    # a sentiment call hits when its direction class (negative 0, else 1) is the label
-    said_up = np.array([s.label != -1 for s in sentiments])[text_id]
-    author_count, credibility = _author_history(author_id, stamps, said_up == (labels == 1))
     sentiment_rows = np.array([s.as_array() for s in sentiments])
 
     tokens = table = None
@@ -649,38 +717,67 @@ def build_dataset(
     if "text" in fs:
         tokens, table, max_len = _token_ids(texts, text_id, n_train, stopwords, cfg)
 
-    blocks = {
-        "market": lambda: market_rows[day_idx],
-        "social": lambda: social_matrix(tweets.counters[rows], author_count),
-        "sentiment": lambda: sentiment_rows[text_id],
-        "credibility": lambda: credibility,
-    }
+    # the raw blocks each at its grain: market per trading day, sentiment per
+    # distinct text, and social and credibility in each sample's own columns
+    layout = numeric_layout(fs)
     width = numeric_width(fs)
-    raw = np.empty((n, width))
-    col = 0
+    own_cols, col = {}, 0
     for name in NUMERIC_BLOCK_ORDER:
-        if name not in fs:
-            continue
-        block = blocks[name]()
-        if not np.all(np.isfinite(block)):
+        if name in fs and name not in TABLE_BLOCKS:
+            own_cols[name] = slice(col, col + BLOCK_WIDTHS[name])
+            col += BLOCK_WIDTHS[name]
+    own = np.empty((n, col))
+    # a sentiment call hits when its direction class (negative 0, else 1) is the label
+    said_up = np.array([s.label != -1 for s in sentiments])[text_id]
+    author_count = _author_history(
+        author_id, stamps, said_up == (labels == 1),
+        own[:, own_cols["credibility"]] if "credibility" in fs else None,
+    )
+    if "social" in fs:
+        social_matrix(tweets.counters[rows], author_count, out=own[:, own_cols["social"]])
+
+    def block_rows(name: str, part: slice) -> np.ndarray:
+        """The raw rows of block ``name`` that the samples ``part`` use."""
+        if name == "market":
+            return market_rows[_used(day_idx[part], len(bars))]
+        if name == "sentiment":
+            return sentiment_rows[_used(text_id[part], len(texts))]
+        return own[part, own_cols[name]]
+
+    for name in NUMERIC_BLOCK_ORDER:
+        if name in fs and not np.all(np.isfinite(block_rows(name, slice(None)))):
             raise AssemblyError(f"block '{name}' has missing or non-finite values")
-        raw[:, col : col + BLOCK_WIDTHS[name]] = block
-        col += BLOCK_WIDTHS[name]
 
     if width > 0:
         if n_train == 0:
             raise InvalidArgumentError("train split is empty; need more samples")
-        normalizer = fit_normalizer(raw[:n_train])
+        # fitted per block on the rows the training samples use, which have
+        # the extrema of the training samples' whole rows
+        fits = [
+            fit_normalizer(block_rows(name, slice(0, n_train)))
+            for name in NUMERIC_BLOCK_ORDER if name in fs
+        ]
+        normalizer = NormalizerState(
+            np.concatenate([f.mins for f in fits]), np.concatenate([f.maxs for f in fits])
+        )
     else:
         normalizer = NormalizerState(np.zeros(0), np.zeros(0))
-    # hashed in place: the rows are C-contiguous float64 already
+    # the leakage audit hashes the raw training rows, each with its own day's
+    # market block, assembled a chunk at a time into one buffer
+    raw = Split(
+        cfg.ticker, own, day_idx, bar_ordinals, labels_by_day, [], author_id, layout,
+        market=market_rows, text_rows=text_id, sentiment=sentiment_rows,
+    )
     train_hash = hashlib.sha256(struct.pack("<I", n_train))
-    train_hash.update(np.ascontiguousarray(raw[:n_train], dtype="<f8"))
+    buffer = np.empty((min(n_train, _HASH_ROWS), width))
+    for start in range(0, n_train, _HASH_ROWS):
+        stop = min(start + _HASH_ROWS, n_train)
+        step = raw.numeric_steps(slice(start, stop), buffer[: stop - start])[0]
+        train_hash.update(step.astype("<f8", copy=False))
 
     # each table is normalized with the stats of its columns: normalization
     # is elementwise, so the inputs assembled from the tables are what
     # normalizing whole rows would give
-    layout = numeric_layout(fs)
     source = np.repeat(np.array([name for name, _ in layout], dtype=str), [w for _, w in layout])
 
     def normalized(name: str, values: np.ndarray) -> np.ndarray:
@@ -689,8 +786,7 @@ def build_dataset(
             NormalizerState(normalizer.mins[cols], normalizer.maxs[cols]), values, out=values
         )
 
-    own = normalized("own", raw[:, source == "own"])
-    del raw
+    normalized("own", own)
     sentiment = normalized("sentiment", sentiment_rows) if "sentiment" in fs else None
     lookback = cfg.market_lookback
 
@@ -699,8 +795,7 @@ def build_dataset(
         # the trading days of the split's windows: a day is covered when it
         # or one of the next L days has a sample. Earlier steps are
         # normalized with the stats fitted on current-day rows and may clamp
-        sampled = np.zeros(len(bars), dtype=bool)
-        sampled[day_idx[part]] = True
+        sampled = _used(day_idx[part], len(bars))
         covered = sampled.copy()
         for back in range(1, lookback + 1):
             covered[:-back] |= sampled[back:]

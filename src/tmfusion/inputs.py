@@ -84,9 +84,19 @@ class OhlcvIngestResult:
 
 
 def _parse_date(raw: str) -> dt.date:
+    text = raw.strip()
+    # the canonical YYYY-MM-DD without strptime; any other form, and a
+    # canonical one that names no date, takes the loop below
+    if len(text) == 10 and text[4] == text[7] == "-" and text.isascii():
+        year, month, day = text[:4], text[5:7], text[8:]
+        if (year + month + day).isdigit():
+            try:
+                return dt.date(int(year), int(month), int(day))
+            except ValueError:
+                pass
     for fmt in _DATE_FORMATS:
         try:
-            return dt.datetime.strptime(raw.strip(), fmt).date()
+            return dt.datetime.strptime(text, fmt).date()
         except ValueError:
             continue
     raise ValueError(f"unparseable date {raw!r} (expected YYYY-MM-DD or DD/MM/YYYY)")

@@ -1,12 +1,14 @@
 """Recurrent cells in plain numpy: forward passes and exact backward passes.
 
 Four cell kinds share one parameter container and one batched sequence
-interface: inputs are (T, B, M) arrays, hidden sequences (T, B, N) and
-initial states (B, N). The independently-recurrent cell couples each
-hidden unit only to itself through an elementwise recurrent vector; the
-simple cell uses a full recurrent matrix; the gated cells follow their
-standard gate algebra with a sigmoid-gated forget/input/output (and tanh
-candidates).
+interface: inputs are (T, B, M) sequences, hidden sequences (T, B, N) and
+initial states (B, N). An input is an array or a step source
+(``dataset.Steps``): the kernels read only its ``shape`` and each (B, M)
+step ``xs[t]`` right after indexing it, so a source may fill one buffer
+per step. The independently-recurrent cell couples each hidden unit only
+to itself through an elementwise recurrent vector; the simple cell uses a
+full recurrent matrix; the gated cells follow their standard gate algebra
+with a sigmoid-gated forget/input/output (and tanh candidates).
 
 Layout. All four cells compute feature-major: a step's pre-activations
 are ``W @ x_tᵀ + U @ h`` with states shaped (N, B), written into row t of
@@ -18,7 +20,8 @@ cached sequences shifted by one step, and backward recomputes the dropped
 previous state ``h * mask`` (and the GRU's ``r * h``) instead of caching
 it. The public shapes are unchanged: the (T, B, N) outputs and the
 (T, B, M) input gradients are transposed views of (T, N, B) and (T, M, B)
-arrays, and ``d_hs`` may be either kind of (T, B, N) array.
+arrays, and ``d_hs`` may be either kind of (T, B, N) array, or the
+(B, N) gradient on the final step alone.
 
 Storage. A layer's parameters are one flat float64 vector, laid out as
 the stacked ``W`` (G·N × M), ``U`` (G·N × N; the independently recurrent
@@ -211,6 +214,21 @@ def _dropped(h: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return h if mask is None else h * mask
 
 
+class _FinalStep:
+    """An upstream gradient on a sequence's final step only, as (N, B) ``final``.
+
+    Step ``t`` reads as ``final`` at the last step and as the scalar 0.0
+    before it, so ``dhs[t] + carry`` adds what a zero step would add and
+    no (T, N, B) buffer of zeros exists.
+    """
+
+    def __init__(self, final: np.ndarray, steps: int) -> None:
+        self.final, self.last = final, steps - 1
+
+    def __getitem__(self, t: int):
+        return self.final if t == self.last else 0.0
+
+
 def _prev(cache: dict, state: str, t: int) -> np.ndarray:
     """The (N, B) state ``state`` ("h" or "q") entering step t."""
     return cache[f"{state}s"][t - 1] if t else cache[f"{state}0"]
@@ -230,7 +248,7 @@ def forward(
     ws: dict[str, np.ndarray] | None = None,
     keep_gates: bool = True,
 ) -> tuple[np.ndarray, dict]:
-    """Run one layer over a (T, B, M) batch of sequences.
+    """Run one layer over a (T, B, M) batch of sequences, an array or a step source.
 
     Returns the (T, B, N) hidden sequence and a cache holding everything the
     matching backward pass needs. ``ws`` is this layer's workspace dict, if
@@ -366,7 +384,8 @@ def backward(
 ) -> np.ndarray | None:
     """Backpropagate-through-time one layer.
 
-    ``d_hs`` is the upstream gradient on every hidden output (T, B, N).
+    ``d_hs`` is the upstream gradient on every hidden output (T, B, N),
+    or on the final one alone (B, N), as a model's top layer gets it.
     Returns the gradient on the layer's input sequence (T, B, M) and adds
     the weight gradient (summed over batch and time, no regularization) to
     ``p.grad``, so calls over consecutive parts of a batch accumulate the
@@ -376,9 +395,13 @@ def backward(
     ``input_grad=False`` skips the input gradient, one GEMM per step, and
     returns None: a model's first layer has no layer below to pass it to.
     """
-    # no copy when d_hs is a transposed view of a feature-major array
-    dhs = np.ascontiguousarray(np.asarray(d_hs, dtype=np.float64).transpose(0, 2, 1))
     xs = cache["xs"]
+    d_hs = np.asarray(d_hs, dtype=np.float64)
+    if d_hs.ndim == 2:
+        dhs = _FinalStep(np.ascontiguousarray(d_hs.T), xs.shape[0])
+    else:
+        # no copy when d_hs is a transposed view of a feature-major array
+        dhs = np.ascontiguousarray(d_hs.transpose(0, 2, 1))
     d_xs = None
     if input_grad:
         d_xs = workspace_array(ws, "d_xs", (xs.shape[0], p.input_dim, xs.shape[1]))

@@ -28,7 +28,6 @@ from .cells import (
     forward as cell_forward,
     param_size,
     sigmoid,
-    workspace_array,
 )
 
 ARCHITECTURES = ("text_only", "numeric_only", "fused")
@@ -234,11 +233,11 @@ def _forward_branch(layers, xs, rec_masks, workspace, branch, keep_gates):
     return current[-1], caches  # final hidden state (B, N)
 
 
-def _forward_arrays(model, numeric, text, masks, workspace=None, keep_gates=True):
-    """Shared forward path, with dropout exactly when ``masks`` (see ``_draw_masks``) are given.
+def _time_major(model: ModelSpec, numeric, text) -> dict:
+    """The (T, B, M) input of each branch ``model`` has, from batch-major arrays.
 
-    Returns probabilities plus a cache bundle, which a backward can read
-    only when ``keep_gates`` (see ``cells.forward``).
+    The text is (B, T, k); the numeric input is (B, n) for one step or
+    (B, steps, n) for the lookback steps. The results are views.
     """
     _check_sample_shapes(model, numeric, text)
     inputs = {}
@@ -247,9 +246,18 @@ def _forward_arrays(model, numeric, text, masks, workspace=None, keep_gates=True
     if model.numeric_layers:
         if text is not None and numeric.shape[0] != text.shape[0]:
             raise InvalidArgumentError("text/numeric batch sizes disagree")
-        # one timestep, or the lookback steps
         inputs["numeric"] = numeric[None, :, :] if numeric.ndim == 2 else numeric.transpose(1, 0, 2)
+    return inputs
 
+
+def _forward_steps(model, inputs, masks, workspace=None, keep_gates=True):
+    """Shared forward path, with dropout exactly when ``masks`` (see ``_draw_masks``) are given.
+
+    ``inputs`` holds each branch's (T, B, M) input by branch name, an
+    array or a step source (see ``cells``). Returns probabilities plus a
+    cache bundle, which a backward can read only when ``keep_gates`` (see
+    ``cells.forward``).
+    """
     parts = []
     bundle = {"branches": [], "ff_masks": [], "E": None}
     for b_idx, (name, layers) in enumerate(model.branches()):
@@ -266,6 +274,11 @@ def _forward_arrays(model, numeric, text, masks, workspace=None, keep_gates=True
     bundle["E"] = E
     logits = E @ model.head_w + model.head_b[0]
     return sigmoid(logits), bundle
+
+
+def _forward_arrays(model, numeric, text, masks, workspace=None, keep_gates=True):
+    """``_forward_steps`` over batch-major arrays (see ``_time_major``)."""
+    return _forward_steps(model, _time_major(model, numeric, text), masks, workspace, keep_gates)
 
 
 def _check_sample_shapes(model: ModelSpec, numeric, text) -> None:
@@ -302,24 +315,33 @@ def forward_arrays(
     ``workspace`` is as for ``backward_arrays``. No backward follows, so
     the layers keep no gate caches (see ``cells.forward``).
     """
+    inputs = _time_major(model, numeric, text)
     masks = None
     if train_mode:
         if rng is None:
             raise InvalidArgumentError("train_mode forward needs a random generator")
-        _check_sample_shapes(model, numeric, text)
         masks = _draw_masks(model, (text if text is not None else numeric).shape[0], rng)
-    probs, _ = _forward_arrays(model, numeric, text, masks, workspace, keep_gates=False)
+    probs, _ = _forward_steps(model, inputs, masks, workspace, keep_gates=False)
     return probs
 
 
-def _accumulate_chunk(model, numeric, text, labels, masks, batch, workspace) -> np.ndarray:
+def forward_steps(model: ModelSpec, inputs: dict, workspace: dict | None = None) -> np.ndarray:
+    """Dropout-free probabilities of a batch given each branch's (T, B, M) input.
+
+    ``inputs`` is as for ``_forward_steps``: arrays or step sources, by
+    branch name. Like ``forward_arrays``, it keeps no gate caches.
+    """
+    probs, _ = _forward_steps(model, inputs, None, workspace, keep_gates=False)
+    return probs
+
+
+def _accumulate_chunk(model, inputs, labels, masks, batch, workspace) -> np.ndarray:
     """Forward/backward over some rows of a ``batch``-row batch; returns their probabilities.
 
-    Adds those rows' share of the gradient of the batch's mean
-    cross-entropy to ``model.grad``.
+    ``inputs`` is as for ``_forward_steps``. Adds those rows' share of the
+    gradient of the batch's mean cross-entropy to ``model.grad``.
     """
-    probs, bundle = _forward_arrays(model, numeric, text, masks, workspace)
-    rows = probs.shape[0]
+    probs, bundle = _forward_steps(model, inputs, masks, workspace)
 
     dlogit = (probs - labels) / batch  # (rows,)
     model.head_dw += bundle["E"].T @ dlogit
@@ -335,15 +357,7 @@ def _accumulate_chunk(model, numeric, text, labels, masks, batch, workspace) -> 
         if ff_mask is not None:
             de = de * ff_mask
         caches = bundle["branches"][b_idx]
-        # seed the top layer with gradient only on its final timestep, in
-        # the cells' feature-major layout
-        t_len = caches[-1]["xs"].shape[0]
-        seed = workspace_array(
-            _layer_ws(workspace, branch_name, len(layers) - 1), "d_top", (t_len, width, rows)
-        )
-        seed[:-1] = 0.0
-        seed[-1] = de.T
-        d_hs = seed.transpose(0, 2, 1)
+        d_hs = de  # the top layer's gradient, on its final step only
         for i in range(len(layers) - 1, -1, -1):
             d_hs = cell_backward(
                 layers[i], caches[i], d_hs, ws=_layer_ws(workspace, branch_name, i),
@@ -362,14 +376,15 @@ def backward_batch(
 ) -> tuple[float, np.ndarray]:
     """One forward/backward over a batch, in consecutive chunks of at most ``chunk_rows`` rows.
 
-    ``chunk_inputs(rows)`` returns the (numeric, text) arrays of the
-    batch's rows ``rows``, a slice. Dropout is active exactly when a
-    generator is passed: the masks of the whole batch are drawn once, in
-    ``_draw_masks`` order, and each chunk uses its rows of them, so the
-    generator advances as for one unchunked pass. Returns the regularized
-    mean cross-entropy and the batch's probabilities, and overwrites
-    ``model.grad`` with the exact gradient of that loss: the chunks add
-    their shares of the data gradient and the L2 term is added once.
+    ``chunk_inputs(rows)`` returns the inputs of the batch's rows
+    ``rows``, a slice, as ``_forward_steps`` takes them. Dropout is active
+    exactly when a generator is passed: the masks of the whole batch are
+    drawn once, in ``_draw_masks`` order, and each chunk uses its rows of
+    them, so the generator advances as for one unchunked pass. Returns the
+    regularized mean cross-entropy and the batch's probabilities, and
+    overwrites ``model.grad`` with the exact gradient of that loss: the
+    chunks add their shares of the data gradient and the L2 term is added
+    once.
     Only the chunks' buffers scale with ``chunk_rows``; the masks and the
     probabilities are the batch's.
     """
@@ -380,9 +395,8 @@ def backward_batch(
     probs = np.empty(batch)
     for start in range(0, batch, chunk_rows):
         rows = slice(start, start + chunk_rows)
-        numeric, text = chunk_inputs(rows)
         probs[rows] = _accumulate_chunk(
-            model, numeric, text, labels[rows], _mask_rows(masks, rows), batch, workspace
+            model, chunk_inputs(rows), labels[rows], _mask_rows(masks, rows), batch, workspace
         )
 
     p = np.clip(probs, EPS, 1.0 - EPS)
@@ -407,9 +421,8 @@ def backward_arrays(
     layer (see ``cells.workspace_array``), which the cell caches live in
     instead of fresh arrays; the results are bit-identical either way.
     """
-    return backward_batch(
-        model, labels, lambda rows: (numeric, text), max(1, len(labels)), rng, workspace
-    )
+    inputs = _time_major(model, numeric, text)
+    return backward_batch(model, labels, lambda rows: inputs, max(1, len(labels)), rng, workspace)
 
 
 # ---------------------------------------------------------------------------

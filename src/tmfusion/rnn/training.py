@@ -21,12 +21,14 @@ buffers of one workspace (see ``backward_arrays``), so they are sized by
 the chunk, not by the batch, and the memory of a run stops growing with
 ``batch_size`` past ``CHUNK_ROWS``. Only the dropout masks and the
 probabilities of a step are the whole batch's. A batch of at most
-``CHUNK_ROWS`` rows is one chunk. Each chunk's numeric input is assembled
-from the split's day and text tables and own columns, and its text
-gathered from the embedding table through the split's text rows, so no
-(N, steps, width) or (N, max_len, k) array of a whole split is ever built. Inference keeps
-no gate caches: each layer holds its hidden sequence and one step of gate
-buffers (see ``cells.forward``).
+``CHUNK_ROWS`` rows is one chunk. The first layer of each branch reads its
+input one time step at a time from a step source over the split's tables
+(``Split.numeric_steps``, ``Split.text_steps``), which fills one (rows,
+width) buffer per step, so no (rows, steps, width) or (rows, max_len, k)
+gather is built, of a chunk or of a split. The top layer's backward gets
+its gradient on the final step alone. Inference keeps no gate caches:
+each layer holds its hidden sequence and one step of gate buffers (see
+``cells.forward``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from ..dataset import Sample, Split
 from ..errors import DivergedError, InvalidArgumentError
 from .checkpoint import Checkpoint
 from .cells import workspace_array
-from .model import ModelSpec, backward_batch, forward_arrays, model_split, rng_streams
+from .model import ModelSpec, backward_batch, forward_steps, model_split, rng_streams
 
 #: Rows per forward/backward chunk: a training step runs its batch in
 #: chunks of at most this many rows, and inference in chunks of at most
@@ -55,19 +57,22 @@ def _correct(probs: np.ndarray, labels: np.ndarray) -> int:
     return int(np.sum((probs >= 0.5).astype(np.float64) == labels))
 
 
-def _numeric(model: ModelSpec, split: Split, rows, n: int, ws: dict) -> np.ndarray | None:
-    """The numeric inputs of ``split``'s ``n`` rows ``rows``, assembled into ``ws``, if the model reads them."""
-    if not model.numeric_layers:
-        return None
-    return split.assemble_numeric(rows, workspace_array(ws, "numeric", (n, *split.row_shape)))
+def _inputs(model: ModelSpec, split: Split, rows, n: int, ws: dict) -> dict:
+    """The step sources of ``split``'s ``n`` rows ``rows`` for each branch ``model`` has.
 
-
-def _text(model: ModelSpec, split: Split, rows, n: int, ws: dict) -> np.ndarray | None:
-    """The word vectors of ``split``'s ``n`` rows ``rows``, gathered into ``ws``, if the model reads text."""
-    if not model.text_layers:
-        return None
-    shape = (n, split.tokens.shape[1], split.table.shape[1])
-    return split.gather_text(rows, workspace_array(ws, "text", shape))
+    Each fills one (n, width) buffer of ``ws`` per step (see
+    ``Split.numeric_steps`` and ``Split.text_steps``).
+    """
+    inputs = {}
+    if model.text_layers:
+        inputs["text"] = split.text_steps(
+            rows, workspace_array(ws, "text", (n, split.table.shape[1]))
+        )
+    if model.numeric_layers:
+        inputs["numeric"] = split.numeric_steps(
+            rows, workspace_array(ws, "numeric", (n, split.width))
+        )
+    return inputs
 
 
 def forward_split(
@@ -91,12 +96,7 @@ def forward_split(
     for start in range(0, n, chunk):
         rows = slice(start, start + chunk)
         size = min(chunk, n - start)
-        probs[rows] = forward_arrays(
-            model,
-            _numeric(model, split, rows, size, batch_ws),
-            _text(model, split, rows, size, batch_ws),
-            workspace=workspace,
-        )
+        probs[rows] = forward_steps(model, _inputs(model, split, rows, size, batch_ws), workspace)
     return probs
 
 
@@ -117,12 +117,9 @@ def train_step(
     """
     batch_ws = workspace.setdefault("batch", {})
 
-    def chunk_inputs(rows: slice):
+    def chunk_inputs(rows: slice) -> dict:
         chunk = idx[rows]
-        return (
-            _numeric(model, split, chunk, len(chunk), batch_ws),
-            _text(model, split, chunk, len(chunk), batch_ws),
-        )
+        return _inputs(model, split, chunk, len(chunk), batch_ws)
 
     return backward_batch(model, labels, chunk_inputs, CHUNK_ROWS, rng, workspace)
 

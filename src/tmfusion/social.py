@@ -134,14 +134,18 @@ def sentiment_vector(text: str, provider: SentimentProvider) -> SentimentVector:
     return provider.score(text)
 
 
-def social_matrix(counters: np.ndarray, author_tweet_counts: Sequence[int]) -> np.ndarray:
+def social_matrix(
+    counters: np.ndarray, author_tweet_counts: Sequence[int], out: np.ndarray | None = None
+) -> np.ndarray:
     """The social vectors of many tweets as one (n, 6) float64 array.
 
     ``counters`` is the tweets' (n, 5) counter column, in the order of the
     first five ``SOCIAL_FEATURE_NAMES``; the running author counts fill the
-    last slot.
+    last slot. The vectors go to ``out``, an (n, 6) float64 array, when
+    given.
     """
-    out = np.empty((counters.shape[0], len(SOCIAL_FEATURE_NAMES)))
+    if out is None:
+        out = np.empty((counters.shape[0], len(SOCIAL_FEATURE_NAMES)))
     out[:, :-1] = counters
     out[:, -1] = author_tweet_counts
     return out

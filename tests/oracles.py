@@ -12,7 +12,12 @@ tweet's row of ``social_matrix`` over its columns from ``TweetColumns.from_recor
 lookback window, the construction the per-day market table replaced.
 ``sample_numeric_oracle`` and ``sample_text_oracle`` build one sample's
 model inputs from its own raw values, the per-sample construction the
-day and text tables replaced.
+day and text tables replaced. ``raw_matrix_reference`` is the raw
+(N, width) matrix that the dataset build once filled to fit its
+normalizer and hash its training rows. ``whole_numeric_gather`` and
+``whole_text_gather`` are a split's whole-sequence gathers, which the
+step sources replaced, and ``strptime_date_reference`` is the bar-date
+parse without its fast path.
 """
 
 from __future__ import annotations
@@ -375,3 +380,70 @@ def sample_text_oracle(vectors: list[list[float]], max_len: int, dim: int) -> li
     sentence order: cut to max_len, then zero rows."""
     rows = [list(v) for v in vectors[:max_len]]
     return rows + [[0.0] * dim for _ in range(max_len - len(rows))]
+
+
+def raw_matrix_reference(blocks, n: int, n_train: int):
+    """The raw (n, width) matrix of per-sample ``blocks``, and what a build derives from it.
+
+    ``blocks`` are (n, w) arrays of the samples' raw values, in column
+    order. The matrix is filled block by block, as the dataset build did
+    before it kept each block at its grain. Returns the matrix, the
+    columnwise minima and maxima of its first ``n_train`` rows, and the
+    leakage-audit hash: the SHA-256 of ``n_train`` as u32le followed by
+    those rows as f64le.
+    """
+    import hashlib
+    import struct
+
+    import numpy as np
+
+    raw = np.empty((n, sum(b.shape[1] for b in blocks)))
+    col = 0
+    for block in blocks:
+        raw[:, col : col + block.shape[1]] = block
+        col += block.shape[1]
+    train = raw[:n_train]
+    digest = hashlib.sha256(struct.pack("<I", n_train) + train.astype("<f8").tobytes())
+    return raw, train.min(axis=0), train.max(axis=0), digest.hexdigest()
+
+
+def whole_numeric_gather(split, rows):
+    """The (n, steps, width) numeric inputs of ``split``'s ``rows`` in one gather per block.
+
+    Step s of sample i takes its market columns from day row
+    ``day_rows[i] - steps + 1 + s`` and repeats its sentiment and own
+    columns.
+    """
+    import numpy as np
+
+    day_rows = split.day_rows[rows]
+    out = np.empty((day_rows.shape[0], split.steps, split.width))
+    col = own_col = 0
+    for source, width in split.layout:
+        block = out[:, :, col : col + width]
+        if source == "market":
+            block[...] = split.market[day_rows[:, None] + np.arange(1 - split.steps, 1)]
+        elif source == "sentiment":
+            block[...] = split.sentiment[split.text_rows[rows]][:, None, :]
+        else:
+            block[...] = split.own[rows][:, None, own_col : own_col + width]
+            own_col += width
+        col += width
+    return out
+
+
+def whole_text_gather(split, rows):
+    """The (n, max_len, k) word vectors of ``split``'s ``rows`` in one gather."""
+    return split.table[split.tokens[split.text_rows[rows]]]
+
+
+def strptime_date_reference(raw: str):
+    """A bar date as ``strptime`` alone parses it: YYYY-MM-DD, then DD/MM/YYYY."""
+    import datetime as dt
+
+    for fmt in ("%Y-%m-%d", "%d/%m/%Y"):
+        try:
+            return dt.datetime.strptime(raw.strip(), fmt).date()
+        except ValueError:
+            continue
+    raise ValueError(f"unparseable date {raw!r} (expected YYYY-MM-DD or DD/MM/YYYY)")

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from tmfusion.artifacts import atomic_write, write_json
+from tmfusion.artifacts import atomic_write, source_digest, write_json
 from tmfusion.config import IndicatorConfig
 from tmfusion.dataset import BuildConfig, build_dataset, save_dataset, write_split
 from tmfusion.errors import InvalidArgumentError
@@ -63,3 +64,15 @@ def test_write_samples_failing_mid_file_keeps_previous_split(tmp_path, rng):
         write_split(train_bin, misshaped, cfg.feature_set, cfg.label_field)
     assert train_bin.read_bytes() == previous
     assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 7])
+def test_source_digest_is_the_file_sha256(tmp_path, size):
+    """The digest read through one 64 KiB buffer is the whole file's SHA-256,
+    at and around the buffer's size."""
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    path = tmp_path / "tweets.jsonl"
+    path.write_bytes(data)
+    assert source_digest(path) == {
+        "source_bytes": size, "source_sha256": hashlib.sha256(data).hexdigest()
+    }

@@ -55,8 +55,11 @@ from .oracles import (
     credibility_oracle,
     lookback_reference,
     minmax_oracle,
+    raw_matrix_reference,
     sample_numeric_oracle,
     sample_text_oracle,
+    whole_numeric_gather,
+    whole_text_gather,
 )
 
 UTC = dt.timezone.utc
@@ -653,10 +656,23 @@ def test_assembled_rows_equal_the_repeat_reference(seed, lookback, data):
         assert buffer.tobytes() == expected.tobytes()
 
 
+def gapped_corpus(rng, data):
+    """Tweets over 12-30 trading days with random calendar gaps between them."""
+    n_bars = data.draw(st.integers(12, 30), label="bars")
+    gaps = np.cumsum(data.draw(st.lists(st.integers(1, 4), min_size=n_bars, max_size=n_bars)))
+    bars = [dataclasses.replace(b, date=dt.date(2021, 1, 1) + dt.timedelta(days=int(g)))
+            for b, g in zip(random_bars(rng, n_bars), gaps)]
+    dates = [dt.date(2021, 1, 1) + dt.timedelta(days=i) for i in range(int(gaps[-1]) + 3)]
+    return synthetic_tweets(rng, dates, data.draw(st.integers(10, 60), label="tweets")), bars
+
+
+BUILD_FLAGS = st.sets(st.sampled_from(sorted(FULL_NUMERIC | {"text"})), min_size=1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    flags=st.sets(st.sampled_from(sorted(FULL_NUMERIC | {"text"})), min_size=1),
+    flags=BUILD_FLAGS,
     lookback=st.integers(0, 5),
     max_len=st.sampled_from([None, 1, 3]),
     data=st.data(),
@@ -671,13 +687,7 @@ def test_table_gathers_equal_the_per_sample_oracle(seed, flags, lookback, max_le
     0-5, and texts that repeat."""
     fs = frozenset(flags)
     lookback = lookback if "market" in fs else 0
-    rng = np.random.default_rng(seed)
-    n_bars = data.draw(st.integers(12, 30), label="bars")
-    gaps = np.cumsum(data.draw(st.lists(st.integers(1, 4), min_size=n_bars, max_size=n_bars)))
-    bars = [dataclasses.replace(b, date=dt.date(2021, 1, 1) + dt.timedelta(days=int(g)))
-            for b, g in zip(random_bars(rng, n_bars), gaps)]
-    dates = [dt.date(2021, 1, 1) + dt.timedelta(days=i) for i in range(int(gaps[-1]) + 3)]
-    tweets = synthetic_tweets(rng, dates, data.draw(st.integers(10, 60), label="tweets"))
+    tweets, bars = gapped_corpus(np.random.default_rng(seed), data)
     embedding = EmbeddingTable.hashed(dim=2, seed=3)
     cfg = BuildConfig(ticker="AAPL", feature_set=fs, indicators=SMALL_IND, embedding=embedding,
                       max_len_override=max_len, market_lookback=lookback)
@@ -727,6 +737,102 @@ def test_table_gathers_equal_the_per_sample_oracle(seed, flags, lookback, max_le
         buffer = np.full(expected.shape, np.nan)
         assert split.gather_text(rows, out=buffer) is buffer
         assert buffer.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    flags=BUILD_FLAGS,
+    lookback=st.integers(0, 5),
+    data=st.data(),
+)
+def test_step_sources_equal_the_whole_sequence_gathers(seed, flags, lookback, data):
+    """Each step of ``numeric_steps`` and ``text_steps`` over any subset of
+    a split's rows is, bit for bit, that step of the whole-sequence gather,
+    read in any order and in one reused buffer; ``assemble_numeric`` and
+    ``gather_text``, their stacks, equal the whole gathers. Over flag sets
+    with and without text and lookbacks 0-5."""
+    fs = frozenset(flags)
+    lookback = lookback if "market" in fs else 0
+    tweets, bars = gapped_corpus(np.random.default_rng(seed), data)
+    cfg = BuildConfig(ticker="AAPL", feature_set=fs, indicators=SMALL_IND,
+                      embedding=EmbeddingTable.hashed(dim=2, seed=3), market_lookback=lookback)
+    try:
+        result = build_dataset(tweets, bars, cfg)
+    except (JoinError, InvalidArgumentError):
+        return  # no sample past the warmup, or none in the training split
+    for split in (result.train, result.test):
+        rows = np.array(data.draw(st.lists(st.integers(0, len(split) - 1), max_size=12)),
+                        dtype=np.intp)
+        sources = [(split.numeric_steps, whole_numeric_gather(split, rows))]
+        if "text" in fs:
+            sources.append((split.text_steps, whole_text_gather(split, rows)))
+        for steps_of, whole in sources:
+            n, t_len, width = whole.shape
+            buffer = np.full((n, width), np.nan)
+            steps = steps_of(rows, buffer)
+            assert steps.shape == (t_len, n, width)
+            order = data.draw(st.permutations(range(t_len)), label="order")
+            for t in [*order, *reversed(order)]:
+                step = steps[t]
+                assert step is buffer
+                assert step.tobytes() == np.ascontiguousarray(whole[:, t]).tobytes()
+        numeric = split.assemble_numeric(rows)
+        assert numeric.tobytes() == whole_numeric_gather(split, rows).tobytes()
+        if "text" in fs:
+            assert split.gather_text(rows).tobytes() == whole_text_gather(split, rows).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    flags=BUILD_FLAGS,
+    lookback=st.integers(0, 5),
+    data=st.data(),
+)
+def test_fit_hash_and_tables_equal_the_raw_matrix_reference(seed, flags, lookback, data):
+    """The normalizer fitted per block on its table's rows, the leakage-audit
+    hash streamed over row chunks, and each split's normalized tables equal,
+    bit for bit, what the raw (N, width) matrix of every sample's row gives
+    (``raw_matrix_reference``). Over flag sets and lookbacks 0-5; the raw
+    blocks are the tables a build writes with its normalizer a no-op."""
+    fs = frozenset(flags)
+    lookback = lookback if "market" in fs else 0
+    tweets, bars = gapped_corpus(np.random.default_rng(seed), data)
+    cfg = BuildConfig(ticker="AAPL", feature_set=fs, indicators=SMALL_IND,
+                      embedding=EmbeddingTable.hashed(dim=2, seed=3), market_lookback=lookback)
+    try:
+        result = build_dataset(tweets, bars, cfg)
+    except (JoinError, InvalidArgumentError):
+        return  # no sample past the warmup, or none in the training split
+    with mock.patch.object(dataset_module, "apply_normalizer", _identity):
+        raw_result = build_dataset(tweets, bars, cfg)
+    raw_splits = (raw_result.train, raw_result.test)
+    blocks, own_col = [], 0
+    for source, width in dataset_module.numeric_layout(fs):
+        if source == "market":
+            blocks.append(np.concatenate([s.market[s.day_rows] for s in raw_splits]))
+        elif source == "sentiment":
+            blocks.append(np.concatenate([s.sentiment[s.text_rows] for s in raw_splits]))
+        else:
+            blocks.append(np.concatenate([s.own[:, own_col : own_col + width] for s in raw_splits]))
+            own_col += width
+    n, n_train = result.report["samples"], result.report["train_samples"]
+    _, mins, maxs, digest = raw_matrix_reference(blocks, n, n_train)
+    assert result.normalizer.mins.tobytes() == mins.tobytes()
+    assert result.normalizer.maxs.tobytes() == maxs.tobytes()
+    assert result.report["leakage_audit_hash"] == digest
+    source = np.repeat([name for name, _ in result.train.layout],
+                       [width for _, width in result.train.layout])
+    for split, raw_split in zip((result.train, result.test), raw_splits):
+        for name in ("own", "market", "sentiment"):
+            cols = source == name
+            if getattr(raw_split, name) is None:
+                assert getattr(split, name) is None
+                continue
+            stats = NormalizerState(result.normalizer.mins[cols], result.normalizer.maxs[cols])
+            expected = apply_normalizer(stats, getattr(raw_split, name))
+            assert getattr(split, name).tobytes() == expected.tobytes()
 
 
 class TestArtifacts:

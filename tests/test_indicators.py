@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from tmfusion.config import IndicatorConfig
 from tmfusion.errors import InvalidArgumentError, NotReadyError, SchemaError, TmfusionError
 from tmfusion.indicators import IndicatorSeries, bollinger, cci, ema, macd, rsi, sma
-from tmfusion.inputs import OhlcvBar, load_ohlcv_csv
+from tmfusion.inputs import OhlcvBar, _parse_date, load_ohlcv_csv
 
 from .conftest import DATA_DIR, constant_bars, random_bars, random_walk
 from .oracles import (
@@ -23,6 +23,7 @@ from .oracles import (
     market_feature_vector,
     rsi_oracle,
     sma_oracle,
+    strptime_date_reference,
 )
 
 
@@ -432,3 +433,33 @@ def test_any_csv_bytes_parse_or_raise_tmfusion_error(blob):
                 load_ohlcv_csv(str(p), lenient=lenient)
             except TmfusionError:
                 pass
+
+
+def _date_text(parts) -> str:
+    year, month, day, sep, pad = parts
+    return f"{pad}{year:04d}{sep}{month:02d}{sep}{day:02d}{pad}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw=st.one_of(
+    st.tuples(
+        st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
+        st.sampled_from(["-", "/", "--"]), st.sampled_from(["", " ", "\t", "\n"]),
+    ).map(_date_text),
+    st.dates().map(lambda d: d.strftime("%d/%m/%Y")),
+    st.sampled_from(["\uff12\uff10\uff12\uff10-01-05", "2020-0\u0661-05", "\u0662020-01-05"]),
+    st.text(alphabet="0123456789-/ \u0662\uff10x", max_size=12),
+    st.text(max_size=12),
+))
+def test_bar_dates_parse_as_strptime_alone_parses_them(raw):
+    """The canonical YYYY-MM-DD path accepts exactly the dates, and rejects
+    with exactly the messages, of the strptime loop alone: over dates in and
+    out of range, both separators, padding, Unicode digits and any text."""
+    try:
+        expected = strptime_date_reference(raw)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as excinfo:
+            _parse_date(raw)
+        assert str(excinfo.value) == str(exc)
+    else:
+        assert _parse_date(raw) == expected

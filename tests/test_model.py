@@ -535,6 +535,68 @@ class TestChunkedStep:
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
+def gathered_inputs(model, split, rows, n, ws):
+    """``training._inputs`` as whole (T, n, M) arrays: every step of a chunk gathered at once."""
+    inputs = {}
+    if model.text_layers:
+        inputs["text"] = split.gather_text(rows).transpose(1, 0, 2)
+    if model.numeric_layers:
+        numeric = split.assemble_numeric(rows).reshape(n, split.steps, split.width)
+        inputs["numeric"] = numeric.transpose(1, 0, 2)
+    return inputs
+
+
+class TestStepSources:
+    """The first layers read their input one step at a time from the split's tables."""
+
+    @pytest.mark.parametrize("architecture", ["fused", "numeric_only"])
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_training_equals_the_gathered_arrays_bit_for_bit(
+        self, rng, monkeypatch, kind, architecture
+    ):
+        """``train`` and ``forward_split`` through step sources give the weights,
+        the log and the probabilities that whole gathered arrays give: over a
+        3-step lookback, text, dropout and batches of 10 rows in chunks of 4."""
+        monkeypatch.setattr(training, "CHUNK_ROWS", 4)
+        tr = lookback_split(rng, 30, text_len=4)
+        va = lookback_split(rng, 9, text_len=4)
+        hyper = Hyperparams(
+            epochs=2, layers=2, hidden_units=4, learning_rate=0.05, recurrent_dropout=0.3,
+            dropout=0.3, l2=0.001, batch_size=10, seed=5,
+        )
+        runs = []
+        for inputs in (training._inputs, gathered_inputs):
+            monkeypatch.setattr(training, "_inputs", inputs)
+            model = step_model(architecture, kind, hyper)
+            ckpt = train(model, tr, va)
+            probs = training.forward_split(model, va, batch_size=4)
+            runs.append((model.theta.tobytes(), ckpt.training_log, probs.tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_a_step_peak_does_not_hold_a_gather(self):
+        """One training step's traced peak grows with max_len by the caches'
+        steps only: doubling max_len from 8 to 16 adds less than half of the
+        (rows, 8, k) gather that the chunk's text would take as one array."""
+        rows, k = 256, 200
+        hyper = Hyperparams(layers=1, hidden_units=4, batch_size=rows, seed=1)
+        peaks = []
+        for max_len in (8, 16):
+            split = lookback_split(
+                np.random.default_rng(0), rows, steps=1, text_len=max_len, text_dim=k
+            )
+            model = build_model("text_only", "lstm", hyper, text_dim=k)
+            idx = np.arange(rows)
+            labels = split.labels.astype(np.float64)
+            tracemalloc.start()
+            try:
+                training.train_step(model, split, idx, labels, np.random.default_rng(1), {})
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        gather = rows * 8 * k * 8
+        assert peaks[1] - peaks[0] < 0.5 * gather, (peaks, gather)
+
+
 class TestInference:
     """Inference keeps no gate caches: no backward reads them."""
 
