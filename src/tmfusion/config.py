@@ -94,8 +94,9 @@ class Hyperparams:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.layers < 1 or self.hidden_units < 1:
             raise InvalidArgumentError("epochs, layers, hidden_units must be >= 1")
-        if self.learning_rate < 0 or self.l2 < 0:
-            raise InvalidArgumentError("learning_rate and l2 must be >= 0")
+        # NaN fails every comparison, so the range test refuses it too
+        if not all(0 <= v < float("inf") for v in (self.learning_rate, self.l2)):
+            raise InvalidArgumentError("learning_rate and l2 must be finite and >= 0")
         if not (0.0 <= self.dropout < 1.0 and 0.0 <= self.recurrent_dropout < 1.0):
             raise InvalidArgumentError("dropout rates must be in [0, 1)")
         if self.batch_size < 1:
@@ -165,12 +166,17 @@ def load_run_config(path: str, seed_override: int | None = None,
                     out_override: str | None = None) -> RunConfig:
     """Parse and validate the run config; referenced input paths must exist.
 
-    Unknown keys and mistyped values at any level raise ``SchemaError``.
+    Unknown keys, mistyped values at any level and the non-standard JSON
+    constants ``NaN``, ``Infinity`` and ``-Infinity`` raise ``SchemaError``.
     Relative paths resolve against the config file's directory.
     """
     cfg_path = Path(path)
+
+    def refuse(constant: str):
+        raise SchemaError(f"{path}: {constant} is not a JSON number; values must be finite")
+
     try:
-        obj = json.loads(read_text(cfg_path))
+        obj = json.loads(read_text(cfg_path), parse_constant=refuse)
     except FileNotFoundError:
         raise InvalidArgumentError(f"config file {path} does not exist")
     except json.JSONDecodeError as exc:

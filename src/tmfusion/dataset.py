@@ -16,7 +16,8 @@ uses, the text's normalized sentiment and token ids; and per sample, its
 social and credibility columns and its row ids into the day and text
 tables, however long its lookback window. Text becomes token ids into one
 embedding table of the words the dataset uses. The 80/20 split keeps
-sample order, and each split is held as those tables (``Split``).
+sample order, and each split is held as those tables (``Split``), the one
+in-memory form of a dataset that training and inference take.
 
 Artifacts are written to a directory as the two split files, the
 embedding table when text is flagged, the normalizer and a build report,
@@ -202,14 +203,14 @@ def numeric_layout(fs) -> tuple[tuple[str, int], ...]:
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """One training/test row: normalized numeric blocks, optional text matrix.
+    """One row of a ``Split`` as its own arrays: ``split[i]`` builds it.
 
     ``numeric`` is a (width,) vector for the default single-timestep build,
     or a (steps, width) matrix when a market lookback window is configured
     (oldest step first, the tweet's own day last; only the market block
     varies across steps). ``text`` is the (max_len, k) word-vector matrix,
-    zero rows past the sentence end. Indexing a ``Split`` builds one from
-    the split's columns; ``Split.from_samples`` turns a list back into them.
+    zero rows past the sentence end. A row view is read, never fed back:
+    the model layer takes whole splits, and ``predict`` one row's arrays.
     """
 
     numeric: np.ndarray
@@ -229,7 +230,8 @@ class Steps:
 
     ``steps[t]`` calls ``fill(t)``, which writes step t's (B, M) rows into
     a buffer and returns it. A fill may reuse one buffer for every step,
-    so a step stays valid only until the next one is indexed.
+    so a step stays valid only until the next one is indexed; ``stacked``
+    copies every step out into one array.
     """
 
     ndim = 3
@@ -240,11 +242,22 @@ class Steps:
     def __getitem__(self, t: int) -> np.ndarray:
         return self._fill(t)
 
+    def stacked(self) -> np.ndarray:
+        """Every step in one batch-major (B, T, M) float64 array, oldest step first."""
+        steps, n, width = self.shape
+        out = np.empty((n, steps, width))
+        for t in range(steps):
+            out[:, t] = self[t]
+        return out
+
 
 @dataclass(eq=False)
 class Split:
     """One split of a dataset, as three tables and row ids into them.
 
+    A split is the one in-memory form of a dataset: ``train``,
+    ``forward_split`` and ``samples_to_arrays`` take it, and its inputs
+    reach the model as step sources (``numeric_steps``, ``text_steps``).
     ``split[i]`` is a ``Sample`` view of row i.
 
     - the day table, one row per trading day the split's windows cover,
@@ -267,12 +280,11 @@ class Split:
     - ``steps``: numeric steps per sample, the market lookback + 1. Step s
       of sample i (oldest first) takes its market columns from day row
       ``day_rows[i] - steps + 1 + s`` and repeats its other columns, as
-      ``assemble_numeric`` builds it;
+      ``numeric_steps`` fills it;
     - ``table``: with text, the (vocab+1, k) float64 word vectors, row 0
       zero, which both splits of a dataset share; else None.
 
-    ``labels``, ``days`` and ``token_ids`` gather the day and text tables
-    per sample.
+    ``labels`` and ``days`` gather the day table per sample.
     """
 
     ticker: str
@@ -298,9 +310,10 @@ class Split:
 
     def __getitem__(self, i: int) -> Sample:
         day = self.day_rows[i]
+        numeric = self.numeric_steps([i]).stacked()[0]
         return Sample(
-            numeric=self.assemble_numeric([i])[0],
-            text=None if self.tokens is None else self.gather_text([i])[0],
+            numeric=numeric[0] if self.steps == 1 else numeric,
+            text=None if self.tokens is None else self.text_steps([i]).stacked()[0],
             label=int(self.day_labels[day]),
             ticker=self.ticker,
             day=dt.date.fromordinal(int(self.day_ordinals[day])),
@@ -318,19 +331,9 @@ class Split:
         return self.day_ordinals[self.day_rows]
 
     @property
-    def token_ids(self) -> np.ndarray | None:
-        """(N, max_len) each sample's token ids, its text's; None without text."""
-        return None if self.tokens is None else self.tokens[self.text_rows]
-
-    @property
     def width(self) -> int:
         """Numeric columns per step, every block included."""
         return sum(width for _, width in self.layout)
-
-    @property
-    def row_shape(self) -> tuple[int, ...]:
-        """One sample's numeric input: (width,) for one step, else (steps, width)."""
-        return (self.width,) if self.steps == 1 else (self.steps, self.width)
 
     def numeric_steps(self, rows, out: np.ndarray | None = None) -> Steps:
         """The numeric inputs of ``rows`` (a slice or indices) as (steps, n, width) ``Steps``.
@@ -384,88 +387,6 @@ class Split:
 
         return Steps((max_len, n, self.table.shape[1]), fill)
 
-    def assemble_numeric(self, rows, out: np.ndarray | None = None) -> np.ndarray:
-        """The numeric inputs of ``rows`` (a slice or indices), each of ``row_shape``.
-
-        They go to ``out``, a C-contiguous (n, *row_shape) float64 buffer,
-        when given: the stack of ``numeric_steps``, oldest step first.
-        """
-        steps = self.numeric_steps(rows)
-        _, n, width = steps.shape
-        out = np.empty((n, *self.row_shape)) if out is None else out
-        stacked = out.reshape(n, self.steps, width)
-        for s in range(self.steps):
-            stacked[:, s] = steps[s]
-        return out
-
-    def gather_text(self, rows, out: np.ndarray | None = None) -> np.ndarray:
-        """The (n, max_len, k) word vectors of ``rows``: the stack of ``text_steps``.
-
-        They go to ``out``, a C-contiguous float64 buffer, when given.
-        """
-        steps = self.text_steps(rows)
-        max_len, n, k = steps.shape
-        out = np.empty((n, max_len, k)) if out is None else out
-        for t in range(max_len):
-            out[:, t] = steps[t]
-        return out
-
-    @property
-    def numeric_rows(self) -> np.ndarray:
-        """Every sample's numeric input, one array: (N, width) for one step, else (N, steps, width)."""
-        return self.assemble_numeric(slice(None))
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[Sample]) -> "Split":
-        """The tables of a list of samples, each sample given day and text rows of its own.
-
-        One-step samples keep every numeric column as their own. Multi-step
-        samples are lookback windows: their first 5 columns, the market
-        block, become one day row per step, and their other columns, which
-        must not vary across the steps, become their own. A sample's day
-        rows all carry its day and label, so, unlike a built split's, the
-        day ordinals need not increase. Every text row becomes a row of the
-        table.
-        """
-        if not samples:
-            raise InvalidArgumentError("need at least one sample")
-        numeric = np.stack([s.numeric for s in samples])
-        n = numeric.shape[0]
-        steps = 1 if numeric.ndim == 2 else numeric.shape[1]
-        windows = numeric.reshape(n, steps, -1)
-        width = windows.shape[2]
-        m = BLOCK_WIDTHS["market"] if steps > 1 else 0
-        own = windows[:, -1, m:]
-        if steps > 1 and (width < m or np.any(windows[:, :, m:] != own[:, None, :])):
-            raise InvalidArgumentError(
-                "multi-step samples must lead with the market block and vary only in it"
-            )
-        layout = ((("market", m),) if m else ()) + ((("own", width - m),) if width > m else ())
-        text_rows = tokens = table = None
-        if all(s.text is not None for s in samples):
-            text = np.stack([s.text for s in samples])
-            _, max_len, dim = text.shape
-            table = np.concatenate([np.zeros((1, dim)), text.reshape(-1, dim)])
-            tokens = np.arange(1, n * max_len + 1, dtype=np.int32).reshape(n, max_len)
-            text_rows = np.arange(n, dtype=np.int32)
-        authors = sorted({s.author for s in samples})
-        index = {a: i for i, a in enumerate(authors)}
-        return cls(
-            ticker=samples[0].ticker,
-            own=own,
-            day_rows=np.arange(steps - 1, n * steps, steps, dtype=np.int32),
-            day_ordinals=np.repeat([s.day.toordinal() for s in samples], steps).astype(np.int32),
-            day_labels=np.repeat([s.label for s in samples], steps).astype(np.uint8),
-            authors=authors,
-            author_ids=np.array([index[s.author] for s in samples], dtype=np.int32),
-            layout=layout,
-            market=windows[:, :, :m].reshape(n * steps, m) if m else None,
-            text_rows=text_rows,
-            tokens=tokens,
-            steps=steps,
-            table=table,
-        )
-
 
 @dataclass(eq=False)
 class TweetColumns:
@@ -518,7 +439,6 @@ class BuildConfig:
     sentiment_provider: SentimentProvider | None = None
     embedding: EmbeddingTable | None = None
     stopwords: frozenset[str] | None = None
-    train_fraction: float = TRAIN_FRACTION
     max_len_override: int | None = None
     #: > 0 turns each sample's numeric data into a (lookback+1, width)
     #: sequence whose market block walks the preceding trading days.
@@ -526,8 +446,6 @@ class BuildConfig:
 
     def __post_init__(self) -> None:
         self.feature_set = normalize_feature_set(self.feature_set)
-        if not (0.0 < self.train_fraction < 1.0):
-            raise InvalidArgumentError("train_fraction must be in (0, 1)")
         if "text" in self.feature_set and self.embedding is None:
             raise InvalidArgumentError("text feature demands an embedding table")
         if self.market_lookback < 0:
@@ -702,7 +620,7 @@ def build_dataset(
         )
 
     n = rows.size
-    n_train = int(n * cfg.train_fraction)
+    n_train = int(n * TRAIN_FRACTION)
     labels = labels_by_day[day_idx]
     author_id = tweets.author_ids[rows]
 

@@ -21,7 +21,7 @@ from ..artifacts import read_text, write_json
 from ..config import Hyperparams
 from ..dataset import Sample
 from ..errors import SchemaError, checked_object, field_types
-from .model import ModelSpec, forward_arrays, param_count, samples_to_arrays
+from .model import ModelSpec, forward_arrays, param_count
 
 CHECKPOINT_VERSION = 1
 
@@ -139,7 +139,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 def predict(ckpt: Checkpoint, sample: Sample) -> tuple[int, float]:
-    """(class, probability) with dropout disabled; class 1 iff probability >= 0.5."""
-    numeric, text, _ = samples_to_arrays(ckpt.model, [sample])
-    prob = float(forward_arrays(ckpt.model, numeric, text)[0])
+    """(class, probability) of one row; class 1 iff probability >= 0.5.
+
+    A one-row dropout-free ``forward_arrays`` over the row's own arrays,
+    those of the branches the model has.
+    """
+    model = ckpt.model
+    numeric = sample.numeric[None] if model.numeric_layers else None
+    text = sample.text[None] if model.text_layers and sample.text is not None else None
+    prob = float(forward_arrays(model, numeric, text)[0])
     return (1 if prob >= 0.5 else 0), prob

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import Hyperparams
-from ..dataset import Sample, Split
 from ..errors import InvalidArgumentError
 from .cells import (
     CellParams,
@@ -276,11 +275,6 @@ def _forward_steps(model, inputs, masks, workspace=None, keep_gates=True):
     return sigmoid(logits), bundle
 
 
-def _forward_arrays(model, numeric, text, masks, workspace=None, keep_gates=True):
-    """``_forward_steps`` over batch-major arrays (see ``_time_major``)."""
-    return _forward_steps(model, _time_major(model, numeric, text), masks, workspace, keep_gates)
-
-
 def _check_sample_shapes(model: ModelSpec, numeric, text) -> None:
     if model.numeric_layers:
         if (
@@ -306,23 +300,15 @@ def forward_arrays(
     model: ModelSpec,
     numeric: np.ndarray | None,
     text: np.ndarray | None,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
     workspace: dict | None = None,
 ) -> np.ndarray:
-    """Probabilities for a batch given (B, n) numeric and/or (B, T, k) text.
+    """Dropout-free probabilities for a batch given batch-major arrays.
 
+    The numeric input is (B, n) or (B, steps, n), the text (B, T, k).
     ``workspace`` is as for ``backward_arrays``. No backward follows, so
     the layers keep no gate caches (see ``cells.forward``).
     """
-    inputs = _time_major(model, numeric, text)
-    masks = None
-    if train_mode:
-        if rng is None:
-            raise InvalidArgumentError("train_mode forward needs a random generator")
-        masks = _draw_masks(model, (text if text is not None else numeric).shape[0], rng)
-    probs, _ = _forward_steps(model, inputs, masks, workspace, keep_gates=False)
-    return probs
+    return forward_steps(model, _time_major(model, numeric, text), workspace)
 
 
 def forward_steps(model: ModelSpec, inputs: dict, workspace: dict | None = None) -> np.ndarray:
@@ -423,30 +409,3 @@ def backward_arrays(
     """
     inputs = _time_major(model, numeric, text)
     return backward_batch(model, labels, lambda rows: inputs, max(1, len(labels)), rng, workspace)
-
-
-# ---------------------------------------------------------------------------
-# Splits and sample lists
-# ---------------------------------------------------------------------------
-
-
-def model_split(model: ModelSpec, samples: Split | list[Sample]) -> Split:
-    """``samples`` as a split, which must carry text when ``model`` has a text branch."""
-    split = samples if isinstance(samples, Split) else Split.from_samples(samples)
-    if model.text_layers and split.tokens is None:
-        raise InvalidArgumentError("model expects text matrices but samples lack them")
-    return split
-
-
-def samples_to_arrays(
-    model: ModelSpec, samples: Split | list[Sample]
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
-    """The whole (numeric, text, labels) arrays of ``samples`` for the branches ``model`` has.
-
-    The text is one (N, max_len, k) array, which training and evaluation
-    never build: they gather each batch's text from the table instead.
-    """
-    split = model_split(model, samples)
-    numeric = split.numeric_rows if model.numeric_layers else None
-    text = split.gather_text(slice(None)) if model.text_layers else None
-    return numeric, text, split.labels.astype(np.float64)

@@ -37,11 +37,11 @@ import math
 
 import numpy as np
 
-from ..dataset import Sample, Split
+from ..dataset import Split
 from ..errors import DivergedError, InvalidArgumentError
 from .checkpoint import Checkpoint
 from .cells import workspace_array
-from .model import ModelSpec, backward_batch, forward_steps, model_split, rng_streams
+from .model import ModelSpec, backward_batch, forward_steps, rng_streams
 
 #: Rows per forward/backward chunk: a training step runs its batch in
 #: chunks of at most this many rows, and inference in chunks of at most
@@ -57,11 +57,19 @@ def _correct(probs: np.ndarray, labels: np.ndarray) -> int:
     return int(np.sum((probs >= 0.5).astype(np.float64) == labels))
 
 
-def _inputs(model: ModelSpec, split: Split, rows, n: int, ws: dict) -> dict:
+def model_split(model: ModelSpec, split: Split) -> Split:
+    """``split``, which must carry text when ``model`` has a text branch."""
+    if model.text_layers and split.tokens is None:
+        raise InvalidArgumentError("model expects text matrices but samples lack them")
+    return split
+
+
+def _inputs(model: ModelSpec, split: Split, rows, n: int, ws: dict | None) -> dict:
     """The step sources of ``split``'s ``n`` rows ``rows`` for each branch ``model`` has.
 
-    Each fills one (n, width) buffer of ``ws`` per step (see
-    ``Split.numeric_steps`` and ``Split.text_steps``).
+    Each fills one (n, width) buffer of ``ws`` per step, or a fresh one
+    without a workspace (see ``Split.numeric_steps`` and
+    ``Split.text_steps``).
     """
     inputs = {}
     if model.text_layers:
@@ -75,19 +83,39 @@ def _inputs(model: ModelSpec, split: Split, rows, n: int, ws: dict) -> dict:
     return inputs
 
 
+def samples_to_arrays(
+    model: ModelSpec, split: Split
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
+    """The whole (numeric, text, labels) arrays of ``split`` for the branches ``model`` has.
+
+    They are the stacks of the step sources ``forward_split`` and
+    ``train_step`` read: the numeric input is (N, width) for one step and
+    (N, steps, width) for a lookback, and the text one (N, max_len, k)
+    array, which training and evaluation never build.
+    """
+    inputs = _inputs(model, model_split(model, split), slice(None), len(split), None)
+    numeric = text = None
+    if "numeric" in inputs:
+        numeric = inputs["numeric"].stacked()
+        numeric = numeric[:, 0] if split.steps == 1 else numeric
+    if "text" in inputs:
+        text = inputs["text"].stacked()
+    return numeric, text, split.labels.astype(np.float64)
+
+
 def forward_split(
     model: ModelSpec,
-    samples: Split | list[Sample],
+    split: Split,
     batch_size: int,
     workspace: dict | None = None,
 ) -> np.ndarray:
-    """Dropout-free probabilities of every row of ``samples``.
+    """Dropout-free probabilities of every row of ``split``.
 
     Each forward runs ``min(batch_size, CHUNK_ROWS)`` rows. ``workspace``
     is as for ``backward_arrays``; without one, the chunks share a fresh
     one.
     """
-    split = model_split(model, samples)
+    model_split(model, split)
     workspace = {} if workspace is None else workspace
     batch_ws = workspace.setdefault("batch", {})
     chunk = min(batch_size, CHUNK_ROWS)
@@ -126,8 +154,8 @@ def train_step(
 
 def train(
     model: ModelSpec,
-    train_samples: Split | list[Sample],
-    valid_samples: Split | list[Sample],
+    train_split: Split,
+    valid_split: Split,
     meta: dict | None = None,
 ) -> Checkpoint:
     """Train ``model`` in place and return a checkpoint wrapping it.
@@ -135,15 +163,15 @@ def train(
     Each ``train_step`` leaves its batch's gradient in ``model.grad``; the
     momentum update is three whole-vector operations on ``model.theta`` and
     one velocity vector of the same layout. The validation accuracy logged
-    each epoch comes from ``forward_split`` over ``valid_samples``.
+    each epoch comes from ``forward_split`` over ``valid_split``.
     """
-    if not train_samples or not valid_samples:
+    if not train_split or not valid_split:
         raise InvalidArgumentError("train and validation sets must be non-empty")
     hyper = model.hyper
     _, train_rng = rng_streams(hyper.seed)
 
-    train_split = model_split(model, train_samples)
-    valid_split = model_split(model, valid_samples)
+    model_split(model, train_split)
+    model_split(model, valid_split)
     labels = train_split.labels.astype(np.float64)
     valid_labels = valid_split.labels.astype(np.float64)
     n = labels.shape[0]

@@ -2,16 +2,18 @@
 
 Three feature families live here. The sentiment vector scores a tweet's text
 through a pluggable provider (the shipped static lexicon by default, so runs
-are hermetic). The social vector copies the raw activity counters off the
-tweet plus a running per-author tweet count. The credibility vector tracks
-how often an author's sentiment has historically agreed with the next day's
-actual price direction, via per-author hit/miss counters and three derived
-scores.
+are hermetic); its label is the polarity's sign, 0 when the polarity's
+magnitude is below ``NEUTRAL_THRESHOLD``. The social vector copies the raw
+activity counters off the tweet plus a running per-author tweet count. The
+credibility vector tracks how often an author's sentiment has historically
+agreed with the next day's actual price direction, via per-author hit/miss
+counters and three derived scores.
 
 Vector extraction is pure. ``UserHistoryStore`` replays per-author history
 one tweet at a time, in timestamp order per author; it is the reference the
 dataset build's array replay (``dataset._author_history``) is tested
-against, and the benchmark's credibility probe times it.
+against, and the benchmark's credibility probe times it. ``load_tweets_jsonl``
+is re-exported from ``inputs`` for the benchmark, which imports it from here.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ class SentimentVector:
         return np.array([float(self.label), self.subjectivity, self.polarity])
 
 
-def polarity_label(polarity: float, threshold: float = NEUTRAL_THRESHOLD) -> int:
-    if abs(polarity) < threshold:
+def polarity_label(polarity: float) -> int:
+    if abs(polarity) < NEUTRAL_THRESHOLD:
         return 0
     return 1 if polarity > 0 else -1
 
@@ -78,10 +80,8 @@ class LexiconSentimentProvider:
     not list (stop-words included) simply contributes nothing.
     """
 
-    def __init__(self, lexicon: dict[str, tuple[float, float]],
-                 threshold: float = NEUTRAL_THRESHOLD):
+    def __init__(self, lexicon: dict[str, tuple[float, float]]):
         self._lexicon = dict(lexicon)
-        self._threshold = threshold
 
     @classmethod
     def from_file(cls, path: str) -> "LexiconSentimentProvider":
@@ -108,7 +108,7 @@ class LexiconSentimentProvider:
             return SentimentVector(0.0, 0.0, 0)
         polarity = sum(m[0] for m in matched) / len(matched)
         subjectivity = sum(m[1] for m in matched) / len(matched)
-        return SentimentVector(polarity, subjectivity, polarity_label(polarity, self._threshold))
+        return SentimentVector(polarity, subjectivity, polarity_label(polarity))
 
 
 def _parse_lexicon(raw: object, source: str) -> dict[str, tuple[float, float]]:
@@ -268,6 +268,3 @@ class UserHistoryStore:
     def final_state(self, username: str) -> UserHistory:
         """The history with every recorded score applied."""
         return self._flush(username, dt.datetime.max.replace(tzinfo=dt.timezone.utc))
-
-    def usernames(self) -> list[str]:
-        return sorted(set(self._states) | set(self._pending))

@@ -26,8 +26,6 @@ _WORD_RE = re.compile(r"[a-z0-9]+")
 #: Hashed fallback vectors are drawn uniformly from this interval.
 HASH_FALLBACK_SCALE = 0.05
 
-EMBEDDING_FALLBACKS = ("hashed", "zero")
-
 
 def load_stopwords(path: str | None = None) -> frozenset[str]:
     """The stop-word set: one word per line, shipped list when no path given."""
@@ -51,23 +49,20 @@ def _hashed_vector(token: str, dim: int, seed: int) -> np.ndarray:
 
 @dataclass
 class EmbeddingTable:
-    """word -> R^dim lookup with a configurable out-of-vocabulary fallback.
+    """word -> R^dim lookup with a hashed out-of-vocabulary fallback.
 
-    ``hashed`` fallback derives a stable pseudo-random vector from the token
-    itself, so unknown words embed identically across runs and processes;
-    ``zero`` maps them to the origin (indistinguishable from padding).
+    A word ``vectors`` lacks gets a stable pseudo-random vector derived from
+    the token and ``seed``, so unknown words embed identically across runs
+    and processes.
     """
 
     dim: int
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
-    fallback: str = "hashed"
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise InvalidArgumentError("embedding dimension must be >= 1")
-        if self.fallback not in EMBEDDING_FALLBACKS:
-            raise InvalidArgumentError(f"fallback must be one of {EMBEDDING_FALLBACKS}")
         for word, vec in self.vectors.items():
             if vec.shape != (self.dim,):
                 raise InvalidArgumentError(f"vector for {word!r} has shape {vec.shape}")
@@ -76,35 +71,32 @@ class EmbeddingTable:
     def lookup(self, token: str, out: np.ndarray | None = None) -> np.ndarray:
         """The vector of ``token``.
 
-        Without ``out``, a hashed fallback vector is cached for the next
-        lookup of its token. With ``out``, a (dim,) float64 array, the
-        vector is written there and returned, and nothing is cached.
+        Without ``out``, a fallback vector is cached for the next lookup of
+        its token. With ``out``, a (dim,) float64 array, the vector is
+        written there and returned, and nothing is cached.
         """
         known = self.vectors.get(token)
         if out is not None:
-            out[...] = self._fallback(token) if known is None else known
+            out[...] = _hashed_vector(token, self.dim, self.seed) if known is None else known
             return out
         if known is not None:
             return known
         cached = self._oov_cache.get(token)
         if cached is None:
-            cached = self._fallback(token)
-            if self.fallback == "hashed":
-                self._oov_cache[token] = cached
+            cached = self._oov_cache[token] = _hashed_vector(token, self.dim, self.seed)
         return cached
-
-    def _fallback(self, token: str) -> np.ndarray:
-        if self.fallback == "zero":
-            return np.zeros(self.dim)
-        return _hashed_vector(token, self.dim, self.seed)
 
     @classmethod
     def hashed(cls, dim: int, seed: int = 0) -> "EmbeddingTable":
-        return cls(dim=dim, vectors={}, fallback="hashed", seed=seed)
+        return cls(dim=dim, seed=seed)
 
     @classmethod
-    def from_text_file(cls, path: str, fallback: str = "hashed", seed: int = 0) -> "EmbeddingTable":
-        """Parse `word v1 v2 ... vk` lines; every row must share one dimension."""
+    def from_text_file(cls, path: str, seed: int = 0) -> "EmbeddingTable":
+        """Parse `word v1 v2 ... vk` lines; every row must share one dimension.
+
+        Every component must be finite: ``nan``, ``inf`` and values past the
+        float64 range raise ``SchemaError`` naming the line.
+        """
         vectors: dict[str, np.ndarray] = {}
         dim: int | None = None
         with io.StringIO(read_text(path), newline=None) as fh:
@@ -122,6 +114,8 @@ class EmbeddingTable:
                     raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
                 if vec.size == 0:
                     raise SchemaError(f"{path}: line {lineno}: no vector components")
+                if not np.all(np.isfinite(vec)):
+                    raise SchemaError(f"{path}: line {lineno}: a vector component is not finite")
                 if dim is None:
                     dim = vec.size
                 elif vec.size != dim:
@@ -131,7 +125,7 @@ class EmbeddingTable:
                 vectors[word] = vec
         if dim is None:
             raise SchemaError(f"{path}: no embedding rows found")
-        return cls(dim=dim, vectors=vectors, fallback=fallback, seed=seed)
+        return cls(dim=dim, vectors=vectors, seed=seed)
 
 
 def embed_sequence(tokens: Sequence[str], table: EmbeddingTable, max_len: int) -> np.ndarray:

@@ -115,24 +115,46 @@ def linear_rule_corpus(
     return matrix, out
 
 
-def linear_rule_samples(rng: np.random.Generator, n: int = 2000, width: int = 14):
-    """The linear-rule corpus wrapped as dataset samples, split 80/20."""
-    from tmfusion.dataset import Sample
+def one_step_split(rows, labels, text=None):
+    """A one-step ``Split`` of given numeric rows, labels and text matrices.
 
+    Row i is its own trading day, 2021-01-01 + i days, with label
+    ``labels[i]`` and every numeric column its own: ``rows`` is (N, width),
+    or None for no numeric columns. ``text``, when given, is (N, max_len, k):
+    each row gets a text of its own, whose token ids index its word vectors
+    in a table after the zero row.
+    """
+    from tmfusion.dataset import Split
+
+    labels = np.asarray(labels, dtype=np.uint8)
+    n = labels.shape[0]
+    own = np.zeros((n, 0)) if rows is None else np.asarray(rows, dtype=np.float64)
+    text_rows = tokens = table = None
+    if text is not None:
+        _, max_len, k = text.shape
+        table = np.concatenate([np.zeros((1, k)), text.reshape(-1, k)])
+        tokens = np.arange(1, n * max_len + 1, dtype=np.int32).reshape(n, max_len)
+        text_rows = np.arange(n, dtype=np.int32)
+    return Split(
+        ticker="SYN",
+        own=own,
+        day_rows=np.arange(n, dtype=np.int32),
+        day_ordinals=(np.arange(n) + dt.date(2021, 1, 1).toordinal()).astype(np.int32),
+        day_labels=labels,
+        authors=["gen"],
+        author_ids=np.zeros(n, dtype=np.int32),
+        layout=(("own", own.shape[1]),) if own.shape[1] else (),
+        text_rows=text_rows,
+        tokens=tokens,
+        table=table,
+    )
+
+
+def linear_rule_samples(rng: np.random.Generator, n: int = 2000, width: int = 14):
+    """The linear-rule corpus as one-step splits, split 80/20."""
     rows, labels = linear_rule_corpus(rng, n=n, width=width)
-    samples = [
-        Sample(
-            numeric=rows[i],
-            text=None,
-            label=int(labels[i]),
-            ticker="SYN",
-            day=dt.date(2021, 1, 1) + dt.timedelta(days=i),
-            author="gen",
-        )
-        for i in range(n)
-    ]
     cut = int(n * 0.8)
-    return samples[:cut], samples[cut:]
+    return one_step_split(rows[:cut], labels[:cut]), one_step_split(rows[cut:], labels[cut:])
 
 
 def synthetic_tweets(

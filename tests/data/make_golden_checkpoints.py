@@ -12,19 +12,19 @@ this script overwrites them with what the current code writes, which makes
 the golden test compare the code with itself; do that only on a deliberate
 format change. Run it from the repository root:
 
-    PYTHONPATH=src python3 tests/data/make_golden_checkpoints.py
+    PYTHONPATH=src:. python3 tests/data/make_golden_checkpoints.py
 """
 
 from __future__ import annotations
 
-import datetime as dt
 import json
 from pathlib import Path
 
 import numpy as np
 
+from tests.conftest import one_step_split
 from tmfusion.config import Hyperparams
-from tmfusion.dataset import Sample
+from tmfusion.dataset import Split
 from tmfusion.rnn import (
     build_model,
     forward_arrays,
@@ -38,18 +38,14 @@ HERE = Path(__file__).resolve().parent
 NUMERIC_DIM, TEXT_SHAPE = 4, (5, 3)
 
 
-def samples(rng: np.random.Generator, n: int) -> list[Sample]:
-    return [
-        Sample(
-            numeric=rng.uniform(0.0, 1.0, NUMERIC_DIM),
-            text=rng.normal(0.0, 0.5, TEXT_SHAPE),
-            label=int(rng.integers(0, 2)),
-            ticker="AAPL",
-            day=dt.date(2021, 1, 4) + dt.timedelta(days=i),
-            author=f"user{i % 3}",
-        )
-        for i in range(n)
+def samples(rng: np.random.Generator, n: int) -> Split:
+    """A one-step split of ``n`` random rows, each drawn as numeric, text, label."""
+    rows = [
+        (rng.uniform(0.0, 1.0, NUMERIC_DIM), rng.normal(0.0, 0.5, TEXT_SHAPE), rng.integers(0, 2))
+        for _ in range(n)
     ]
+    numeric, text, labels = (np.stack(column) for column in zip(*rows))
+    return one_step_split(numeric, labels, text)
 
 
 def main() -> None:

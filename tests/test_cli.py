@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import math
 import os
 import signal
 import struct
@@ -633,6 +634,8 @@ class TestCliContract:
             ({"seed": 1.5}, "seed"),
             ({"feature_set": [["market"]]}, "feature_set"),
             ({"hyperparams": {**FAST_HYPERS, "seed": 3}}, "hyperparams.seed"),
+            ({"hyperparams": {**FAST_HYPERS, "learning_rate": math.nan}}, "NaN"),
+            ({"hyperparams": {**FAST_HYPERS, "l2": math.inf}}, "Infinity"),
         ],
     )
     def test_config_schema_errors_exit_1(self, run_dir, capsys, overrides, named):
@@ -641,6 +644,22 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert named in err
+
+    def test_non_finite_embedding_component_exits_1_before_writing(self, run_dir, capsys):
+        """An embedding file with a nan component fails ``features`` with a
+        SchemaError naming its line, and no dataset file is written."""
+        (run_dir / "vectors.txt").write_text("surged 0.1 0.2 0.3\nstock 0.4 nan 0.6\n")
+        cfg = write_config(
+            run_dir, feature_set=["sentiment", "text"],
+            paths={"ohlcv_csv": "bars.csv", "tweets_jsonl": "tweets.jsonl",
+                   "embedding": "vectors.txt"},
+        )
+        assert run_cli("ingest", "--config", str(cfg)) == 0
+        capsys.readouterr()
+        assert run_cli("features", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "vectors.txt: line 2" in err and "Traceback" not in err
+        assert not (run_dir / "out" / "dataset").exists()
 
     def test_config_rejects_unknown_cell_and_flags(self, tmp_path, rng):
         write_corpus(tmp_path, rng, n_tweets=10)

@@ -636,7 +636,7 @@ def test_assembled_rows_equal_the_repeat_reference(seed, lookback, data):
     splits = (result.train, result.test)
     width, steps = numeric_width(FULL_NUMERIC), lookback + 1
     # with the normalizer a no-op, each sample's last step is its raw row
-    raw = np.concatenate([s.numeric_rows.reshape(len(s), steps, width)[:, -1]
+    raw = np.concatenate([s.numeric_steps(slice(None)).stacked()[:, -1]
                           for s in (raw_result.train, raw_result.test)])
     market_rows, _ = market_feature_matrix(bars, SMALL_IND)
     index = {b.date.toordinal(): i for i, b in enumerate(bars)}
@@ -648,12 +648,9 @@ def test_assembled_rows_equal_the_repeat_reference(seed, lookback, data):
     for split in splits:
         rows = np.array(data.draw(st.lists(st.integers(0, len(split) - 1), max_size=12)),
                         dtype=np.intp)
-        expected = reference[offset + rows].reshape(rows.size, *split.row_shape)
+        expected = reference[offset + rows].reshape(rows.size, steps, width)
         offset += len(split)
-        assert split.assemble_numeric(rows).tobytes() == expected.tobytes()
-        buffer = np.full((rows.size, *split.row_shape), np.nan)
-        assert split.assemble_numeric(rows, out=buffer) is buffer
-        assert buffer.tobytes() == expected.tobytes()
+        assert split.numeric_steps(rows).stacked().tobytes() == expected.tobytes()
 
 
 def gapped_corpus(rng, data):
@@ -718,8 +715,8 @@ def test_table_gathers_equal_the_per_sample_oracle(seed, flags, lookback, max_le
             )
             for i, (_, day, _) in zip(rows.tolist(), picked)
         ]
-        expected = np.array(numeric, dtype=np.float64).reshape(rows.size, *split.row_shape)
-        assert split.assemble_numeric(rows).tobytes() == expected.tobytes()
+        expected = np.array(numeric, dtype=np.float64).reshape(rows.size, split.steps, width)
+        assert split.numeric_steps(rows).stacked().tobytes() == expected.tobytes()
         assert split.labels[rows].tolist() == [labels[day] for _, day, _ in picked]
         assert split.days[rows].tolist() == [bars[day].date.toordinal() for _, day, _ in picked]
         if "text" not in fs:
@@ -733,10 +730,7 @@ def test_table_gathers_equal_the_per_sample_oracle(seed, flags, lookback, max_le
             for t, _, _ in picked
         ]
         expected = np.array(text, dtype=np.float64).reshape(rows.size, result.max_len, 2)
-        assert split.gather_text(rows).tobytes() == expected.tobytes()
-        buffer = np.full(expected.shape, np.nan)
-        assert split.gather_text(rows, out=buffer) is buffer
-        assert buffer.tobytes() == expected.tobytes()
+        assert split.text_steps(rows).stacked().tobytes() == expected.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -749,9 +743,9 @@ def test_table_gathers_equal_the_per_sample_oracle(seed, flags, lookback, max_le
 def test_step_sources_equal_the_whole_sequence_gathers(seed, flags, lookback, data):
     """Each step of ``numeric_steps`` and ``text_steps`` over any subset of
     a split's rows is, bit for bit, that step of the whole-sequence gather,
-    read in any order and in one reused buffer; ``assemble_numeric`` and
-    ``gather_text``, their stacks, equal the whole gathers. Over flag sets
-    with and without text and lookbacks 0-5."""
+    read in any order and in one reused buffer; ``Steps.stacked``, their
+    stack, equals the whole gather, with and without a buffer. Over flag
+    sets with and without text and lookbacks 0-5."""
     fs = frozenset(flags)
     lookback = lookback if "market" in fs else 0
     tweets, bars = gapped_corpus(np.random.default_rng(seed), data)
@@ -777,10 +771,9 @@ def test_step_sources_equal_the_whole_sequence_gathers(seed, flags, lookback, da
                 step = steps[t]
                 assert step is buffer
                 assert step.tobytes() == np.ascontiguousarray(whole[:, t]).tobytes()
-        numeric = split.assemble_numeric(rows)
-        assert numeric.tobytes() == whole_numeric_gather(split, rows).tobytes()
-        if "text" in fs:
-            assert split.gather_text(rows).tobytes() == whole_text_gather(split, rows).tobytes()
+            for stacked in (steps.stacked(), steps_of(rows).stacked()):
+                assert stacked.shape == whole.shape
+                assert stacked.tobytes() == whole.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -1142,7 +1135,8 @@ def test_rewritten_market_columns_read_back_in_range_or_are_rejected(lookback_sp
     assert header["days"] == days and got.steps == split.steps == 3
     assert np.all(np.isfinite(got.market)) and np.all(np.diff(got.day_ordinals) > 0)
     assert got.day_rows.min() >= got.steps - 1 and got.day_rows.max() < days
-    assert got.assemble_numeric(slice(None)).tobytes() == changed.numeric_rows.tobytes()
+    assert (got.numeric_steps(slice(None)).stacked().tobytes()
+            == changed.numeric_steps(slice(None)).stacked().tobytes())
 
 
 @pytest.fixture(scope="module")
@@ -1185,5 +1179,6 @@ def test_rewritten_text_columns_read_back_in_range_or_are_rejected(text_split, d
     got.table = split.table
     assert header["texts"] == texts
     assert got.text_rows.min() >= 0 and got.text_rows.max() < texts
-    assert got.assemble_numeric(slice(None)).tobytes() == changed.numeric_rows.tobytes()
-    assert got.gather_text(slice(None)).tobytes() == changed.gather_text(slice(None)).tobytes()
+    for steps in ("numeric_steps", "text_steps"):
+        assert (getattr(got, steps)(slice(None)).stacked().tobytes()
+                == getattr(changed, steps)(slice(None)).stacked().tobytes())

@@ -34,8 +34,15 @@ from tmfusion.rnn.checkpoint import Checkpoint
 
 from tmfusion.text import EmbeddingTable
 
-from .conftest import linear_rule_samples, synthetic_tweets, weekday_bars
-from .oracles import gru_oracle, indrnn_oracle, loss_reference, lstm_oracle
+from .conftest import linear_rule_samples, one_step_split, synthetic_tweets, weekday_bars
+from .oracles import (
+    gru_oracle,
+    indrnn_oracle,
+    loss_reference,
+    lstm_oracle,
+    whole_numeric_gather,
+    whole_text_gather,
+)
 
 SMALL = Hyperparams(
     epochs=3, layers=2, hidden_units=4, learning_rate=0.01,
@@ -58,10 +65,12 @@ def make_sample(rng, numeric_dim=0, text_shape=None, label=1) -> Sample:
     )
 
 
-def prob_of(model, sample: Sample, **kwargs) -> float:
+def prob_of(model, sample: Sample) -> float:
     """Probability of class 1 for one sample: a one-row batched forward."""
-    numeric, text, _ = samples_to_arrays(model, [sample])
-    return float(forward_arrays(model, numeric, text, **kwargs)[0])
+    text = None if sample.text is None else sample.text[None]
+    split = one_step_split(sample.numeric[None], [sample.label], text)
+    numeric, text, _ = samples_to_arrays(model, split)
+    return float(forward_arrays(model, numeric, text)[0])
 
 
 class TestForwardModel:
@@ -113,12 +122,6 @@ class TestForwardModel:
         bad = make_sample(rng, numeric_dim=9)
         with pytest.raises(InvalidArgumentError):
             prob_of(model, bad)
-
-    def test_train_mode_needs_rng(self, rng):
-        model = build_model("numeric_only", "gru", SMALL, numeric_dim=6)
-        sample = make_sample(rng, numeric_dim=6)
-        with pytest.raises(InvalidArgumentError):
-            prob_of(model, sample, train_mode=True)
 
 
 class TestParameterStore:
@@ -299,23 +302,23 @@ class TestBackward:
             np.testing.assert_array_equal(g1[path], g2[path])
 
 
-def synthetic_linear_dataset(rng, n=600, width=6, noise=0.05):
-    """Labels are a noisy linear functional of features in [0, 1]."""
+def synthetic_linear_dataset(rng, n=600, width=6, noise=0.05, text_shape=None):
+    """Labels are a noisy linear functional of features in [0, 1]; split 80/20.
+
+    With ``text_shape``, each row also gets a random (max_len, k) text.
+    """
     w = rng.normal(0, 1, size=width)
     rows = rng.uniform(0, 1, size=(n, width))
     margin = rows @ w - np.median(rows @ w)
     labels = (margin > 0).astype(int)
     flips = rng.random(n) < noise
     labels[flips] = 1 - labels[flips]
-    samples = [
-        Sample(
-            numeric=rows[i], text=None, label=int(labels[i]),
-            ticker="SYN", day=dt.date(2021, 1, 1) + dt.timedelta(days=i), author="gen",
-        )
-        for i in range(n)
-    ]
+    text = None if text_shape is None else rng.normal(0, 0.1, size=(n, *text_shape))
     cut = int(n * 0.8)
-    return samples[:cut], samples[cut:]
+    return tuple(
+        one_step_split(rows[part], labels[part], None if text is None else text[part])
+        for part in (slice(0, cut), slice(cut, n))
+    )
 
 
 class TestTrain:
@@ -374,24 +377,6 @@ class TestTrain:
         correct = int(np.sum((probs >= 0.5).astype(np.float64) == labels))
         assert ckpt.training_log[-1]["valid_accuracy"] == correct / len(te)
 
-    def test_split_and_its_sample_list_train_identically(self, rng):
-        """Training on a built split, which gathers text from the table by
-        token id, and on the list of its row views give the same weights."""
-        bars = weekday_bars(rng, 20)
-        tweets = synthetic_tweets(rng, [b.date for b in bars], 60)
-        cfg = BuildConfig(
-            ticker="AAPL", feature_set=frozenset({"sentiment", "social", "text"}),
-            embedding=EmbeddingTable.hashed(dim=3, seed=2),
-        )
-        result = build_dataset(tweets, bars, cfg)
-        runs = []
-        for tr, te in ((result.train, result.test), (list(result.train), list(result.test))):
-            hyper = Hyperparams(epochs=2, layers=2, hidden_units=4, batch_size=8, seed=3)
-            model = build_model("fused", "lstm", hyper, numeric_dim=9, text_dim=3)
-            ckpt = train(model, tr, te)
-            runs.append((model.theta.tobytes(), ckpt.training_log))
-        assert runs[0] == runs[1]
-
     def test_learns_separable_data(self, rng):
         tr, te = linear_rule_samples(rng, n=600, width=6)
         hyper = Hyperparams(epochs=40, layers=2, hidden_units=14, batch_size=32, seed=9)
@@ -410,6 +395,12 @@ class TestTrain:
                 train(model, tr, te)
         assert excinfo.value.epoch >= 1
         assert "epoch" in str(excinfo.value)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "l2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_rates_must_be_finite_and_non_negative(self, name, value):
+        with pytest.raises(InvalidArgumentError, match=name):
+            Hyperparams(**{name: value})
 
 
 def lookback_split(rng, n, steps=3, own_width=4, text_len=0, text_dim=3) -> Split:
@@ -539,10 +530,9 @@ def gathered_inputs(model, split, rows, n, ws):
     """``training._inputs`` as whole (T, n, M) arrays: every step of a chunk gathered at once."""
     inputs = {}
     if model.text_layers:
-        inputs["text"] = split.gather_text(rows).transpose(1, 0, 2)
+        inputs["text"] = whole_text_gather(split, rows).transpose(1, 0, 2)
     if model.numeric_layers:
-        numeric = split.assemble_numeric(rows).reshape(n, split.steps, split.width)
-        inputs["numeric"] = numeric.transpose(1, 0, 2)
+        inputs["numeric"] = whole_numeric_gather(split, rows).transpose(1, 0, 2)
     return inputs
 
 
@@ -605,7 +595,9 @@ class TestInference:
         split = lookback_split(rng, 40, text_len=5)
         model = step_model("fused", kind, SMALL)
         numeric, text, _ = samples_to_arrays(model, split)
-        cached, _ = model_module._forward_arrays(model, numeric, text, None)
+        cached, _ = model_module._forward_steps(
+            model, model_module._time_major(model, numeric, text), None
+        )
         probs = training.forward_split(model, split, batch_size=16)
         assert probs.tobytes() == cached.tobytes()
 
@@ -615,10 +607,12 @@ class TestInference:
         rng = np.random.default_rng(0)
         split = lookback_split(rng, 512, steps=11, own_width=9)
         model = build_model("numeric_only", "gru", Hyperparams(hidden_units=32), numeric_dim=14)
-        numeric = split.numeric_rows
+        numeric, _, _ = samples_to_arrays(model, split)
         peaks = []
         for forward in (
-            lambda: model_module._forward_arrays(model, numeric, None, None, {}),
+            lambda: model_module._forward_steps(
+                model, model_module._time_major(model, numeric, None), None, {}
+            ),
             lambda: forward_arrays(model, numeric, None, workspace={}),
         ):
             tracemalloc.start()
@@ -637,11 +631,9 @@ class TestCheckpoint:
         return load_checkpoint(path)
 
     def test_save_load_save_byte_identical(self, rng, tmp_path):
-        tr, te = synthetic_linear_dataset(rng, n=40, width=6)
+        tr, te = synthetic_linear_dataset(rng, n=40, width=6, text_shape=(4, 3))
         hyper = Hyperparams(epochs=2, layers=2, hidden_units=4, batch_size=16, seed=2)
         model = build_model("fused", "lstm", hyper, numeric_dim=6, text_dim=3)
-        for s in tr + te:
-            object.__setattr__(s, "text", rng.normal(0, 0.1, size=(4, 3)))
         ckpt = train(model, tr, te)
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
@@ -656,8 +648,33 @@ class TestCheckpoint:
         model = build_model("numeric_only", "gru", hyper, numeric_dim=6)
         ckpt = train(model, tr, te)
         loaded = self.roundtrip(ckpt, tmp_path / "ckpt.json")
-        for sample in te[:5]:
-            assert predict(ckpt, sample) == predict(loaded, sample)
+        for i in range(5):
+            assert predict(ckpt, te[i]) == predict(loaded, te[i])
+
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    @pytest.mark.parametrize("case", ["lookback", "fused_text"])
+    def test_predict_is_a_one_row_forward_split(self, rng, kind, case):
+        """``predict`` on the row view ``split[i]`` gives, bit for bit, the
+        probability of a ``forward_split`` that runs row i alone: over a
+        3-step lookback split and a built split with text."""
+        hyper = Hyperparams(epochs=1, layers=2, hidden_units=4, batch_size=8, seed=3)
+        if case == "lookback":
+            split = lookback_split(rng, 12, steps=3)
+            model = step_model("numeric_only", kind, hyper)
+        else:
+            bars = weekday_bars(rng, 20)
+            cfg = BuildConfig(
+                ticker="AAPL", feature_set=frozenset({"sentiment", "social", "text"}),
+                embedding=EmbeddingTable.hashed(dim=3, seed=2),
+            )
+            split = build_dataset(synthetic_tweets(rng, [b.date for b in bars], 40), bars, cfg).test
+            model = build_model("fused", kind, hyper, numeric_dim=9, text_dim=3)
+        ckpt = Checkpoint(model=model)
+        one_row = training.forward_split(model, split, batch_size=1)
+        for i in range(len(split)):
+            cls, prob = predict(ckpt, split[i])
+            assert np.float64(prob).tobytes() == one_row[i].tobytes()
+            assert cls == int(one_row[i] >= 0.5)
 
     def test_zero_head_predicts_one_at_half(self, rng, tmp_path):
         hyper = Hyperparams(epochs=1, layers=1, hidden_units=3, batch_size=4, seed=0)

@@ -52,10 +52,6 @@ class TestEmbeddingTable:
         table = EmbeddingTable(dim=3, vectors={"stock": np.array([1.0, 2.0, 3.0])})
         np.testing.assert_array_equal(table.lookup("stock"), [1.0, 2.0, 3.0])
 
-    def test_zero_fallback(self):
-        table = EmbeddingTable(dim=4, fallback="zero")
-        np.testing.assert_array_equal(table.lookup("unknown"), np.zeros(4))
-
     def test_hashed_fallback_deterministic(self):
         t1 = EmbeddingTable.hashed(dim=8, seed=3)
         t2 = EmbeddingTable.hashed(dim=8, seed=3)
@@ -88,6 +84,13 @@ class TestEmbeddingTable:
         with pytest.raises(SchemaError, match="line 2"):
             EmbeddingTable.from_text_file(str(p))
 
+    @pytest.mark.parametrize("component", ["nan", "inf", "-Infinity", "1e999"])
+    def test_text_file_non_finite_component_rejected(self, tmp_path, component):
+        p = tmp_path / "emb.txt"
+        p.write_text(f"stock 0.1 0.2\nmarket 0.3 {component}\n")
+        with pytest.raises(SchemaError, match=r"emb\.txt: line 2: .*not finite"):
+            EmbeddingTable.from_text_file(str(p))
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("\n")
@@ -96,7 +99,7 @@ class TestEmbeddingTable:
 
 
 class TestEmbedSequence:
-    table = EmbeddingTable(dim=2, vectors={"stock": np.array([1.0, -1.0])}, fallback="zero")
+    table = EmbeddingTable(dim=2, vectors={"stock": np.array([1.0, -1.0])})
 
     def test_empty_sequence_full_padding(self):
         matrix = embed_sequence([], self.table, max_len=4)

@@ -22,7 +22,13 @@ from hypothesis import strategies as st
 
 import tmfusion.dataset as dataset_module
 from tmfusion.artifacts import source_digest, write_tmds
-from tmfusion.dataset import BuildConfig, TweetColumns, build_dataset, read_tweets
+from tmfusion.dataset import (
+    TRAIN_FRACTION,
+    BuildConfig,
+    TweetColumns,
+    build_dataset,
+    read_tweets,
+)
 from tmfusion.errors import InvalidArgumentError, JoinError, SchemaError
 from tmfusion.indicators import market_feature_matrix
 from tmfusion.inputs import (
@@ -106,12 +112,14 @@ def test_column_build_matches_per_tweet_replay(corpus):
             with pytest.raises(JoinError):
                 build_dataset(tweets, bars, cfg)
             return
-        if int(len(expected) * cfg.train_fraction) == 0:
+        if int(len(expected) * TRAIN_FRACTION) == 0:
             with pytest.raises(InvalidArgumentError, match="train split is empty"):
                 build_dataset(tweets, bars, cfg)
             return
         result = build_dataset(tweets, bars, cfg)
-    raw = np.concatenate([result.train.numeric_rows, result.test.numeric_rows])
+    raw = np.concatenate(
+        [s.numeric_steps(slice(None)).stacked() for s in (result.train, result.test)]
+    )
     assert raw.tobytes() == expected.tobytes()
 
     dates = [b.date for b in bars]
