@@ -183,7 +183,7 @@ def _architecture(header: dict) -> str:
     return "numeric_only"
 
 
-def _fresh_model(cfg: RunConfig, header: dict, hyper: Hyperparams, literal: bool):
+def _fresh_model(cfg: RunConfig, header: dict, hyper: Hyperparams):
     from .rnn import build_model
 
     return build_model(
@@ -192,7 +192,6 @@ def _fresh_model(cfg: RunConfig, header: dict, hyper: Hyperparams, literal: bool
         hyper,
         numeric_dim=header["numeric_width"],
         text_dim=header["embedding_dim"] if "text" in header["flags"] else 0,
-        literal_forms=literal,
     )
 
 
@@ -214,7 +213,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         rows = []
         for size in BATCH_SWEEP_SIZES:
             hyper = dataclasses.replace(cfg.hyperparams, batch_size=size)
-            model = _fresh_model(cfg, ds.header, hyper, args.paper_literal)
+            model = _fresh_model(cfg, ds.header, hyper)
             ckpt = train(model, ds.train, ds.test, meta=meta)
             last = ckpt.training_log[-1]
             rows.append(
@@ -239,7 +238,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(f"sweep: wrote {len(rows)} rows to {sweep_path}")
         return 0
 
-    model = _fresh_model(cfg, ds.header, cfg.hyperparams, args.paper_literal)
+    model = _fresh_model(cfg, ds.header, cfg.hyperparams)
     ckpt = train(model, ds.train, ds.test, meta=meta)
     save_checkpoint(ckpt, cfg.out_dir / CHECKPOINT_NAME)
     last = ckpt.training_log[-1]
@@ -380,11 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--lenient", action="store_true",
         help="skip malformed input lines with a diagnostic instead of failing",
-    )
-    shared.add_argument(
-        "--paper-literal", action="store_true",
-        help="use the alternate literal cell forms (bias added outside the "
-             "activation, sigmoid candidate in the gated-update cell)",
     )
     shared.add_argument(
         "--sweep-batch", action="store_true",

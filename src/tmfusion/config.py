@@ -23,6 +23,9 @@ FEATURE_FLAGS = ("market", "social", "sentiment", "credibility", "text")
 
 BB_SCALAR_MODES = ("percent_b", "bandwidth", "middle")
 
+#: The bar prices a label may compare from one day to the next.
+LABEL_FIELDS = ("close", "open", "adj_close")
+
 BATCH_SWEEP_SIZES = (128, 256, 512, 1024, 2048, 4096)
 
 
@@ -60,8 +63,9 @@ class IndicatorConfig:
             raise InvalidArgumentError("cci_period must be >= 2")
         if self.bb_period < 2:
             raise InvalidArgumentError("bb_period must be >= 2")
-        if not self.bb_sigma_mult > 0:
-            raise InvalidArgumentError("bb_sigma_mult must be > 0")
+        # NaN fails every comparison, so the range test refuses it too
+        if not 0 < self.bb_sigma_mult < float("inf"):
+            raise InvalidArgumentError("bb_sigma_mult must be finite and > 0")
         if self.bb_scalar_mode not in BB_SCALAR_MODES:
             raise InvalidArgumentError(f"bb_scalar_mode must be one of {BB_SCALAR_MODES}")
 
@@ -166,17 +170,25 @@ def load_run_config(path: str, seed_override: int | None = None,
                     out_override: str | None = None) -> RunConfig:
     """Parse and validate the run config; referenced input paths must exist.
 
-    Unknown keys, mistyped values at any level and the non-standard JSON
-    constants ``NaN``, ``Infinity`` and ``-Infinity`` raise ``SchemaError``.
-    Relative paths resolve against the config file's directory.
+    Unknown keys, mistyped values at any level, the non-standard JSON
+    constants ``NaN``, ``Infinity`` and ``-Infinity``, numbers past the
+    float64 range and values that no stage could run with raise
+    ``SchemaError``. Relative paths resolve against the config file's
+    directory.
     """
     cfg_path = Path(path)
 
     def refuse(constant: str):
         raise SchemaError(f"{path}: {constant} is not a JSON number; values must be finite")
 
+    def finite(number: str) -> float:
+        value = float(number)
+        if abs(value) == float("inf"):
+            raise SchemaError(f"{path}: {number} is past the float64 range; values must be finite")
+        return value
+
     try:
-        obj = json.loads(read_text(cfg_path), parse_constant=refuse)
+        obj = json.loads(read_text(cfg_path), parse_constant=refuse, parse_float=finite)
     except FileNotFoundError:
         raise InvalidArgumentError(f"config file {path} does not exist")
     except json.JSONDecodeError as exc:
@@ -224,20 +236,30 @@ def load_run_config(path: str, seed_override: int | None = None,
     feature_set = obj.get("feature_set", ["market", "social", "sentiment"])
     if not all(isinstance(flag, str) for flag in feature_set):
         raise SchemaError(f"{path}: feature_set must be a list of strings")
+    feature_set = normalize_feature_set(feature_set)
+    label_field = obj.get("label_field", "close")
+    if label_field not in LABEL_FIELDS:
+        raise SchemaError(f"{path}: label_field must be one of {LABEL_FIELDS}, got {label_field!r}")
+    lookback = obj.get("market_lookback", 0)
+    if lookback < 0 or (lookback > 0 and "market" not in feature_set):
+        raise SchemaError(f"{path}: market_lookback must be >= 0, and 0 without the market block")
+    embedding_dim = obj.get("embedding_dim", 50)
+    if "text" in feature_set and embedding_dim < 1:
+        raise SchemaError(f"{path}: embedding_dim must be >= 1 with the text block")
 
     cfg = RunConfig(
         ticker=ticker,
         ohlcv_csv=ohlcv,
         tweets_jsonl=tweets,
         out_dir=out_dir,
-        feature_set=normalize_feature_set(feature_set),
-        label_field=obj.get("label_field", "close"),
+        feature_set=feature_set,
+        label_field=label_field,
         cell=cell,
         embedding_path=resolve(paths.get("embedding")),
         lexicon_path=resolve(paths.get("lexicon")),
         stopwords_path=resolve(paths.get("stopwords")),
-        embedding_dim=obj.get("embedding_dim", 50),
-        market_lookback=obj.get("market_lookback", 0),
+        embedding_dim=embedding_dim,
+        market_lookback=lookback,
         indicators=IndicatorConfig(**indicator_kwargs),
         hyperparams=Hyperparams(**hyper_kwargs),
         seed=seed,

@@ -171,7 +171,9 @@ def apply_normalizer(
         )
     degenerate = state.degenerate
     out = np.subtract(rows, state.mins, out=out)
-    out /= np.where(degenerate, 1.0, state.maxs - state.mins)
+    # over a subnormal range a far value's quotient overflows; it clamps to 1
+    with np.errstate(over="ignore"):
+        out /= np.where(degenerate, 1.0, state.maxs - state.mins)
     out[..., degenerate] = 0.5
     return np.clip(out, 0.0, 1.0, out=out)
 

@@ -12,7 +12,6 @@ concurrently.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,13 +31,11 @@ class IndicatorSeries:
     """An indicator aligned to its input series.
 
     ``values`` holds NaN for the first ``warmup_len`` entries and finite
-    floats everywhere after; ``dates`` is carried when the source series
-    had calendar dates attached.
+    floats everywhere after.
     """
 
     values: np.ndarray
     warmup_len: int
-    dates: tuple[dt.date, ...] | None = None
 
     def __post_init__(self) -> None:
         v = self.values
@@ -53,9 +50,6 @@ class IndicatorSeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-    def defined(self, i: int) -> bool:
-        return self.warmup_len <= i < self.values.size
 
 
 def _as_series(series: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -161,7 +155,7 @@ def cci(bars: Sequence[OhlcvBar], p: int) -> IndicatorSeries:
     vals = np.where(dev == 0, 0.0, num / (0.015 * np.where(dev == 0, 1.0, dev)))
     out = np.full(tp.size, np.nan)
     out[p - 1 :] = vals
-    return IndicatorSeries(out, p - 1, dates=tuple(b.date for b in bars))
+    return IndicatorSeries(out, p - 1)
 
 
 def bollinger(
@@ -193,16 +187,6 @@ def bollinger(
     )
 
 
-def _bb_scalar(mode: str, close: float, ub: float, mb: float, lb: float) -> float:
-    if mode == "percent_b":
-        if ub == lb:
-            return 0.5
-        return (close - lb) / (ub - lb)
-    if mode == "bandwidth":
-        return (ub - lb) / mb
-    return mb  # middle
-
-
 def market_feature_matrix(
     bars: Sequence[OhlcvBar], cfg: IndicatorConfig
 ) -> tuple[np.ndarray, int]:
@@ -215,22 +199,20 @@ def market_feature_matrix(
         raise InvalidArgumentError(
             f"need more than {cfg.warmup} bars for the configured indicators, got {len(bars)}"
         )
-    closes = np.array([b.close for b in bars])
-    rsi_s = rsi(closes, cfg.rsi_period)
-    macd_s = macd(closes, cfg.macd_fast, cfg.macd_slow)
-    cci_s = cci(bars, cfg.cci_period)
-    ma_s = sma(closes, cfg.ma_period)
-    ub, mb, lb = bollinger(closes, cfg.bb_period, cfg.bb_sigma_mult)
-
-    n = len(bars)
-    out = np.full((n, 5), np.nan)
     first = cfg.warmup
-    for i in range(first, n):
-        out[i, 0] = rsi_s.values[i]
-        out[i, 1] = macd_s.values[i]
-        out[i, 2] = cci_s.values[i]
-        out[i, 3] = _bb_scalar(
-            cfg.bb_scalar_mode, closes[i], ub.values[i], mb.values[i], lb.values[i]
-        )
-        out[i, 4] = ma_s.values[i]
+    closes = np.array([b.close for b in bars])
+    ub, mb, lb = (s.values[first:] for s in bollinger(closes, cfg.bb_period, cfg.bb_sigma_mult))
+    if cfg.bb_scalar_mode == "percent_b":
+        # where a flat window's bands meet, %B is the midpoint
+        bb = np.divide(closes[first:] - lb, ub - lb, out=np.full(ub.size, 0.5), where=ub != lb)
+    elif cfg.bb_scalar_mode == "bandwidth":
+        bb = (ub - lb) / mb
+    else:
+        bb = mb
+    out = np.full((len(bars), 5), np.nan)
+    out[first:, 0] = rsi(closes, cfg.rsi_period).values[first:]
+    out[first:, 1] = macd(closes, cfg.macd_fast, cfg.macd_slow).values[first:]
+    out[first:, 2] = cci(bars, cfg.cci_period).values[first:]
+    out[first:, 3] = bb
+    out[first:, 4] = sma(closes, cfg.ma_period).values[first:]
     return out, first

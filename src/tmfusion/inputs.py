@@ -25,14 +25,13 @@ from pathlib import Path
 from typing import Iterator
 
 from .artifacts import read_text, write_tmds
+from .config import LABEL_FIELDS
 from .errors import Diagnostic, InvalidArgumentError, SchemaError
 
 OHLCV_COLUMNS = ("Date", "Open", "High", "Low", "Close", "Adj Close")
 
 #: Accepted CSV date formats, tried in order.
 _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%Y")
-
-LABEL_FIELDS = ("close", "open", "adj_close")
 
 _REQUIRED_TWEET_FIELDS = ("id", "username", "timestamp", "text", "ticker")
 _REQUIRED_TWEET_KEYS = frozenset(_REQUIRED_TWEET_FIELDS)

@@ -5,8 +5,9 @@ interface: inputs are (T, B, M) sequences, hidden sequences (T, B, N) and
 initial states (B, N). An input is an array or a step source
 (``dataset.Steps``): the kernels read only its ``shape`` and each (B, M)
 step ``xs[t]`` right after indexing it, so a source may fill one buffer
-per step. The independently-recurrent cell couples each hidden unit only
-to itself through an elementwise recurrent vector; the simple cell uses a
+per step. Each kind has one formulation. The independently-recurrent cell
+couples each hidden unit only to itself through an elementwise recurrent
+vector, ``h_t = sigmoid(W x_t + u * h_{t-1} + b)``; the simple cell uses a
 full recurrent matrix; the gated cells follow their standard gate algebra
 with a sigmoid-gated forget/input/output (and tanh candidates).
 
@@ -40,10 +41,6 @@ every step allocates its caches once instead of faulting fresh pages in
 on each step. The next call with the same dict overwrites its buffers, so
 outputs, caches and input gradients stay valid only until then. Without
 ``ws`` every array is a fresh ``np.empty``; the arithmetic is the same.
-
-``literal_forms`` switches two alternate formulations: the independently
-recurrent cell adds its bias outside the activation instead of inside,
-and the gated-update candidate uses a sigmoid instead of tanh.
 
 Recurrent dropout is a per-sequence multiplicative (B, N) mask on the
 hidden-to-hidden path (the direct carry path of the gated-update cell is
@@ -162,14 +159,12 @@ class CellParams:
         kind: str,
         input_dim: int,
         hidden_dim: int,
-        literal_forms: bool = False,
         theta: np.ndarray | None = None,
         grad: np.ndarray | None = None,
     ) -> None:
         shapes = block_shapes(kind, input_dim, hidden_dim)
         size = param_size(kind, input_dim, hidden_dim)
         self.kind, self.input_dim, self.hidden_dim = kind, input_dim, hidden_dim
-        self.literal_forms = literal_forms
         self.theta = _flat_buffer(theta, size, "theta")
         self.grad = _flat_buffer(grad, size, "grad")
         self.blocks = dict(zip(shapes, carve(self.theta, shapes.values())))
@@ -255,9 +250,9 @@ def forward(
     any; the output and the cache then live in its buffers.
     ``keep_gates=False`` is for a forward that no backward follows: the
     buffers of the gates and of the other per-step values a backward reads
-    (the LSTM's cell states, the literal-form activations) then hold one
-    step, which every step reuses, and the cache cannot be passed to
-    ``backward``. The hidden sequence and the outputs are the same.
+    (the LSTM's cell states) then hold one step, which every step reuses,
+    and the cache cannot be passed to ``backward``. The hidden sequence and
+    the outputs are the same.
     """
     if xs.ndim != 3 or xs.shape[2] != p.input_dim:
         raise InvalidArgumentError(f"expected inputs (T, B, {p.input_dim}), got {xs.shape}")
@@ -294,19 +289,13 @@ def _forward_indrnn(p, cache, ws, gate_steps):
     W, u, b = p.W, p.U[:, None], p.b[:, None]
     xs, mask = cache["xs"], cache["mask"]
     hs = workspace_array(ws, "hs", (xs.shape[0], p.hidden_dim, xs.shape[1]))
-    # activation outputs: the hidden states, or apart from them in literal mode
-    ss = workspace_array(ws, "ss", (gate_steps, *hs.shape[1:])) if p.literal_forms else hs
     h_prev = cache["h0"]
     for t in range(xs.shape[0]):
-        s = np.matmul(W, xs[t].T, out=ss[t % len(ss)])
-        s += _dropped(h_prev, mask) * u
-        if p.literal_forms:
-            sigmoid(s, out=s)
-            h_prev = np.add(s, b, out=hs[t])
-        else:
-            s += b
-            h_prev = sigmoid(s, out=s)
-    cache.update(hs=hs, ss=ss)
+        h = np.matmul(W, xs[t].T, out=hs[t])
+        h += _dropped(h_prev, mask) * u
+        h += b
+        h_prev = sigmoid(h, out=h)
+    cache["hs"] = hs
 
 
 def _forward_lstm(p, cache, ws, gate_steps):
@@ -354,7 +343,7 @@ def _forward_gru(p, cache, ws, gate_steps):
         sigmoid(zr, out=zr)
         z, r, c = a.reshape(3, n, batch)
         c += np.matmul(U_h, r * hd, out=rec[:n])
-        (sigmoid if p.literal_forms else np.tanh)(c, out=c)
+        np.tanh(c, out=c)
         # interpolation h_prev + z * (c - h_prev) carries the undropped state
         h = np.subtract(c, h_prev, out=hs[t])
         h *= z
@@ -426,16 +415,12 @@ def _backward_simple(p, cache, dhs, d_xs, ws):
 
 def _backward_indrnn(p, cache, dhs, d_xs, ws):
     W, u, dW, du, db = p.W, p.U[:, None], p.dW, p.dU, p.db
-    xs, ss, mask = cache["xs"], cache["ss"], cache["mask"]
+    xs, hs, mask = cache["xs"], cache["hs"], cache["mask"]
     carry = 0.0
     for t in range(xs.shape[0] - 1, -1, -1):
         dh = dhs[t] + carry
-        if p.literal_forms:
-            db += dh.sum(axis=1)
-            dpre = dh * ss[t] * (1.0 - ss[t])
-        else:
-            dpre = dh * ss[t] * (1.0 - ss[t])
-            db += dpre.sum(axis=1)
+        dpre = dh * hs[t] * (1.0 - hs[t])
+        db += dpre.sum(axis=1)
         dW += dpre @ xs[t]
         du += (dpre * _dropped(_prev(cache, "h", t), mask)).sum(axis=1)
         if d_xs is not None:
@@ -484,7 +469,7 @@ def _backward_gru(p, cache, dhs, d_xs, ws):
         hd = _dropped(h_prev, mask)
         dh = dhs[t] + carry
         np.multiply(dh * (c - h_prev), z * (1.0 - z), out=daz)
-        np.multiply(dh * z, c * (1.0 - c) if p.literal_forms else 1.0 - c * c, out=dac)
+        np.multiply(dh * z, 1.0 - c * c, out=dac)
         d_rhd = U_h.T @ dac
         np.multiply(d_rhd * hd, r * (1.0 - r), out=dar)
         dhd = d_rhd * r + U_zr.T @ da_zr

@@ -87,7 +87,7 @@ class Checkpoint:
             "schema_version": CHECKPOINT_VERSION,
             "architecture": self.model.architecture,
             "cell_kind": self.model.cell_kind,
-            "literal_forms": self.model.literal_forms,
+            "literal_forms": False,
             "hyperparams": dataclasses.asdict(self.model.hyper),
             "dims": _dims(self.model),
             "weights": {path: _encode_array(arr) for path, arr in self.model.params()},
@@ -124,7 +124,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"{where}: dims {dims} and hyperparams describe {param_count(*shape)} weights, "
             f"more than the file holds"
         )
-    model = ModelSpec(*shape, literal_forms=obj["literal_forms"])
+    if obj["literal_forms"]:
+        raise SchemaError(f"{where}: literal_forms is true; that cell form is gone, retrain the model")
+    model = ModelSpec(*shape)
     if _dims(model) != dims:
         raise SchemaError(
             f"{where}: dims {dims} do not match a {model.architecture} model, "

@@ -93,7 +93,6 @@ class ModelSpec:
     hyper: Hyperparams
     text_dim: int = 0
     numeric_dim: int = 0
-    literal_forms: bool = False
 
     def __post_init__(self) -> None:
         inputs = _branch_inputs(self.architecture, self.text_dim, self.numeric_dim)
@@ -109,8 +108,7 @@ class ModelSpec:
             for _ in range(self.hyper.layers):
                 span = slice(offset, offset + param_size(self.cell_kind, m, hidden))
                 layers[branch].append(CellParams(
-                    self.cell_kind, m, hidden, self.literal_forms,
-                    self.theta[span], self.grad[span],
+                    self.cell_kind, m, hidden, self.theta[span], self.grad[span]
                 ))
                 offset, m = span.stop, hidden
         self.text_layers, self.numeric_layers = layers["text"], layers["numeric"]
@@ -149,17 +147,13 @@ def build_model(
     hyper: Hyperparams,
     numeric_dim: int = 0,
     text_dim: int = 0,
-    literal_forms: bool = False,
 ) -> ModelSpec:
     """Freshly initialized model; identical seeds give identical weights.
 
     The draws run layer by layer (text branch first, each layer's blocks in
     canonical order), then the head's weights; the head bias starts at 0.
     """
-    model = ModelSpec(
-        architecture, cell_kind, hyper, text_dim=text_dim, numeric_dim=numeric_dim,
-        literal_forms=literal_forms,
-    )
+    model = ModelSpec(architecture, cell_kind, hyper, text_dim=text_dim, numeric_dim=numeric_dim)
     init_rng, _ = rng_streams(hyper.seed)
     for _, layers in model.branches():
         for layer in layers:

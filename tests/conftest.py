@@ -219,12 +219,11 @@ def assert_same_columns(got, expected) -> None:
             assert x == y, field.name
 
 
-def cell_with_blocks(kind: str, input_dim: int, hidden_dim: int, blocks: dict,
-                     literal: bool = False):
+def cell_with_blocks(kind: str, input_dim: int, hidden_dim: int, blocks: dict):
     """A standalone cell whose per-gate blocks hold copies of ``blocks``."""
     from tmfusion.rnn.cells import CellParams
 
-    cell = CellParams(kind, input_dim, hidden_dim, literal)
+    cell = CellParams(kind, input_dim, hidden_dim)
     for name, view in cell.blocks.items():
         view[...] = blocks[name]
     return cell

@@ -8,11 +8,17 @@ probabilities on it in ``golden_checkpoint_probs.json``.
 
 The committed files were written by the code of checkpoint format version 1
 as it stood before the parameters moved into one flat vector. Rerunning
-this script overwrites them with what the current code writes, which makes
-the golden test compare the code with itself; do that only on a deliberate
-format change. Run it from the repository root:
+this script overwrites them with what the current code writes. Run it from
+the repository root:
 
     PYTHONPATH=src:. python3 tests/data/make_golden_checkpoints.py
+
+The CI workflow (``.github/workflows/tests.yml``, step "Training reproduces
+the golden checkpoints") runs it and fails on any diff under ``tests/data``,
+so it pins training, not only loading, for all four cell kinds. A rerun
+without a diff is what a deliberate format change breaks: only then commit
+the rewritten files, since the golden test then compares the code with
+itself.
 """
 
 from __future__ import annotations

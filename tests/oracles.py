@@ -179,7 +179,7 @@ def _sig(x: float) -> float:
     return e / (1.0 + e)
 
 
-def indrnn_oracle(W, u, b, xs, h0=None, literal=False) -> list[list[float]]:
+def indrnn_oracle(W, u, b, xs, h0=None) -> list[list[float]]:
     """Per-neuron scalar recurrence of the independently recurrent cell."""
     n = len(u)
     m = len(xs[0])
@@ -189,10 +189,7 @@ def indrnn_oracle(W, u, b, xs, h0=None, literal=False) -> list[list[float]]:
         h = []
         for j in range(n):
             pre = sum(W[j][k] * x[k] for k in range(m)) + u[j] * h_prev[j]
-            if literal:
-                h.append(_sig(pre) + b[j])
-            else:
-                h.append(_sig(pre + b[j]))
+            h.append(_sig(pre + b[j]))
         out.append(h)
         h_prev = h
     return out
@@ -249,13 +246,12 @@ def lstm_oracle(blocks, xs, h0=None, q0=None) -> tuple[list[list[float]], list[l
     return hs, qs
 
 
-def gru_oracle(blocks, xs, h0=None, literal=False) -> list[list[float]]:
-    """Scalar recurrence of the gated-update cell (tanh or sigmoid candidate)."""
+def gru_oracle(blocks, xs, h0=None) -> list[list[float]]:
+    """Scalar recurrence of the gated-update cell (tanh candidate)."""
     n = len(blocks["b_z"])
     m = len(xs[0])
     h_prev = list(h0) if h0 is not None else [0.0] * n
     out = []
-    candidate = _sig if literal else math.tanh
     for x in xs:
         z, r = [], []
         for j in range(n):
@@ -278,7 +274,7 @@ def gru_oracle(blocks, xs, h0=None, literal=False) -> list[list[float]]:
                 + sum(blocks["U_h"][j][k] * r[k] * h_prev[k] for k in range(n))
                 + blocks["b_h"][j]
             )
-            h.append((1.0 - z[j]) * h_prev[j] + z[j] * candidate(ac))
+            h.append((1.0 - z[j]) * h_prev[j] + z[j] * math.tanh(ac))
         out.append(h)
         h_prev = h
     return out

@@ -446,9 +446,11 @@ class TestReport:
 class TestCliContract:
     def test_unknown_flag_fatal(self, run_dir):
         cfg = run_dir / "config.json"
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli("ingest", "--config", str(cfg), "--bogus")
-        assert excinfo.value.code == 2
+        # the literal cell forms and their flag are gone
+        for argv in (("ingest", "--bogus"), ("train", "--paper-literal")):
+            with pytest.raises(SystemExit) as excinfo:
+                run_cli(argv[0], "--config", str(cfg), *argv[1:])
+            assert excinfo.value.code == 2, argv
 
     def test_help_documents_flags(self, capsys):
         for command in ("ingest", "features", "train", "evaluate", "report"):
@@ -456,7 +458,7 @@ class TestCliContract:
                 run_cli(command, "--help")
             assert excinfo.value.code == 0
             out = capsys.readouterr().out
-            for flag in ("--config", "--seed", "--out", "--lenient", "--paper-literal", "--sweep-batch"):
+            for flag in ("--config", "--seed", "--out", "--lenient", "--sweep-batch"):
                 assert flag in out, (command, flag)
 
     def test_missing_config_file(self, tmp_path):
@@ -636,14 +638,21 @@ class TestCliContract:
             ({"hyperparams": {**FAST_HYPERS, "seed": 3}}, "hyperparams.seed"),
             ({"hyperparams": {**FAST_HYPERS, "learning_rate": math.nan}}, "NaN"),
             ({"hyperparams": {**FAST_HYPERS, "l2": math.inf}}, "Infinity"),
+            # written as the bare literal 1e999, which json.dumps cannot emit
+            ({"indicators": {**SMALL_INDICATORS, "bb_sigma_mult": "1e999"}}, "1e999"),
+            ({"label_field": "volume"}, "label_field"),
+            ({"market_lookback": -1}, "market_lookback"),
+            ({"feature_set": ["sentiment", "text"], "embedding_dim": 0}, "embedding_dim"),
+            ({"feature_set": ["social", "sentiment"], "market_lookback": 2}, "market_lookback"),
         ],
     )
     def test_config_schema_errors_exit_1(self, run_dir, capsys, overrides, named):
         cfg = write_config(run_dir, **overrides)
+        cfg.write_text(cfg.read_text().replace('"1e999"', "1e999"))
         assert run_cli("ingest", "--config", str(cfg)) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert named in err
+        assert named in err and str(cfg) in err
 
     def test_non_finite_embedding_component_exits_1_before_writing(self, run_dir, capsys):
         """An embedding file with a nan component fails ``features`` with a
@@ -667,13 +676,3 @@ class TestCliContract:
         assert run_cli("ingest", "--config", str(cfg)) == 1
         cfg = write_config(tmp_path, feature_set=["volume"])
         assert run_cli("ingest", "--config", str(cfg)) == 1
-
-    def test_paper_literal_changes_checkpoint(self, run_dir):
-        cfg = prepare_dataset(run_dir)
-        assert run_cli("train", "--config", str(cfg)) == 0
-        default_hash = hashlib.sha256((run_dir / "out" / "checkpoint.json").read_bytes()).hexdigest()
-        assert run_cli("train", "--config", str(cfg), "--paper-literal") == 0
-        literal = load_checkpoint(run_dir / "out" / "checkpoint.json")
-        assert literal.model.literal_forms
-        literal_hash = hashlib.sha256((run_dir / "out" / "checkpoint.json").read_bytes()).hexdigest()
-        assert literal_hash != default_hash

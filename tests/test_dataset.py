@@ -146,6 +146,11 @@ class TestNormalizer:
         state = NormalizerState(np.array([2.0]), np.array([6.0]))
         assert apply_normalizer(state, np.array([8.0]))[0] == 1.0
         assert apply_normalizer(state, np.array([-1.0]))[0] == 0.0
+        # over a subnormal range a far value's quotient overflows, and clamps quietly
+        tiny = NormalizerState(np.array([0.0]), np.array([5e-324]))
+        with np.errstate(all="raise"):
+            out = apply_normalizer(tiny, np.array([[1e4], [-1e4]]))
+        np.testing.assert_array_equal(out, [[1.0], [0.0]])
 
     def test_degenerate_maps_to_half(self):
         state = NormalizerState(np.array([3.0]), np.array([3.0]))

@@ -11,7 +11,16 @@ from hypothesis import strategies as st
 
 from tmfusion.config import IndicatorConfig
 from tmfusion.errors import InvalidArgumentError, NotReadyError, SchemaError, TmfusionError
-from tmfusion.indicators import IndicatorSeries, bollinger, cci, ema, macd, rsi, sma
+from tmfusion.indicators import (
+    IndicatorSeries,
+    bollinger,
+    cci,
+    ema,
+    macd,
+    market_feature_matrix,
+    rsi,
+    sma,
+)
 from tmfusion.inputs import OhlcvBar, _parse_date, load_ohlcv_csv
 
 from .conftest import DATA_DIR, constant_bars, random_bars, random_walk
@@ -275,20 +284,31 @@ class TestMarketFeatureVector:
             market_feature_vector(bars, bars[20].date, self.CFG)
 
     def test_bb_scalar_modes(self, rng):
+        """Every row, in every mode, is the per-bar composition of the
+        standalone indicators, bit for bit, across a flat stretch where the
+        Bollinger bands meet."""
         bars = random_bars(rng, 80)
+        # 25 bars at one price: the 20-bar bands meet on the last 6 of them
+        bars[40:65] = [OhlcvBar(b.date, 50.0, 50.0, 50.0, 50.0, 50.0) for b in bars[40:65]]
         closes = np.array([b.close for b in bars])
-        ub, mb, lb = bollinger(closes, 20, 2.0)
-        t = bars[-1].date
-        bandwidth = market_feature_vector(
-            bars, t, IndicatorConfig(bb_scalar_mode="bandwidth")
-        )[3]
-        middle = market_feature_vector(
-            bars, t, IndicatorConfig(bb_scalar_mode="middle")
-        )[3]
-        assert bandwidth == pytest.approx(
-            (ub.values[-1] - lb.values[-1]) / mb.values[-1], abs=1e-12
+        ub, mb, lb = (s.values for s in bollinger(closes, 20, 2.0))
+        rsi_v, macd_v, cci_v, ma_v = (
+            rsi(closes, 27).values, macd(closes, 12, 26).values, cci(bars, 20).values,
+            sma(closes, 10).values,
         )
-        assert middle == pytest.approx(mb.values[-1], abs=1e-12)
+        assert np.sum(ub[27:] == lb[27:]) == 6
+        rules = {
+            "percent_b": lambda i: 0.5 if ub[i] == lb[i] else (closes[i] - lb[i]) / (ub[i] - lb[i]),
+            "bandwidth": lambda i: (ub[i] - lb[i]) / mb[i],
+            "middle": lambda i: mb[i],
+        }
+        for mode, bb in rules.items():
+            with np.errstate(all="raise"):
+                matrix, first = market_feature_matrix(bars, IndicatorConfig(bb_scalar_mode=mode))
+            expected = np.full((80, 5), np.nan)
+            for i in range(first, 80):
+                expected[i] = [rsi_v[i], macd_v[i], cci_v[i], bb(i), ma_v[i]]
+            assert first == 27 and matrix.tobytes() == expected.tobytes(), mode
 
 
 class TestIndicatorConfig:
@@ -308,6 +328,7 @@ class TestIndicatorConfig:
             {"bb_period": 1},
             {"bb_sigma_mult": 0.0},
             {"bb_scalar_mode": "nonsense"},
+            {"bb_sigma_mult": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

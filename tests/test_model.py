@@ -731,6 +731,7 @@ class TestCheckpoint:
             if key != "schema_version":
                 wrong = "x" if not isinstance(value, str) else 1
                 rejected(lambda b, key=key, wrong=wrong: b.update({key: wrong}), key)
+        rejected(lambda b: b.update(literal_forms=True), "literal_forms.*retrain")
         rejected(lambda b: b["hyperparams"].update(dropuot=0.1), "dropuot")
         rejected(lambda b: b["hyperparams"].update(epochs="1"), "epochs")
         rejected(lambda b: b["dims"].pop("numeric_layers"), "numeric_layers")

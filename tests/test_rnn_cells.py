@@ -15,15 +15,15 @@ from .conftest import cell_with_blocks
 from .oracles import gru_oracle, indrnn_oracle, lstm_oracle, simple_rnn_oracle
 
 
-def random_cell(kind: str, rng, m=3, n=4, literal=False) -> CellParams:
+def random_cell(kind: str, rng, m=3, n=4) -> CellParams:
     blocks = {}
     for name, shape in block_shapes(kind, m, n).items():
         blocks[name] = rng.uniform(-0.8, 0.8, shape)
-    return cell_with_blocks(kind, m, n, blocks, literal)
+    return cell_with_blocks(kind, m, n, blocks)
 
 
-def zero_cell(kind: str, m=3, n=4, literal=False) -> CellParams:
-    return CellParams(kind, m, n, literal)
+def zero_cell(kind: str, m=3, n=4) -> CellParams:
+    return CellParams(kind, m, n)
 
 
 def run_one(p: CellParams, xs, h0=None, q0=None):
@@ -62,16 +62,6 @@ class TestIndrnnForward:
         oracle = indrnn_oracle(
             p.blocks["W"].tolist(), p.blocks["u"].tolist(), p.blocks["b"].tolist(),
             xs.tolist(), h0.tolist(),
-        )
-        np.testing.assert_allclose(hs, oracle, atol=1e-12)
-
-    def test_literal_bias_outside(self, rng):
-        p = random_cell("indrnn", rng, literal=True)
-        xs = rng.normal(0, 1, size=(5, 3))
-        hs, _ = run_one(p, xs)
-        oracle = indrnn_oracle(
-            p.blocks["W"].tolist(), p.blocks["u"].tolist(), p.blocks["b"].tolist(),
-            xs.tolist(), None, literal=True,
         )
         np.testing.assert_allclose(hs, oracle, atol=1e-12)
 
@@ -159,17 +149,6 @@ class TestGruForward:
             hs, gru_oracle(blocks, xs.tolist(), h0.tolist()), atol=1e-12
         )
 
-    def test_literal_candidate_uses_sigmoid(self, rng):
-        p = random_cell("gru", rng, literal=True)
-        xs = rng.normal(0, 1, size=(5, 3))
-        hs, _ = run_one(p, xs)
-        blocks = {k: v.tolist() for k, v in p.blocks.items()}
-        np.testing.assert_allclose(
-            hs, gru_oracle(blocks, xs.tolist(), None, literal=True), atol=1e-12
-        )
-        default, _ = run_one(CellParams(p.kind, 3, 4, theta=p.theta), xs)
-        assert not np.allclose(hs, default)
-
 
 class TestSimpleForward:
     def test_matches_scalar_oracle(self, rng):
@@ -214,25 +193,23 @@ def assert_backward_matches_finite_differences(p: CellParams, xs, coeffs, rec_ma
             numeric = (up - down) / (2 * eps)
             analytic = analytic_arr.reshape(-1)[idx]
             denom = max(abs(numeric), abs(analytic), 1e-8)
-            label = f"{p.kind}(literal={p.literal_forms}).{name}[{idx}]"
+            label = f"{p.kind}.{name}[{idx}]"
             assert abs(numeric - analytic) / denom < 1e-4, label
 
 
 @pytest.mark.parametrize("kind", ["simple", "indrnn", "lstm", "gru"])
-@pytest.mark.parametrize("literal", [False, True])
-def test_cell_backward_matches_finite_differences(rng, kind, literal):
-    p = random_cell(kind, rng, m=3, n=4, literal=literal)
+def test_cell_backward_matches_finite_differences(rng, kind):
+    p = random_cell(kind, rng, m=3, n=4)
     xs = rng.normal(0, 1, size=(5, 2, 3))  # T=5, B=2
     coeffs = rng.normal(0, 1, size=(5, 2, 4))
     assert_backward_matches_finite_differences(p, xs, coeffs)
 
 
 @pytest.mark.parametrize("kind", ["simple", "indrnn", "lstm", "gru"])
-@pytest.mark.parametrize("literal", [False, True])
-def test_cell_backward_from_nonzero_initial_state(rng, kind, literal):
+def test_cell_backward_from_nonzero_initial_state(rng, kind):
     """The (B, N) initial states enter the feature-major kernels transposed;
     B != N makes a transposition mistake fail on shape or on value."""
-    p = random_cell(kind, rng, m=3, n=4, literal=literal)
+    p = random_cell(kind, rng, m=3, n=4)
     xs = rng.normal(0, 1, size=(4, 3, 3))  # T=4, B=3
     coeffs = rng.normal(0, 1, size=(4, 3, 4))
     states = {"h0": rng.normal(0, 0.5, size=(3, 4))}
@@ -249,20 +226,18 @@ def test_cell_backward_from_nonzero_initial_state(rng, kind, literal):
 def test_cell_backward_with_recurrent_mask(rng):
     """Dropout on the hidden-to-hidden path must be differentiated through."""
     for kind in CELL_KINDS:
-        for literal in (False, True):
-            p = random_cell(kind, rng, m=3, n=4, literal=literal)
-            xs = rng.normal(0, 1, size=(4, 2, 3))
-            coeffs = rng.normal(0, 1, size=(4, 2, 4))
-            mask = (rng.random((2, 4)) < 0.5).astype(np.float64) / 0.5
-            assert_backward_matches_finite_differences(p, xs, coeffs, rec_mask=mask)
+        p = random_cell(kind, rng, m=3, n=4)
+        xs = rng.normal(0, 1, size=(4, 2, 3))
+        coeffs = rng.normal(0, 1, size=(4, 2, 4))
+        mask = (rng.random((2, 4)) < 0.5).astype(np.float64) / 0.5
+        assert_backward_matches_finite_differences(p, xs, coeffs, rec_mask=mask)
 
 
 @pytest.mark.parametrize("kind", CELL_KINDS)
-@pytest.mark.parametrize("literal", [False, True])
-def test_cell_backward_without_input_grad(rng, kind, literal):
+def test_cell_backward_without_input_grad(rng, kind):
     """Skipping the input gradient leaves the weight gradient bit-identical
     and allocates no input-gradient buffer."""
-    p = random_cell(kind, rng, m=3, n=4, literal=literal)
+    p = random_cell(kind, rng, m=3, n=4)
     xs = rng.normal(0, 1, size=(5, 2, 3))
     coeffs = rng.normal(0, 1, size=(5, 2, 4))
     mask = (rng.random((2, 4)) < 0.5).astype(np.float64) / 0.5
@@ -278,18 +253,17 @@ def test_cell_backward_without_input_grad(rng, kind, literal):
 
 
 @pytest.mark.parametrize("kind", CELL_KINDS)
-@pytest.mark.parametrize("literal", [False, True])
-def test_forward_without_gate_caches(rng, kind, literal):
+def test_forward_without_gate_caches(rng, kind):
     """A forward that no backward follows gives the same hidden sequence,
     bit for bit, with one step of gate buffers instead of T."""
-    p = random_cell(kind, rng, m=3, n=4, literal=literal)
+    p = random_cell(kind, rng, m=3, n=4)
     xs = rng.normal(0, 1, size=(6, 5, 3))
     mask = (rng.random((5, 4)) < 0.5).astype(np.float64) / 0.5
     full, _ = cell_forward(p, xs, rec_mask=mask)
     for ws in (None, {}):
         hs, _ = cell_forward(p, xs, rec_mask=mask, ws=ws, keep_gates=False)
         assert hs.tobytes() == full.tobytes()
-    one_step = {"simple": {"hs": 6}, "indrnn": {"hs": 6, "ss": 1} if literal else {"hs": 6},
+    one_step = {"simple": {"hs": 6}, "indrnn": {"hs": 6},
                 "lstm": {"hs": 6, "acts": 4, "qs": 1, "tqs": 1, "rec": 4},
                 "gru": {"hs": 6, "acts": 3, "rec": 2}}[kind]
     # buffer sizes in hidden-sequence steps of (N, B) = (4, 5)
@@ -348,10 +322,6 @@ def test_hidden_states_bounded(rng):
         else:
             hs, _ = cell_forward(p, xs[:, None, :])
             assert np.all(hs > 0.0) and np.all(hs < 1.0)
-    literal = random_cell("indrnn", rng, m=3, n=4, literal=True)
-    hs, _ = run_one(literal, rng.normal(0, 10, size=(30, 3)))
-    bias = literal.blocks["b"]
-    assert np.all(hs > bias[None, :]) and np.all(hs < bias[None, :] + 1.0)
 
 
 def test_init_shapes_and_ranges(rng):
