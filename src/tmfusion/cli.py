@@ -339,17 +339,17 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise InvalidArgumentError(f"no report at {report_path}; run the evaluate subcommand first")
     try:
         obj = json.loads(read_text(report_path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise SchemaError(f"{report_path}: not valid JSON: {exc}") from exc
-    checked_object(obj, _REPORT_TYPES, str(report_path), required=_REPORT_TYPES)
+    checked_object(obj, _REPORT_TYPES, f"{report_path}: ", required=_REPORT_TYPES)
     print(f"ticker: {obj['ticker']}")
     for level in ("tweet_level", "daily_level"):
         block = obj[level]
         if block is None:
             continue
-        where = f"{report_path}: {level}"
+        where = f"{report_path}: {level}."
         checked_object(block, _LEVEL_TYPES, where, required=_LEVEL_TYPES)
-        c = checked_object(block["counts"], _COUNTS_TYPES, f"{where}.counts",
+        c = checked_object(block["counts"], _COUNTS_TYPES, f"{where}counts.",
                            required=_COUNTS_TYPES)
         print(
             f"{level}: accuracy {block['accuracy']:.4f} precision {block['precision']:.4f} "

@@ -1,9 +1,10 @@
 """The run config: its schema, its validated form and the parameter records it holds.
 
-Nothing here imports numpy, so a stage that only reads files, and a config
-error, start and finish without it. The records here (indicator periods,
-network hyperparameters, feature flags) are the ones the numeric modules
-take as arguments; they validate their own ranges on construction.
+``CONFIG_KEYS`` is the one place to add a config key: its JSON types and
+allowed values, written once. The loader, the records here (indicator
+periods, network hyperparameters), the checkpoint reader and the library's
+argument checks all check values against it. Nothing here imports numpy, so
+a stage that only reads files, and a config error, start and finish without it.
 """
 
 from __future__ import annotations
@@ -14,29 +15,94 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .artifacts import read_text
-from .errors import InvalidArgumentError, SchemaError, checked_object, field_types
-
-CELL_CHOICES = ("indrnn", "lstm", "gru", "simple")
+from .errors import InvalidArgumentError, Rule, SchemaError, TmfusionError, checked_object
 
 #: Numeric feature blocks in concatenation order, then the text matrix.
 FEATURE_FLAGS = ("market", "social", "sentiment", "credibility", "text")
 
-BB_SCALAR_MODES = ("percent_b", "bandwidth", "middle")
-
-#: The bar prices a label may compare from one day to the next.
-LABEL_FIELDS = ("close", "open", "adj_close")
-
 BATCH_SWEEP_SIZES = (128, 256, 512, 1024, 2048, 4096)
 
 
-def normalize_feature_set(flags) -> frozenset[str]:
-    fs = frozenset(flags)
-    if not fs:
-        raise InvalidArgumentError("feature set must be nonempty")
-    unknown = fs - set(FEATURE_FLAGS)
-    if unknown:
-        raise InvalidArgumentError(f"unknown feature flags {sorted(unknown)}")
+def _ints(low: int, high: int = 2**63 - 1) -> Rule:
+    return Rule((int,), f"an integer in [{low}, {high}]", lambda v: low <= v <= high)
+
+
+def _one_of(choices: tuple[str, ...]) -> Rule:
+    return Rule((str,), f"one of {choices}", lambda v: v in choices)
+
+
+# NaN fails every comparison, so each number test refuses it too
+_FINITE_NON_NEGATIVE = Rule((int, float), "a finite number >= 0", lambda v: 0 <= v < float("inf"))
+_FRACTION = Rule((int, float), "a number in [0, 1)", lambda v: 0 <= v < 1)
+_SEED = _ints(0)
+_PATH = (str, type(None))
+
+#: Every config key: its JSON types and allowed values, or a section's table.
+#: README.md's "Config file" table lists the same facts with the defaults.
+#: The keys that size arrays have upper bounds, so that a config within them
+#: asks only for arrays numpy can address (not that they fit in memory).
+CONFIG_KEYS = {
+    "ticker": (str,),
+    "paths": {"ohlcv_csv": (str,), "tweets_jsonl": (str,),
+              "embedding": _PATH, "lexicon": _PATH, "stopwords": _PATH},
+    "out_dir": (str,),
+    "feature_set": Rule((list,), f"a nonempty list of names from {FEATURE_FLAGS}",
+                        lambda v: bool(v) and all(flag in FEATURE_FLAGS for flag in v)),
+    # the bar price a label compares from one day to the next
+    "label_field": _one_of(("close", "open", "adj_close")),
+    "cell": _one_of(("indrnn", "lstm", "gru", "simple")),
+    "embedding_dim": _ints(1, 1024),
+    "market_lookback": _ints(0, 1024),
+    "seed": _SEED,
+    "indicators": {
+        "ma_period": _ints(1),
+        "rsi_period": _ints(2),
+        "macd_fast": _ints(1),
+        "macd_slow": _ints(2),
+        "cci_period": _ints(2),
+        "bb_period": _ints(2),
+        "bb_sigma_mult": Rule((int, float), "a finite number > 0", lambda v: 0 < v < float("inf")),
+        "bb_scalar_mode": _one_of(("percent_b", "bandwidth", "middle")),
+    },
+    "hyperparams": {
+        "epochs": _ints(1),
+        "layers": _ints(1, 8),
+        "hidden_units": _ints(1, 1024),
+        "learning_rate": _FINITE_NON_NEGATIVE,
+        "activation": _one_of(("sigmoid",)),
+        "recurrent_dropout": _FRACTION,
+        "dropout": _FRACTION,
+        "l2": _FINITE_NON_NEGATIVE,
+        "batch_size": _ints(1),
+        "momentum": _FRACTION,
+        # a checkpoint records the seed here; a config sets it at the top level
+        "seed": _SEED,
+    },
+}
+
+
+def checked_value(key: str, value):
+    """``value`` once top-level config key ``key`` allows it, else ``InvalidArgumentError``."""
+    return checked_object({key: value}, {key: CONFIG_KEYS[key]}, "", error=InvalidArgumentError)[key]
+
+
+def feature_blocks(flags, market_lookback: int, embedding_dim: int) -> frozenset[str]:
+    """The flags as a set, once each block they turn on can be built: a market
+    lookback needs the market block, and the text block an embedding."""
+    fs = frozenset(checked_value("feature_set", list(flags)))
+    if market_lookback > 0 and "market" not in fs:
+        raise InvalidArgumentError("market_lookback above 0 needs the market block")
+    if "text" in fs and embedding_dim < 1:
+        raise InvalidArgumentError("the text block needs an embedding of embedding_dim >= 1")
     return fs
+
+
+def _check_record(record, section: str) -> None:
+    """Check a frozen record's fields against ``CONFIG_KEYS[section]``, storing each as converted."""
+    fields = checked_object(vars(record), CONFIG_KEYS[section], f"{section}.",
+                            error=InvalidArgumentError)
+    for key, value in fields.items():
+        object.__setattr__(record, key, value)
 
 
 @dataclass(frozen=True)
@@ -53,21 +119,9 @@ class IndicatorConfig:
     bb_scalar_mode: str = "percent_b"
 
     def __post_init__(self) -> None:
-        if self.ma_period < 1:
-            raise InvalidArgumentError("ma_period must be >= 1")
-        if self.rsi_period < 2:
-            raise InvalidArgumentError("rsi_period must be >= 2")
-        if self.macd_fast < 1 or self.macd_fast >= self.macd_slow:
-            raise InvalidArgumentError("macd_fast must satisfy 1 <= fast < slow")
-        if self.cci_period < 2:
-            raise InvalidArgumentError("cci_period must be >= 2")
-        if self.bb_period < 2:
-            raise InvalidArgumentError("bb_period must be >= 2")
-        # NaN fails every comparison, so the range test refuses it too
-        if not 0 < self.bb_sigma_mult < float("inf"):
-            raise InvalidArgumentError("bb_sigma_mult must be finite and > 0")
-        if self.bb_scalar_mode not in BB_SCALAR_MODES:
-            raise InvalidArgumentError(f"bb_scalar_mode must be one of {BB_SCALAR_MODES}")
+        _check_record(self, "indicators")
+        if self.macd_fast >= self.macd_slow:
+            raise InvalidArgumentError("indicators.macd_fast must be below indicators.macd_slow")
 
     @property
     def warmup(self) -> int:
@@ -96,19 +150,7 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.layers < 1 or self.hidden_units < 1:
-            raise InvalidArgumentError("epochs, layers, hidden_units must be >= 1")
-        # NaN fails every comparison, so the range test refuses it too
-        if not all(0 <= v < float("inf") for v in (self.learning_rate, self.l2)):
-            raise InvalidArgumentError("learning_rate and l2 must be finite and >= 0")
-        if not (0.0 <= self.dropout < 1.0 and 0.0 <= self.recurrent_dropout < 1.0):
-            raise InvalidArgumentError("dropout rates must be in [0, 1)")
-        if self.batch_size < 1:
-            raise InvalidArgumentError("batch_size must be >= 1")
-        if not (0.0 <= self.momentum < 1.0):
-            raise InvalidArgumentError("momentum must be in [0, 1)")
-        if self.activation != "sigmoid":
-            raise InvalidArgumentError("only the sigmoid activation is supported")
+        _check_record(self, "hyperparams")
 
 
 @dataclass
@@ -146,133 +188,66 @@ class RunConfig:
         }
 
 
-#: The JSON types each config value may take, key by key; no other key is accepted.
-_CONFIG_TYPES = {
-    "ticker": (str,),
-    "paths": (dict,),
-    "out_dir": (str,),
-    "feature_set": (list,),
-    "label_field": (str,),
-    "cell": (str,),
-    "embedding_dim": (int,),
-    "market_lookback": (int,),
-    "seed": (int,),
-    "indicators": (dict,),
-    "hyperparams": (dict,),
-}
-_PATH_TYPES = {
-    key: (str, type(None))
-    for key in ("ohlcv_csv", "tweets_jsonl", "embedding", "lexicon", "stopwords")
-}
-
-
 def load_run_config(path: str, seed_override: int | None = None,
                     out_override: str | None = None) -> RunConfig:
-    """Parse and validate the run config; referenced input paths must exist.
+    """Parse and validate the run config; referenced input paths must be files.
 
-    Unknown keys, mistyped values at any level, the non-standard JSON
-    constants ``NaN``, ``Infinity`` and ``-Infinity``, numbers past the
-    float64 range and values that no stage could run with raise
-    ``SchemaError``. Relative paths resolve against the config file's
-    directory.
+    Each value must pass its entry of ``CONFIG_KEYS``, and ``--seed`` the
+    ``seed`` entry; ``NaN``, ``Infinity`` and numbers past the float64 range
+    are refused at parsing. A failure names the file and the dotted key.
+    Relative paths resolve against the config file's directory.
     """
     cfg_path = Path(path)
-
-    def refuse(constant: str):
-        raise SchemaError(f"{path}: {constant} is not a JSON number; values must be finite")
+    base = cfg_path.parent
 
     def finite(number: str) -> float:
         value = float(number)
-        if abs(value) == float("inf"):
-            raise SchemaError(f"{path}: {number} is past the float64 range; values must be finite")
+        if not -float("inf") < value < float("inf"):
+            raise SchemaError(f"{path}: {number} is not a finite JSON number; values must be finite")
         return value
 
     try:
-        obj = json.loads(read_text(cfg_path), parse_constant=refuse, parse_float=finite)
+        obj = json.loads(read_text(cfg_path), parse_constant=finite, parse_float=finite)
     except FileNotFoundError:
         raise InvalidArgumentError(f"config file {path} does not exist")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-
-    base = cfg_path.parent
-
-    def resolve(p: str | None) -> Path | None:
-        if p is None:
-            return None
-        candidate = Path(p)
-        return candidate if candidate.is_absolute() else base / candidate
-
-    checked_object(obj, _CONFIG_TYPES, str(path))
-    paths = checked_object(obj.get("paths", {}), _PATH_TYPES, f"{path}: paths")
-    try:
-        ticker = obj["ticker"]
-        ohlcv = resolve(paths["ohlcv_csv"])
-        tweets = resolve(paths["tweets_jsonl"])
-    except KeyError as exc:
-        raise SchemaError(f"{path}: missing required config key {exc}") from exc
-
-    overrides: dict = {}
-    seed = obj.get("seed", 0)
     if seed_override is not None:
-        overrides["seed"] = seed_override
-        seed = seed_override
-    out_dir = resolve(obj.get("out_dir", "out"))
-    if out_override is not None:
-        overrides["out"] = out_override
-        out_dir = Path(out_override)
+        checked_object({"seed": seed_override}, {"seed": _SEED}, "--", error=InvalidArgumentError)
 
-    hyper_kwargs = dict(
-        checked_object(obj.get("hyperparams", {}), field_types(Hyperparams), f"{path}: hyperparams")
-    )
-    if "seed" in hyper_kwargs:
-        raise SchemaError(f"{path}: hyperparams.seed is not accepted; set the top-level seed")
-    hyper_kwargs["seed"] = seed
-    indicator_kwargs = checked_object(
-        obj.get("indicators", {}), field_types(IndicatorConfig), f"{path}: indicators"
-    )
-    cell = obj.get("cell", "indrnn")
-    if cell not in CELL_CHOICES:
-        raise SchemaError(f"{path}: cell must be one of {CELL_CHOICES}")
-    feature_set = obj.get("feature_set", ["market", "social", "sentiment"])
-    if not all(isinstance(flag, str) for flag in feature_set):
-        raise SchemaError(f"{path}: feature_set must be a list of strings")
-    feature_set = normalize_feature_set(feature_set)
-    label_field = obj.get("label_field", "close")
-    if label_field not in LABEL_FIELDS:
-        raise SchemaError(f"{path}: label_field must be one of {LABEL_FIELDS}, got {label_field!r}")
-    lookback = obj.get("market_lookback", 0)
-    if lookback < 0 or (lookback > 0 and "market" not in feature_set):
-        raise SchemaError(f"{path}: market_lookback must be >= 0, and 0 without the market block")
-    embedding_dim = obj.get("embedding_dim", 50)
-    if "text" in feature_set and embedding_dim < 1:
-        raise SchemaError(f"{path}: embedding_dim must be >= 1 with the text block")
+    try:
+        obj = checked_object(obj, CONFIG_KEYS, "", required=("ticker", "paths"))
+        # joined to an absolute path, the config's directory drops out
+        files = {name: base / p for name, p in obj["paths"].items() if p is not None}
+        if not {"ohlcv_csv", "tweets_jsonl"} <= files.keys():
+            raise SchemaError("paths.ohlcv_csv and paths.tweets_jsonl are required")
+        if "seed" in obj.get("hyperparams", {}):
+            raise SchemaError("hyperparams.seed is not accepted; set the top-level seed")
+        seed = obj.get("seed", 0) if seed_override is None else seed_override
+        out_dir = base / obj.get("out_dir", "out") if out_override is None else Path(out_override)
+        scalars = {key: obj[key] for key in ("label_field", "cell", "embedding_dim",
+                                             "market_lookback") if key in obj}
+        cfg = RunConfig(
+            ticker=obj["ticker"],
+            ohlcv_csv=files["ohlcv_csv"],
+            tweets_jsonl=files["tweets_jsonl"],
+            out_dir=out_dir,
+            feature_set=frozenset(obj.get("feature_set", ["market", "social", "sentiment"])),
+            embedding_path=files.get("embedding"),
+            lexicon_path=files.get("lexicon"),
+            stopwords_path=files.get("stopwords"),
+            indicators=IndicatorConfig(**obj.get("indicators", {})),
+            hyperparams=Hyperparams(**obj.get("hyperparams", {}), seed=seed),
+            seed=seed,
+            overrides={key: value for key, value in (("seed", seed_override), ("out", out_override))
+                       if value is not None},
+            **scalars,
+        )
+        feature_blocks(cfg.feature_set, cfg.market_lookback, cfg.embedding_dim)
+    except TmfusionError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
-    cfg = RunConfig(
-        ticker=ticker,
-        ohlcv_csv=ohlcv,
-        tweets_jsonl=tweets,
-        out_dir=out_dir,
-        feature_set=feature_set,
-        label_field=label_field,
-        cell=cell,
-        embedding_path=resolve(paths.get("embedding")),
-        lexicon_path=resolve(paths.get("lexicon")),
-        stopwords_path=resolve(paths.get("stopwords")),
-        embedding_dim=embedding_dim,
-        market_lookback=lookback,
-        indicators=IndicatorConfig(**indicator_kwargs),
-        hyperparams=Hyperparams(**hyper_kwargs),
-        seed=seed,
-        overrides=overrides,
-    )
-
-    for name, p in (
-        ("ohlcv_csv", cfg.ohlcv_csv),
-        ("tweets_jsonl", cfg.tweets_jsonl),
-        ("embedding", cfg.embedding_path),
-        ("lexicon", cfg.lexicon_path),
-        ("stopwords", cfg.stopwords_path),
-    ):
-        if p is not None and not p.exists():
-            raise InvalidArgumentError(f"configured {name} path {p} does not exist")
+    for name, p in files.items():
+        if not p.is_file():
+            raise InvalidArgumentError(f"configured {name} path {p} does not exist or is not a file")
     return cfg

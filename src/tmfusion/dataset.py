@@ -48,7 +48,7 @@ from .artifacts import (
     write_json,
     write_tmds,
 )
-from .config import FEATURE_FLAGS, IndicatorConfig, normalize_feature_set
+from .config import FEATURE_FLAGS, IndicatorConfig, checked_value, feature_blocks
 from .errors import AssemblyError, InvalidArgumentError, JoinError, SchemaError, checked_object
 from .indicators import market_feature_matrix
 from .inputs import (
@@ -447,13 +447,9 @@ class BuildConfig:
     market_lookback: int = 0
 
     def __post_init__(self) -> None:
-        self.feature_set = normalize_feature_set(self.feature_set)
-        if "text" in self.feature_set and self.embedding is None:
-            raise InvalidArgumentError("text feature demands an embedding table")
-        if self.market_lookback < 0:
-            raise InvalidArgumentError("market_lookback must be >= 0")
-        if self.market_lookback > 0 and "market" not in self.feature_set:
-            raise InvalidArgumentError("market_lookback demands the market block")
+        self.market_lookback = checked_value("market_lookback", self.market_lookback)
+        embedding_dim = self.embedding.dim if self.embedding is not None else 0
+        self.feature_set = feature_blocks(self.feature_set, self.market_lookback, embedding_dim)
 
 
 @dataclass
@@ -923,7 +919,7 @@ def _read_header(
         raise SchemaError(f"{path}: header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("schema_hash") != digest:
         raise SchemaError(f"{path}: schema hash mismatch")
-    checked_object(header, types, f"{path}: header", required=types)
+    checked_object(header, types, f"{path}: header.", required=types)
     for key, value in header.items():
         if (type(value) is int and value < 0) or (
             type(value) is list and not all(type(v) is str for v in value)

@@ -1,10 +1,10 @@
 """Exception types, line-level ingest diagnostics and the JSON-object check
-shared across the package."""
+shared across the package, with the ``Rule`` a checked key may carry."""
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 
 class TmfusionError(Exception):
@@ -54,35 +54,53 @@ class Diagnostic:
         return f"line {self.line}: {self.message}"
 
 
-#: JSON types for the annotated field types of the config dataclasses.
-_FIELD_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+class Rule(NamedTuple):
+    """A key's JSON types, and the values it allows: those ``test`` holds for, as ``allowed`` says."""
+
+    types: tuple[type, ...]
+    allowed: str
+    test: Callable[[object], bool]
 
 
-def field_types(cls) -> dict[str, tuple[type, ...]]:
-    """The JSON types each field of dataclass ``cls`` may take, keyed by field name."""
-    return {f.name: _FIELD_JSON_TYPES[f.type] for f in dataclasses.fields(cls)}
+def checked_object(obj, table: dict, where: str, required=(), error=SchemaError) -> dict:
+    """A copy of ``obj`` once it is a JSON object with known keys, each allowed by ``table``.
 
-
-def checked_object(obj, types: dict, where: str, required=()) -> dict:
-    """``obj`` itself, once it is a JSON object with known, well-typed keys.
-
-    Every key must appear in ``types`` with a value of one of its types (a
-    bool passes only where ``bool`` is listed), and every key in
-    ``required`` must be present; otherwise ``SchemaError`` names the key.
+    An entry of ``table`` is a key's tuple of JSON types, a ``Rule`` or, for
+    a nested object, its table. A bool passes only where ``bool`` is listed.
+    An integer must fit in int64, or if ``float`` is listed, converts to a
+    float. Keys in ``required`` must be present. ``where`` prefixes a key in
+    a message (``"hyperparams."``, ``"<file>: "`` or ``""``), and ``error``
+    is raised.
     """
+    scope = where.rstrip(".: ")
+    at = f"{scope}: " if scope else ""
     if not isinstance(obj, dict):
-        raise SchemaError(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - set(types))
+        raise error(f"{at}not a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(table))
     if unknown:
-        raise SchemaError(f"{where}: unknown keys {unknown}")
+        raise error(f"{at}unknown keys {unknown}")
     missing = [key for key in required if key not in obj]
     if missing:
-        raise SchemaError(f"{where}: missing keys {missing}")
+        raise error(f"{at}missing keys {missing}")
+    checked = {}
     for key, value in obj.items():
-        allowed = types[key]
-        if (isinstance(value, bool) and bool not in allowed) or not isinstance(value, allowed):
-            raise SchemaError(
-                f"{where}: {key} must be {' or '.join(t.__name__ for t in allowed)}, "
-                f"got {value!r}"
-            )
-    return obj
+        rule = table[key]
+        if isinstance(rule, dict):
+            checked[key] = checked_object(value, rule, f"{where}{key}.", error=error)
+            continue
+        types, allowed, test = (
+            rule if isinstance(rule, Rule) else (rule, " or ".join(t.__name__ for t in rule), None)
+        )
+        ok = isinstance(value, types) and (bool in types or not isinstance(value, bool))
+        if ok and type(value) is int:
+            if float in types:
+                try:
+                    value = float(value)
+                except OverflowError:
+                    ok = False
+            else:
+                ok = -(2**63) <= value < 2**63
+        if not ok or (test is not None and not test(value)):
+            raise error(f"{where}{key} must be {allowed}, got {obj[key]!r}")
+        checked[key] = value
+    return checked

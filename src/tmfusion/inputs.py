@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .artifacts import read_text, write_tmds
-from .config import LABEL_FIELDS
+from .config import checked_value
 from .errors import Diagnostic, InvalidArgumentError, SchemaError
 
 OHLCV_COLUMNS = ("Date", "Open", "High", "Low", "Close", "Adj Close")
@@ -176,8 +176,7 @@ def label_bars(bars: list[OhlcvBar], label_field: str = "close") -> list[Labeled
     Equality counts as 1 (not a drop). The final bar has no successor and is
     dropped, so the result is one shorter than the input.
     """
-    if label_field not in LABEL_FIELDS:
-        raise InvalidArgumentError(f"label_field must be one of {LABEL_FIELDS}")
+    checked_value("label_field", label_field)
     if len(bars) < 2:
         raise InvalidArgumentError("need at least 2 bars to label")
     out = []

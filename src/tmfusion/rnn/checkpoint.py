@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from ..artifacts import read_text, write_json
-from ..config import Hyperparams
+from ..config import CONFIG_KEYS, Hyperparams
 from ..dataset import Sample
-from ..errors import SchemaError, checked_object, field_types
+from ..errors import SchemaError, TmfusionError, checked_object
 from .model import ModelSpec, forward_arrays, param_count
 
 CHECKPOINT_VERSION = 1
@@ -53,7 +53,7 @@ def _decode_into(view: np.ndarray, weights: dict, name: str, where: str) -> None
     where = f"{where}: weights.{name}"
     if name not in weights:
         raise SchemaError(f"{where} is missing")
-    obj = checked_object(weights[name], _ARRAY_TYPES, where, required=_ARRAY_TYPES)
+    obj = checked_object(weights[name], _ARRAY_TYPES, f"{where}.", required=_ARRAY_TYPES)
     if obj["shape"] != list(view.shape):
         raise SchemaError(f"{where} has shape {obj['shape']}, expected {list(view.shape)}")
     try:
@@ -104,17 +104,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     text = read_text(path)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     version = obj.get("schema_version") if isinstance(obj, dict) else None
     if version != CHECKPOINT_VERSION:
         raise SchemaError(f"{path}: unsupported checkpoint schema_version {version!r}")
     where = str(path)
-    checked_object(obj, _CHECKPOINT_TYPES, where, required=_CHECKPOINT_TYPES)
-    checked_object(obj["dims"], _DIMS_TYPES, f"{where}: dims", required=_DIMS_TYPES)
-    hyper = Hyperparams(
-        **checked_object(obj["hyperparams"], field_types(Hyperparams), f"{where}: hyperparams")
-    )
+    checked_object(obj, _CHECKPOINT_TYPES, f"{where}: ", required=_CHECKPOINT_TYPES)
+    checked_object(obj["dims"], _DIMS_TYPES, f"{where}: dims.", required=_DIMS_TYPES)
+    try:
+        hyper = Hyperparams(
+            **checked_object(obj["hyperparams"], CONFIG_KEYS["hyperparams"], "hyperparams.")
+        )
+    except TmfusionError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
     dims = obj["dims"]
     shape = (obj["architecture"], obj["cell_kind"], hyper, dims["text_dim"], dims["numeric_dim"])
     # every weight takes more than 8 bytes of base64, so this bounds what

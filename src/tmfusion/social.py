@@ -87,7 +87,7 @@ class LexiconSentimentProvider:
     def from_file(cls, path: str) -> "LexiconSentimentProvider":
         try:
             raw = json.loads(read_text(path))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
         return cls(_parse_lexicon(raw, source=path))
 

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .artifacts import read_text
+from .config import checked_value
 from .errors import InvalidArgumentError, SchemaError
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
@@ -61,8 +62,7 @@ class EmbeddingTable:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise InvalidArgumentError("embedding dimension must be >= 1")
+        checked_value("embedding_dim", self.dim)
         for word, vec in self.vectors.items():
             if vec.shape != (self.dim,):
                 raise InvalidArgumentError(f"vector for {word!r} has shape {vec.shape}")

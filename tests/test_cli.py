@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -30,6 +31,8 @@ SMALL_INDICATORS = {
     "cci_period": 3, "bb_period": 3,
 }
 FAST_HYPERS = {"epochs": 3, "layers": 1, "hidden_units": 4, "batch_size": 16}
+#: An integer past both the int64 and the float64 range.
+BIG_INT = int("9" * 401)
 
 
 def write_corpus(directory: Path, rng, n_tweets=120, n_bars=30) -> tuple[Path, Path]:
@@ -644,6 +647,16 @@ class TestCliContract:
             ({"market_lookback": -1}, "market_lookback"),
             ({"feature_set": ["sentiment", "text"], "embedding_dim": 0}, "embedding_dim"),
             ({"feature_set": ["social", "sentiment"], "market_lookback": 2}, "market_lookback"),
+            ({"seed": -1}, "seed"),
+            ({"indicators": {**SMALL_INDICATORS, "bb_sigma_mult": BIG_INT}}, "indicators.bb_sigma_mult"),
+            ({"hyperparams": {**FAST_HYPERS, "learning_rate": BIG_INT}}, "hyperparams.learning_rate"),
+            ({"hyperparams": {**FAST_HYPERS, "l2": BIG_INT}}, "hyperparams.l2"),
+            ({"market_lookback": BIG_INT}, "market_lookback"),
+            ({"hyperparams": {**FAST_HYPERS, "epochs": BIG_INT}}, "hyperparams.epochs"),
+            ({"hyperparams": {**FAST_HYPERS, "hidden_units": 10**11}}, "hyperparams.hidden_units"),
+            ({"hyperparams": {**FAST_HYPERS, "layers": 10**11}}, "hyperparams.layers"),
+            ({"hyperparams": {**FAST_HYPERS, "momentum": 10**400}}, "hyperparams.momentum"),
+            ({"paths": {"ohlcv_csv": None, "tweets_jsonl": "tweets.jsonl"}}, "paths.ohlcv_csv"),
         ],
     )
     def test_config_schema_errors_exit_1(self, run_dir, capsys, overrides, named):
@@ -653,6 +666,41 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert named in err and str(cfg) in err
+
+    def test_configured_path_that_is_a_directory_exits_1(self, run_dir, capsys):
+        cfg = write_config(run_dir, paths={"ohlcv_csv": ".", "tweets_jsonl": "tweets.jsonl"})
+        assert run_cli("ingest", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "ohlcv_csv" in err and "is not a file" in err and "Traceback" not in err
+
+    def test_negative_seed_flag_exits_1(self, run_dir, capsys):
+        assert run_cli("ingest", "--config", str(run_dir / "config.json"), "--seed", "-1") == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        assert not (run_dir / "out" / "ingest_manifest.json").exists()
+
+    @pytest.mark.parametrize("target, stage", [
+        ("config.json", "ingest"), ("lexicon.json", "features"),
+        ("out/checkpoint.json", "evaluate"), ("out/report.json", "report"),
+    ])
+    def test_integer_of_over_4300_digits_exits_1(self, run_dir, capsys, target, stage):
+        """Python refuses to parse an integer that long; each JSON reader
+        reports it as a SchemaError naming the file, not a traceback."""
+        lexicon = run_dir / "lexicon.json"
+        lexicon.write_text(json.dumps({"surged": {"polarity": 0.8, "subjectivity": 0.5}}))
+        cfg = write_config(run_dir, paths={"ohlcv_csv": "bars.csv", "tweets_jsonl": "tweets.jsonl",
+                                           "lexicon": "lexicon.json"})
+        prepare_dataset(run_dir)
+        assert run_cli("train", "--config", str(cfg)) == 0
+        assert run_cli("evaluate", "--config", str(cfg)) == 0
+        path = run_dir / target
+        # the file's first number becomes an integer of 4301 digits
+        path.write_text(re.sub(r"(:\s*)-?\d[\d.eE+-]*", r"\g<1>" + "9" * 4301, path.read_text(),
+                               count=1))
+        capsys.readouterr()
+        assert run_cli(stage, "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
 
     def test_non_finite_embedding_component_exits_1_before_writing(self, run_dir, capsys):
         """An embedding file with a nan component fails ``features`` with a

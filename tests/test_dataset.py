@@ -611,6 +611,24 @@ class TestBuildDataset:
                 ticker="AAPL", feature_set=frozenset({"sentiment"}), market_lookback=1,
             )
 
+    @pytest.mark.parametrize("build, named", [
+        (lambda: IndicatorConfig(bb_sigma_mult=10**400), "indicators.bb_sigma_mult"),
+        (lambda: IndicatorConfig(ma_period=2**63), "indicators.ma_period"),
+        (lambda: BuildConfig(ticker="AAPL", feature_set={"market"}, market_lookback=2**40),
+         "market_lookback"),
+        (lambda: BuildConfig(ticker="AAPL", feature_set={"text"}), "embedding_dim"),
+        (lambda: EmbeddingTable.hashed(2**40), "embedding_dim"),
+        (lambda: label_bars([], "volume"), "label_field"),
+    ])
+    def test_library_arguments_are_checked_against_the_config_table(self, build, named):
+        """Records and functions that library callers build from config values
+        refuse what the config file refuses, naming the same dotted key."""
+        with pytest.raises(InvalidArgumentError, match=named):
+            build()
+
+    def test_a_float_key_given_an_int_holds_a_float(self):
+        assert type(IndicatorConfig(bb_sigma_mult=3).bb_sigma_mult) is float
+
 
 def _identity(state, rows, out=None):
     return rows
