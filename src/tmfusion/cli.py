@@ -424,7 +424,6 @@ def main(argv: list[str] | None = None) -> int:
         with output_lock(cfg.out_dir):
             return COMMANDS[args.command](cfg, args)
     except TmfusionError as exc:
-        logger.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,6 +20,9 @@ from .errors import InvalidArgumentError, Rule, SchemaError, TmfusionError, chec
 #: Numeric feature blocks in concatenation order, then the text matrix.
 FEATURE_FLAGS = ("market", "social", "sentiment", "credibility", "text")
 
+#: The recurrent cell kinds, for the config, the kernels and the checkpoint reader.
+CELL_KINDS = ("indrnn", "lstm", "gru")
+
 BATCH_SWEEP_SIZES = (128, 256, 512, 1024, 2048, 4096)
 
 
@@ -27,7 +30,7 @@ def _ints(low: int, high: int = 2**63 - 1) -> Rule:
     return Rule((int,), f"an integer in [{low}, {high}]", lambda v: low <= v <= high)
 
 
-def _one_of(choices: tuple[str, ...]) -> Rule:
+def one_of(choices: tuple[str, ...]) -> Rule:
     return Rule((str,), f"one of {choices}", lambda v: v in choices)
 
 
@@ -49,8 +52,8 @@ CONFIG_KEYS = {
     "feature_set": Rule((list,), f"a nonempty list of names from {FEATURE_FLAGS}",
                         lambda v: bool(v) and all(flag in FEATURE_FLAGS for flag in v)),
     # the bar price a label compares from one day to the next
-    "label_field": _one_of(("close", "open", "adj_close")),
-    "cell": _one_of(("indrnn", "lstm", "gru", "simple")),
+    "label_field": one_of(("close", "open", "adj_close")),
+    "cell": one_of(CELL_KINDS),
     "embedding_dim": _ints(1, 1024),
     "market_lookback": _ints(0, 1024),
     "seed": _SEED,
@@ -62,14 +65,14 @@ CONFIG_KEYS = {
         "cci_period": _ints(2),
         "bb_period": _ints(2),
         "bb_sigma_mult": Rule((int, float), "a finite number > 0", lambda v: 0 < v < float("inf")),
-        "bb_scalar_mode": _one_of(("percent_b", "bandwidth", "middle")),
+        "bb_scalar_mode": one_of(("percent_b", "bandwidth", "middle")),
     },
     "hyperparams": {
         "epochs": _ints(1),
         "layers": _ints(1, 8),
         "hidden_units": _ints(1, 1024),
         "learning_rate": _FINITE_NON_NEGATIVE,
-        "activation": _one_of(("sigmoid",)),
+        "activation": one_of(("sigmoid",)),
         "recurrent_dropout": _FRACTION,
         "dropout": _FRACTION,
         "l2": _FINITE_NON_NEGATIVE,

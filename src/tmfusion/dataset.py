@@ -441,7 +441,6 @@ class BuildConfig:
     sentiment_provider: SentimentProvider | None = None
     embedding: EmbeddingTable | None = None
     stopwords: frozenset[str] | None = None
-    max_len_override: int | None = None
     #: > 0 turns each sample's numeric data into a (lookback+1, width)
     #: sequence whose market block walks the preceding trading days.
     market_lookback: int = 0
@@ -472,18 +471,14 @@ def _token_ids(
     """The (X, max_len) token ids of the distinct texts, the table they index, and max_len.
 
     Each distinct text is tokenized once; ``text_id`` maps each sample to
-    its entry of ``texts``. max_len is the longest training sentence unless
-    overridden, and longer sentences are cut to it. The vocabulary is the
-    sorted set of words the cut sentences use; word i of it has id i + 1
-    and table row i + 1, and id 0 pads a sentence at its end.
+    its entry of ``texts``. max_len is the longest training sentence, and
+    longer (test) sentences are cut to it. The vocabulary is the sorted set
+    of words the cut sentences use; word i of it has id i + 1 and table row
+    i + 1, and id 0 pads a sentence at its end.
     """
     tokens = [tokenize_clean(text, stopwords) for text in texts]
-    max_len = cfg.max_len_override
-    if max_len is None:
-        lengths = np.array([len(t) for t in tokens], dtype=np.int64)
-        max_len = int(lengths[text_id[:n_train]].max(initial=0)) or 1
-    if max_len < 1:
-        raise InvalidArgumentError("max_len must be >= 1")
+    lengths = np.array([len(t) for t in tokens], dtype=np.int64)
+    max_len = int(lengths[text_id[:n_train]].max(initial=0)) or 1
     tokens = [t[:max_len] for t in tokens]
     vocab = sorted({word for t in tokens for word in t})
     index = {word: i for i, word in enumerate(vocab, start=1)}

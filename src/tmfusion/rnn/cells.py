@@ -1,20 +1,20 @@
 """Recurrent cells in plain numpy: forward passes and exact backward passes.
 
-Four cell kinds share one parameter container and one batched sequence
+Three cell kinds share one parameter container and one batched sequence
 interface: inputs are (T, B, M) sequences, hidden sequences (T, B, N) and
 initial states (B, N). An input is an array or a step source
 (``dataset.Steps``): the kernels read only its ``shape`` and each (B, M)
 step ``xs[t]`` right after indexing it, so a source may fill one buffer
 per step. Each kind has one formulation. The independently-recurrent cell
 couples each hidden unit only to itself through an elementwise recurrent
-vector, ``h_t = sigmoid(W x_t + u * h_{t-1} + b)``; the simple cell uses a
-full recurrent matrix; the gated cells follow their standard gate algebra
-with a sigmoid-gated forget/input/output (and tanh candidates).
+vector, ``h_t = sigmoid(W x_t + u * h_{t-1} + b)``; the gated cells follow
+their standard gate algebra with a sigmoid-gated forget/input/output (and
+tanh candidates).
 
-Layout. All four cells compute feature-major: a step's pre-activations
+Layout. All three cells compute feature-major: a step's pre-activations
 are ``W @ x_tᵀ + U @ h`` with states shaped (N, B), written into row t of
 a (T, G·N, B) buffer, so each of the G gates is one contiguous (N, B)
-block (G = 1 for the simple and independently recurrent cells; the LSTM
+block (G = 1 for the independently recurrent cell; the LSTM
 stacks f,i,g,o and the GRU z,r,h). The activations are applied in place
 on that buffer, which is the backward cache; previous states are the
 cached sequences shifted by one step, and backward recomputes the dropped
@@ -53,9 +53,8 @@ import math
 
 import numpy as np
 
+from ..config import CELL_KINDS, checked_value  # CELL_KINDS re-exported for callers
 from ..errors import InvalidArgumentError
-
-CELL_KINDS = ("simple", "indrnn", "lstm", "gru")
 
 #: Gate order of the stacked blocks of the gated cells.
 _GATES = {"lstm": "figo", "gru": "zrh"}
@@ -101,17 +100,13 @@ def block_shapes(kind: str, input_dim: int, hidden_dim: int) -> dict[str, tuple[
     also the order their initial values are drawn in.
     """
     m, n = input_dim, hidden_dim
-    if kind == "simple":
-        return {"W": (n, m), "U": (n, n), "b": (n,)}
-    if kind == "indrnn":
+    if checked_value("cell", kind) == "indrnn":
         return {"W": (n, m), "u": (n,), "b": (n,)}
-    if kind in _GATES:
-        return {
-            f"{prefix}_{g}": shape
-            for prefix, shape in (("W", (n, m)), ("U", (n, n)), ("b", (n,)))
-            for g in _GATES[kind]
-        }
-    raise InvalidArgumentError(f"unknown cell kind {kind!r}")
+    return {
+        f"{prefix}_{g}": shape
+        for prefix, shape in (("W", (n, m)), ("U", (n, n)), ("b", (n,)))
+        for g in _GATES[kind]
+    }
 
 
 def param_size(kind: str, input_dim: int, hidden_dim: int) -> int:
@@ -272,19 +267,6 @@ def forward(
 # writes step t into row ``t % gate_steps`` of them.
 
 
-def _forward_simple(p, cache, ws, gate_steps):
-    W, U, b = p.W, p.U, p.b[:, None]
-    xs, mask = cache["xs"], cache["mask"]
-    hs = workspace_array(ws, "hs", (xs.shape[0], p.hidden_dim, xs.shape[1]))
-    h_prev = cache["h0"]
-    for t in range(xs.shape[0]):
-        h = np.matmul(W, xs[t].T, out=hs[t])
-        h += U @ _dropped(h_prev, mask)
-        h += b
-        h_prev = sigmoid(h, out=h)
-    cache["hs"] = hs
-
-
 def _forward_indrnn(p, cache, ws, gate_steps):
     W, u, b = p.W, p.U[:, None], p.b[:, None]
     xs, mask = cache["xs"], cache["mask"]
@@ -352,7 +334,6 @@ def _forward_gru(p, cache, ws, gate_steps):
 
 
 _FORWARD = {
-    "simple": _forward_simple,
     "indrnn": _forward_indrnn,
     "lstm": _forward_lstm,
     "gru": _forward_gru,
@@ -396,21 +377,6 @@ def backward(
         d_xs = workspace_array(ws, "d_xs", (xs.shape[0], p.input_dim, xs.shape[1]))
     _BACKWARD[p.kind](p, cache, dhs, d_xs, ws)
     return None if d_xs is None else d_xs.transpose(0, 2, 1)
-
-
-def _backward_simple(p, cache, dhs, d_xs, ws):
-    W, U, dW, dU, db = p.W, p.U, p.dW, p.dU, p.db
-    xs, hs, mask = cache["xs"], cache["hs"], cache["mask"]
-    carry = 0.0
-    for t in range(xs.shape[0] - 1, -1, -1):
-        dh = dhs[t] + carry
-        dpre = dh * hs[t] * (1.0 - hs[t])
-        dW += dpre @ xs[t]
-        dU += dpre @ _dropped(_prev(cache, "h", t), mask).T
-        db += dpre.sum(axis=1)
-        if d_xs is not None:
-            np.matmul(W.T, dpre, out=d_xs[t])
-        carry = _dropped(U.T @ dpre, mask)
 
 
 def _backward_indrnn(p, cache, dhs, d_xs, ws):
@@ -484,7 +450,6 @@ def _backward_gru(p, cache, dhs, d_xs, ws):
 
 
 _BACKWARD = {
-    "simple": _backward_simple,
     "indrnn": _backward_indrnn,
     "lstm": _backward_lstm,
     "gru": _backward_gru,

@@ -18,18 +18,18 @@ from pathlib import Path
 import numpy as np
 
 from ..artifacts import read_text, write_json
-from ..config import CONFIG_KEYS, Hyperparams
+from ..config import CELL_KINDS, CONFIG_KEYS, Hyperparams, one_of
 from ..dataset import Sample
 from ..errors import SchemaError, TmfusionError, checked_object
-from .model import ModelSpec, forward_arrays, param_count
+from .model import ARCHITECTURES, ModelSpec, forward_arrays, param_count
 
 CHECKPOINT_VERSION = 1
 
-#: The JSON type of each top-level checkpoint key; all of them are required.
+#: The JSON type, or rule, of each top-level checkpoint key; all of them are required.
 _CHECKPOINT_TYPES = {
     "schema_version": (int,),
-    "architecture": (str,),
-    "cell_kind": (str,),
+    "architecture": one_of(ARCHITECTURES),
+    "cell_kind": one_of(CELL_KINDS),
     "literal_forms": (bool,),
     "hyperparams": (dict,),
     "dims": (dict,),

@@ -2,8 +2,9 @@
 
 Three layouts share the machinery: a text branch that consumes word-vector
 rows as timesteps, a numeric branch that consumes the numeric feature
-vector as a single timestep, or both in parallel with their final hidden
-states concatenated into the dense head.
+vector as one timestep (L+1 timesteps under a market lookback of L), or
+both in parallel with their final hidden states concatenated into the
+dense head.
 
 Training-mode forward passes draw inverted-dropout masks from the supplied
 generator in a fixed order (text branch recurrent masks layer by layer,

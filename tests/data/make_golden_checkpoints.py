@@ -15,7 +15,7 @@ the repository root:
 
 The CI workflow (``.github/workflows/tests.yml``, step "Training reproduces
 the golden checkpoints") runs it and fails on any diff under ``tests/data``,
-so it pins training, not only loading, for all four cell kinds. A rerun
+so it pins training, not only loading, for every cell kind. A rerun
 without a diff is what a deliberate format change breaks: only then commit
 the rewritten files, since the golden test then compares the code with
 itself.

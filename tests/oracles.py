@@ -195,25 +195,6 @@ def indrnn_oracle(W, u, b, xs, h0=None) -> list[list[float]]:
     return out
 
 
-def simple_rnn_oracle(W, U, b, xs, h0=None) -> list[list[float]]:
-    n = len(b)
-    m = len(xs[0])
-    h_prev = list(h0) if h0 is not None else [0.0] * n
-    out = []
-    for x in xs:
-        h = []
-        for j in range(n):
-            pre = (
-                sum(W[j][k] * x[k] for k in range(m))
-                + sum(U[j][k] * h_prev[k] for k in range(n))
-                + b[j]
-            )
-            h.append(_sig(pre))
-        out.append(h)
-        h_prev = h
-    return out
-
-
 def lstm_oracle(blocks, xs, h0=None, q0=None) -> tuple[list[list[float]], list[list[float]]]:
     """Gate-by-gate scalar recurrence of the long short-term memory cell."""
     n = len(blocks["b_f"])

@@ -657,15 +657,22 @@ class TestCliContract:
             ({"hyperparams": {**FAST_HYPERS, "layers": 10**11}}, "hyperparams.layers"),
             ({"hyperparams": {**FAST_HYPERS, "momentum": 10**400}}, "hyperparams.momentum"),
             ({"paths": {"ohlcv_csv": None, "tweets_jsonl": "tweets.jsonl"}}, "paths.ohlcv_csv"),
+            ({"cell": "simple"}, "cell must be one of"),
         ],
     )
-    def test_config_schema_errors_exit_1(self, run_dir, capsys, overrides, named):
+    def test_config_schema_errors_exit_1(self, run_dir, overrides, named):
         cfg = write_config(run_dir, **overrides)
         cfg.write_text(cfg.read_text().replace('"1e999"', "1e999"))
-        assert run_cli("ingest", "--config", str(cfg)) == 1
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert named in err and str(cfg) in err
+        # a child process at the default log level, so that stderr holds
+        # everything a user sees
+        env = {k: v for k, v in os.environ.items() if k != "TMF_LOG"}
+        env["PYTHONPATH"] = str(Path(tmfusion.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "tmfusion", "ingest", "--config", str(cfg)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert named in proc.stderr and str(cfg) in proc.stderr
+        assert proc.stderr.count(str(cfg)) == 1, proc.stderr  # printed once, not logged too
 
     def test_configured_path_that_is_a_directory_exits_1(self, run_dir, capsys):
         cfg = write_config(run_dir, paths={"ohlcv_csv": ".", "tweets_jsonl": "tweets.jsonl"})

@@ -284,21 +284,21 @@ class TestAssemble:
     def test_full_feature_width(self, rng):
         result = self.build(
             *small_corpus(rng), FULL_NUMERIC | {"text"},
-            embedding=EmbeddingTable.hashed(dim=4, seed=0), max_len_override=6,
+            embedding=EmbeddingTable.hashed(dim=4, seed=0),
         )
         for s in [*result.train, *result.test]:
             assert s.numeric.shape == (18,)
-            assert s.text is not None and s.text.shape == (6, 4)
+            assert s.text is not None and s.text.shape == (result.max_len, 4)
 
     def test_text_only(self, rng):
         result = self.build(
             *small_corpus(rng), frozenset({"text"}),
-            embedding=EmbeddingTable.hashed(dim=4, seed=0), max_len_override=3,
+            embedding=EmbeddingTable.hashed(dim=4, seed=0),
         )
         assert result.normalizer.width == 0
         for s in [*result.train, *result.test]:
             assert s.numeric.shape == (0,)
-            assert s.text.shape == (3, 4)
+            assert s.text.shape == (result.max_len, 4)
 
     def test_missing_block_named(self, rng):
         tweets, bars = small_corpus(rng)
@@ -334,21 +334,28 @@ class TestAssemble:
         for s, row in zip(samples, raw):
             np.testing.assert_array_equal(s.numeric, apply_normalizer(result.normalizer, row))
 
-    @pytest.mark.parametrize("max_len", [None, 2])
-    def test_text_matches_per_sample_embedding(self, rng, max_len):
+    @pytest.mark.parametrize("long_text_in", ["train", "test"])
+    def test_text_matches_per_sample_embedding(self, rng, long_text_in):
         """Each sample's text, gathered from the table by token id, is bit for
         bit the matrix the per-sample lookup builds: same vectors, same end
-        padding, same cut."""
+        padding, same cut. One sentence of 20 words is longer than the rest:
+        in the training split it sets max_len, in the test split it is cut."""
         tweets, bars = small_corpus(rng)
-        table = EmbeddingTable.hashed(dim=4, seed=0)
-        result = self.build(
-            tweets, bars, frozenset({"text"}), embedding=table, max_len_override=max_len
-        )
         dates = [b.date for b in bars]
         kept = [
             t for t in sorted(tweets, key=lambda t: t.timestamp)
             if 0 <= bisect.bisect_right(dates, t.timestamp.date()) - 1 < len(bars) - 1
         ]
+        long_id = kept[0 if long_text_in == "train" else -1].id
+
+        def lengthen(ts):
+            return [dataclasses.replace(t, text="rally " * 20) if t.id == long_id else t
+                    for t in ts]
+
+        tweets, kept = lengthen(tweets), lengthen(kept)
+        table = EmbeddingTable.hashed(dim=4, seed=0)
+        result = self.build(tweets, bars, frozenset({"text"}), embedding=table)
+        assert (result.max_len == 20) == (long_text_in == "train")
         samples = [*result.train, *result.test]
         assert len(samples) == len(kept)
         assert result.train.table.shape[0] - 1 < len(samples) * result.max_len
@@ -543,27 +550,39 @@ class TestBuildDataset:
             embedding=EmbeddingTable.hashed(dim=3, seed=0),
         )
         result = build_dataset(tweets, bars, cfg)
-        assert result.max_len >= 1
+        # the longest training sentence fills max_len: a padding row is
+        # zeros, and a word vector never is
+        assert max(int(s.text.any(axis=1).sum()) for s in result.train) == result.max_len
+        for s in [*result.train, *result.test]:
+            assert s.text.shape == (result.max_len, 3)
+
+    def test_long_test_sentence_truncates(self, rng):
+        """A test-split sentence longer than every training sentence is cut
+        to max_len: the training split alone sets the width."""
+        bars = weekday_bars(rng, 12)
+        dates = [b.date for b in bars]
+        tweets = synthetic_tweets(rng, dates[:-1], 40)
+        latest = max(tweets, key=lambda t: t.timestamp)
+        tweets = [
+            dataclasses.replace(t, username="long_author", text="rally " * 20) if t is latest else t
+            for t in tweets
+        ]
+        cfg = BuildConfig(
+            ticker="AAPL",
+            feature_set=frozenset({"text"}),
+            embedding=EmbeddingTable.hashed(dim=3, seed=0),
+        )
+        result = build_dataset(tweets, bars, cfg)
+        assert result.max_len == max(int(s.text.any(axis=1).sum()) for s in result.train)
+        assert result.max_len < 20
+        (long_sample,) = [s for s in result.test if s.author == "long_author"]
+        assert long_sample.text.any(axis=1).all()
         for s in [*result.train, *result.test]:
             assert s.text.shape == (result.max_len, 3)
 
     def test_text_flag_requires_embedding(self):
         with pytest.raises(InvalidArgumentError):
             BuildConfig(ticker="AAPL", feature_set=frozenset({"text"}))
-
-    def test_max_len_override_truncates(self, rng):
-        bars = weekday_bars(rng, 12)
-        tweets = synthetic_tweets(rng, [b.date for b in bars], 40)
-        cfg = BuildConfig(
-            ticker="AAPL",
-            feature_set=frozenset({"text"}),
-            embedding=EmbeddingTable.hashed(dim=3, seed=0),
-            max_len_override=2,
-        )
-        result = build_dataset(tweets, bars, cfg)
-        assert result.max_len == 2
-        for s in [*result.train, *result.test]:
-            assert s.text.shape == (2, 3)
 
     def test_empty_feature_set_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -694,10 +713,9 @@ BUILD_FLAGS = st.sets(st.sampled_from(sorted(FULL_NUMERIC | {"text"})), min_size
     seed=st.integers(0, 2**32 - 1),
     flags=BUILD_FLAGS,
     lookback=st.integers(0, 5),
-    max_len=st.sampled_from([None, 1, 3]),
     data=st.data(),
 )
-def test_table_gathers_equal_the_per_sample_oracle(seed, flags, lookback, max_len, data):
+def test_table_gathers_equal_the_per_sample_oracle(seed, flags, lookback, data):
     """Any subset of a split's rows assembles its numeric inputs from the
     day table, the text table and its own columns, and gathers its word
     vectors through its text rows, bit for bit as one sample at a time
@@ -710,7 +728,7 @@ def test_table_gathers_equal_the_per_sample_oracle(seed, flags, lookback, max_le
     tweets, bars = gapped_corpus(np.random.default_rng(seed), data)
     embedding = EmbeddingTable.hashed(dim=2, seed=3)
     cfg = BuildConfig(ticker="AAPL", feature_set=fs, indicators=SMALL_IND, embedding=embedding,
-                      max_len_override=max_len, market_lookback=lookback)
+                      market_lookback=lookback)
     try:
         result = build_dataset(tweets, bars, cfg)
     except (JoinError, InvalidArgumentError):
@@ -1076,7 +1094,7 @@ def tiny_dataset(tmp_path_factory) -> dict:
     tweets = synthetic_tweets(rng, [b.date for b in bars], 8, n_authors=3)
     text_cfg = BuildConfig(
         ticker="AAPL", feature_set=frozenset({"sentiment", "text"}),
-        embedding=EmbeddingTable.hashed(dim=2, seed=0), max_len_override=3,
+        embedding=EmbeddingTable.hashed(dim=2, seed=0),
     )
     bars = weekday_bars(rng, 16)
     lookback_cfg = BuildConfig(

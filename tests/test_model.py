@@ -202,7 +202,7 @@ def finite_difference_check(model, numeric, text, labels, eps=1e-5, tol=1e-4, ba
 
 
 class TestBackward:
-    @pytest.mark.parametrize("kind", ["indrnn", "lstm", "gru", "simple"])
+    @pytest.mark.parametrize("kind", CELL_KINDS)
     def test_gradients_numeric_only(self, rng, kind):
         model = build_model("numeric_only", kind, SMALL, numeric_dim=5)
         numeric = rng.normal(0.5, 0.3, size=(3, 5))
@@ -732,6 +732,8 @@ class TestCheckpoint:
                 wrong = "x" if not isinstance(value, str) else 1
                 rejected(lambda b, key=key, wrong=wrong: b.update({key: wrong}), key)
         rejected(lambda b: b.update(literal_forms=True), "literal_forms.*retrain")
+        rejected(lambda b: b.update(cell_kind="simple"), r"ckpt\.json: cell_kind must be one of")
+        rejected(lambda b: b.update(architecture="bogus"), r"ckpt\.json: architecture must be one of")
         rejected(lambda b: b["hyperparams"].update(dropuot=0.1), "dropuot")
         rejected(lambda b: b["hyperparams"].update(epochs="1"), "epochs")
         rejected(lambda b: b["dims"].pop("numeric_layers"), "numeric_layers")

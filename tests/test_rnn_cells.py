@@ -12,7 +12,7 @@ from tmfusion.rnn.cells import backward as cell_backward
 from tmfusion.rnn.cells import forward as cell_forward
 
 from .conftest import cell_with_blocks
-from .oracles import gru_oracle, indrnn_oracle, lstm_oracle, simple_rnn_oracle
+from .oracles import gru_oracle, indrnn_oracle, lstm_oracle
 
 
 def random_cell(kind: str, rng, m=3, n=4) -> CellParams:
@@ -150,19 +150,6 @@ class TestGruForward:
         )
 
 
-class TestSimpleForward:
-    def test_matches_scalar_oracle(self, rng):
-        p = random_cell("simple", rng)
-        xs = rng.normal(0, 1, size=(5, 3))
-        h0 = rng.normal(0, 0.5, size=4)
-        hs, _ = cell_forward(p, xs[:, None, :], h0=h0[None, :])
-        oracle = simple_rnn_oracle(
-            p.blocks["W"].tolist(), p.blocks["U"].tolist(), p.blocks["b"].tolist(),
-            xs.tolist(), h0.tolist(),
-        )
-        np.testing.assert_allclose(hs[:, 0, :], oracle, atol=1e-12)
-
-
 def cell_loss(p: CellParams, xs, coeffs, rec_mask=None, **states) -> float:
     """Scalar projection of the hidden sequence, for finite differencing."""
     hs, _ = cell_forward(p, xs, rec_mask=rec_mask, **states)
@@ -197,7 +184,7 @@ def assert_backward_matches_finite_differences(p: CellParams, xs, coeffs, rec_ma
             assert abs(numeric - analytic) / denom < 1e-4, label
 
 
-@pytest.mark.parametrize("kind", ["simple", "indrnn", "lstm", "gru"])
+@pytest.mark.parametrize("kind", CELL_KINDS)
 def test_cell_backward_matches_finite_differences(rng, kind):
     p = random_cell(kind, rng, m=3, n=4)
     xs = rng.normal(0, 1, size=(5, 2, 3))  # T=5, B=2
@@ -205,7 +192,7 @@ def test_cell_backward_matches_finite_differences(rng, kind):
     assert_backward_matches_finite_differences(p, xs, coeffs)
 
 
-@pytest.mark.parametrize("kind", ["simple", "indrnn", "lstm", "gru"])
+@pytest.mark.parametrize("kind", CELL_KINDS)
 def test_cell_backward_from_nonzero_initial_state(rng, kind):
     """The (B, N) initial states enter the feature-major kernels transposed;
     B != N makes a transposition mistake fail on shape or on value."""
@@ -263,7 +250,7 @@ def test_forward_without_gate_caches(rng, kind):
     for ws in (None, {}):
         hs, _ = cell_forward(p, xs, rec_mask=mask, ws=ws, keep_gates=False)
         assert hs.tobytes() == full.tobytes()
-    one_step = {"simple": {"hs": 6}, "indrnn": {"hs": 6},
+    one_step = {"indrnn": {"hs": 6},
                 "lstm": {"hs": 6, "acts": 4, "qs": 1, "tqs": 1, "rec": 4},
                 "gru": {"hs": 6, "acts": 3, "rec": 2}}[kind]
     # buffer sizes in hidden-sequence steps of (N, B) = (4, 5)
@@ -310,22 +297,17 @@ class TestSigmoid:
 
 def test_hidden_states_bounded(rng):
     """Sigmoid/tanh cells cannot blow up regardless of input scale."""
-    for kind in ("simple", "indrnn", "gru"):
+    for kind in ("indrnn", "gru"):
         p = random_cell(kind, rng, m=3, n=4)
-        xs = rng.normal(0, 10, size=(30, 3))
+        hs, _ = run_one(p, rng.normal(0, 10, size=(30, 3)))
         if kind == "indrnn":
-            hs, _ = run_one(p, xs)
             assert np.all(hs > 0.0) and np.all(hs < 1.0)
-        elif kind == "gru":
-            hs, _ = run_one(p, xs)
-            assert np.all(np.abs(hs) < 1.0)  # convex mix of h0=0 and tanh candidate
         else:
-            hs, _ = cell_forward(p, xs[:, None, :])
-            assert np.all(hs > 0.0) and np.all(hs < 1.0)
+            assert np.all(np.abs(hs) < 1.0)  # convex mix of h0=0 and tanh candidate
 
 
 def test_init_shapes_and_ranges(rng):
-    for kind in ("simple", "indrnn", "lstm", "gru"):
+    for kind in CELL_KINDS:
         p = CellParams(kind, 6, 14)
         p.initialize(rng)
         for name, shape in block_shapes(kind, 6, 14).items():
